@@ -30,6 +30,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from datetime import date, datetime
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -124,7 +125,10 @@ class Binding:
 
 @dataclass(frozen=True)
 class SattestationBody:
-    """Everything the sattestor signs; a Sattestation is body + signature."""
+    """Everything the sattestor signs; a Sattestation is body + signature.
+
+    Immutable, so its canonical bytes are encoded once, on first use.
+    """
 
     sattestor_domain: str
     sattestor_onion: OnionAddress
@@ -138,9 +142,16 @@ class SattestationBody:
         if not self.sattestees:
             raise StructuralViolation("credential must carry at least one binding")
 
+    @cached_property
+    def _canonical(self) -> bytes:
+        wire = _body_wire(self)
+        return json.dumps(wire, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
 
 @dataclass(frozen=True)
 class Sattestation:
+    """A signed body.  Immutable, so its signature is checked once, on first use."""
+
     body: SattestationBody
     signature: bytes
 
@@ -149,6 +160,10 @@ class Sattestation:
             raise MalformedSignature(
                 f"signature must be 64 bytes, got {len(self.signature)}"
             )
+
+    @cached_property
+    def _signature_ok(self) -> bool:
+        return verify(self.sattestor_onion.pubkey, canonical_bytes(self), self.signature)
 
     # flat accessors so callers need not reach through .body
     @property
@@ -217,20 +232,22 @@ def canonical_bytes(body: SattestationBody | Sattestation) -> bytes:
     """
     if isinstance(body, Sattestation):
         body = body.body
-    wire = _body_wire(body)
-    return json.dumps(wire, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return body._canonical
 
 
 def issue(sattestor_key: KeyPair, body: SattestationBody) -> Sattestation:
     """Sign a credential body with the sattestor's onion key."""
     if sattestor_key.public != body.sattestor_onion.pubkey:
         raise KeyMismatch("signing key does not match the sattestor onion address")
-    signature = sign(sattestor_key.secret, canonical_bytes(body))
+    signature = sign(sattestor_key, canonical_bytes(body))
     return Sattestation(body=body, signature=signature)
 
 
 def verify_credential(s: Sattestation) -> None:
     """Check structural invariants, then the signature over canonical bytes.
+
+    The structural checks run on every call; the ed25519 check runs once
+    per credential object, whose verdict it keeps.
 
     Raises :class:`StructuralViolation` naming the failed invariant, or
     :class:`BadSignature`; returns None when the credential is sound.
@@ -246,7 +263,7 @@ def verify_credential(s: Sattestation) -> None:
             )
     if self_satt and not s.sattestees[0].cert_fingerprints:
         raise StructuralViolation("self-sattestation must bind at least one certificate")
-    if not verify(s.sattestor_onion.pubkey, canonical_bytes(s), s.signature):
+    if not s._signature_ok:
         raise BadSignature("signature does not verify under the sattestor onion key")
 
 
@@ -329,10 +346,10 @@ def fresh_binding_indexes(s: Sattestation, now: date) -> list[int]:
 
 
 def to_transport_json(s: Sattestation) -> str:
-    """Single-line transport form: canonical body plus the signature field."""
-    wire = _body_wire(s.body)
-    wire["signature"] = s.signature.hex()
-    return json.dumps(wire, separators=(",", ":"), ensure_ascii=False)
+    """Single-line transport form: canonical body plus the signature field,
+    spliced in before the body's closing brace."""
+    body = canonical_bytes(s).decode("utf-8")
+    return f'{body[:-1]},"signature":"{s.signature.hex()}"}}'
 
 
 def _parse_binding(obj: dict) -> Binding:

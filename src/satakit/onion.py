@@ -15,7 +15,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -78,17 +78,23 @@ class OnionAddress:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """ed25519 keypair; ``secret`` is the 32-byte seed."""
+    """ed25519 keypair; ``secret`` is the 32-byte seed.
+
+    The private key built to check ``public`` is kept for :func:`sign`, so
+    signing never re-derives it from the seed.
+    """
 
     secret: bytes
     public: bytes
+    private: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.secret) != 32:
             raise BadLength(f"secret seed must be 32 bytes, got {len(self.secret)}")
-        derived = _public_from_seed(self.secret)
-        if self.public != derived:
+        private = Ed25519PrivateKey.from_private_bytes(self.secret)
+        if self.public != _raw_public(private):
             raise KeyError("public key is not derivable from the secret seed")
+        object.__setattr__(self, "private", private)
 
     @property
     def address(self) -> OnionAddress:
@@ -96,8 +102,7 @@ class KeyPair:
         return address_for(self.public)
 
 
-def _public_from_seed(seed: bytes) -> bytes:
-    key = Ed25519PrivateKey.from_private_bytes(seed)
+def _raw_public(key: Ed25519PrivateKey) -> bytes:
     return key.public_key().public_bytes(
         serialization.Encoding.Raw, serialization.PublicFormat.Raw
     )
@@ -171,14 +176,12 @@ def keygen(seed: bytes | None = None) -> KeyPair:
         seed = os.urandom(32)
     if len(seed) != 32:
         raise BadLength(f"seed must be 32 bytes, got {len(seed)}")
-    return KeyPair(secret=seed, public=_public_from_seed(seed))
+    return KeyPair(secret=seed, public=_raw_public(Ed25519PrivateKey.from_private_bytes(seed)))
 
 
-def sign(secret: bytes, message: bytes) -> bytes:
-    """ed25519 signature (64 bytes) over ``message`` with the 32-byte seed."""
-    if len(secret) != 32:
-        raise BadLength(f"secret seed must be 32 bytes, got {len(secret)}")
-    return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+def sign(pair: KeyPair, message: bytes) -> bytes:
+    """ed25519 signature (64 bytes) over ``message`` with ``pair``'s key."""
+    return pair.private.sign(message)
 
 
 def verify(pubkey: bytes, message: bytes, signature: bytes) -> bool:

@@ -11,8 +11,18 @@ connects one of its configured trust roots to the subject:
 * the terminal link binds the subject with the queried label.
 
 Chains are bounded by the policy's ``max_chain_depth``; the shortest valid
-chain wins, with ties broken lexicographically by sattestor domain so
-evaluation is deterministic.
+chain wins.  Among chains of that length the one with the smallest tuple
+of step keys ``(sattestor domain, sattestor onion, binding index, label)``
+wins, then the one with the smallest tuple of credential ranks (positions
+in :func:`usable_links` order), so evaluation is deterministic.
+
+The search is breadth-first over states (issuer identity, allowed-label
+set), in the manner of Clarke et al., "Certificate chain discovery in
+SPKI/SDSI" (J. Computer Security 2001).  Each state is expanded once, at
+the first depth that reaches it, and keeps one chain, so the work is at
+most states x usable bindings, whatever the depth: a pool published by an
+adversary cannot force more.  Each credential's signature is checked once
+per object (see :func:`verify_credential`), however often it is evaluated.
 """
 
 from __future__ import annotations
@@ -22,13 +32,14 @@ from datetime import date
 from typing import Iterable, Optional
 
 from .credential import (
+    Binding,
     Sattestation,
     canonical_bytes,
-    check_freshness,
+    fresh_binding_indexes,
     make_self_sattestation,
     verify_credential,
 )
-from .errors import DomainMismatch, KeyMismatch, Stale
+from .errors import DomainMismatch, KeyMismatch, SataError
 from .onion import KeyPair, parse_onion
 from .sata import Sata, to_subdomain_form
 
@@ -104,7 +115,10 @@ class RotationResult:
     missing: tuple[str, ...] = ()
 
 
-def _identity(s: Sata) -> tuple[str, str]:
+def _identity(s: Sata | Binding | Sattestation) -> tuple[str, str]:
+    """(domain, onion label) of a SATA or binding, or of a credential's sattestor."""
+    if isinstance(s, Sattestation):
+        return (s.sattestor_domain, s.sattestor_onion.label)
     return (s.domain, s.onion.label)
 
 
@@ -124,14 +138,9 @@ def usable_links(
     for cred in ordered:
         try:
             verify_credential(cred)
-        except Exception:
+        except SataError:
             continue
-        for idx in range(len(cred.sattestees)):
-            try:
-                check_freshness(cred, idx, now)
-            except Stale:
-                continue
-            out.append((cred, idx))
+        out.extend((cred, idx) for idx in fresh_binding_indexes(cred, now))
     return out
 
 
@@ -146,12 +155,12 @@ def evaluate(
 
     Delegation semantics: a binding labeled ``sattestor(X)`` authorizes the
     bound SATA to issue label ``X`` at the next hop, or to delegate ``X``
-    further (still as ``sattestor(X)``) within the depth budget.
+    further (still as ``sattestor(X)``) within the depth budget.  The tie
+    rule and the cost bound are in the module docstring.
     """
-    links = usable_links(credentials, now)
-    by_issuer: dict[tuple[str, str], list[tuple[Sattestation, int]]] = {}
-    for cred, idx in links:
-        by_issuer.setdefault(_identity_of_credential(cred), []).append((cred, idx))
+    by_issuer: dict[tuple[str, str], list[tuple[int, Sattestation, int]]] = {}
+    for rank, (cred, idx) in enumerate(usable_links(credentials, now)):
+        by_issuer.setdefault(_identity(cred), []).append((rank, cred, idx))
 
     # merge roots sharing an identity so their label sets union
     allowed_at_root: dict[tuple[str, str], set[str]] = {}
@@ -160,51 +169,50 @@ def evaluate(
             root.trusted_labels
         )
 
-    # frontier entries: (sort_key, chain links, issuer identity, allowed labels)
-    frontier: list[tuple[tuple, tuple[ChainLink, ...], tuple[str, str], frozenset[str]]] = [
-        ((), (), ident, frozenset(allowed))
-        for ident, allowed in sorted(allowed_at_root.items())
-    ]
+    # state (issuer, allowed labels) -> its one chain as (step keys, ranks,
+    # links).  A state is expanded only at the first depth that reaches it:
+    # a chain through it at a later depth has a shorter twin.  All chains
+    # into a state at one depth have the same length, so the smallest
+    # (step keys, ranks) stays smallest under any common extension.
+    frontier: dict[tuple, tuple[tuple, tuple, tuple[ChainLink, ...]]] = {
+        (ident, frozenset(allowed)): ((), (), ())
+        for ident, allowed in allowed_at_root.items()
+    }
+    seen = set(frontier)
     for _depth in range(policy.max_chain_depth):
-        complete: list[tuple[tuple, tuple[ChainLink, ...]]] = []
-        next_frontier: list[
-            tuple[tuple, tuple[ChainLink, ...], tuple[str, str], frozenset[str]]
-        ] = []
-        for key, chain, issuer, allowed in frontier:
-            for cred, idx in by_issuer.get(issuer, ()):
+        best: Optional[tuple[tuple, tuple, tuple[ChainLink, ...]]] = None
+        reached: dict[tuple, tuple[tuple, tuple, tuple[ChainLink, ...]]] = {}
+        for (issuer, allowed), (keys, ranks, chain) in frontier.items():
+            for rank, cred, idx in by_issuer.get(issuer, ()):
                 binding = cred.sattestees[idx]
                 for lab in binding.labels:
                     if lab not in allowed:
                         continue
-                    step_key = key + (
-                        (cred.sattestor_domain, cred.sattestor_onion.label, idx, lab),
-                    )
-                    link = ChainLink(cred, idx, lab)
+                    order = (keys + ((*issuer, idx, lab),), ranks + (rank,))
                     if lab == label and binding.binds(subject.domain, subject.onion):
-                        complete.append((step_key, chain + (link,)))
+                        if best is None or order < best[:2]:
+                            best = (*order, chain + (ChainLink(cred, idx, lab),))
                     scope = delegation_scope(lab)
-                    if scope is not None:
-                        next_allowed = frozenset({scope, delegation_label(scope)})
-                        next_issuer = (binding.domain, binding.onion.label)
-                        next_frontier.append(
-                            (step_key, chain + (link,), next_issuer, next_allowed)
-                        )
-        if complete:
-            _, best = min(complete, key=lambda item: item[0])
-            return TrustChain(links=best, subject=subject, label=label)
-        frontier = next_frontier
+                    if scope is None:
+                        continue
+                    state = (_identity(binding), frozenset({scope, delegation_label(scope)}))
+                    if state in seen:
+                        continue
+                    kept = reached.get(state)
+                    if kept is None or order < kept[:2]:
+                        reached[state] = (*order, chain + (ChainLink(cred, idx, lab),))
+        if best is not None:
+            return TrustChain(links=best[2], subject=subject, label=label)
+        seen.update(reached)
+        frontier = reached
     return None
-
-
-def _identity_of_credential(cred: Sattestation) -> tuple[str, str]:
-    return (cred.sattestor_domain, cred.sattestor_onion.label)
 
 
 def _attests(
     links: list[tuple[Sattestation, int]], issuer: Sata, target: Sata
 ) -> bool:
     for cred, idx in links:
-        if _identity_of_credential(cred) != _identity(issuer):
+        if _identity(cred) != _identity(issuer):
             continue
         if cred.sattestees[idx].binds(target.domain, target.onion):
             return True

@@ -1,9 +1,11 @@
 """Independent oracles and the expected values frozen from them.
 
-Everything in this module was computed before (and apart from) the main
-implementation, using only the standard library, so tests can check the
-package against a second, independently written route.  Nothing here
-imports from satakit.
+Everything in this module but the last section was computed before (and
+apart from) the main implementation, using only the standard library, so
+tests can check the package against a second, independently written
+route.  The last section keeps the trust engine's former exhaustive path
+search, which the breadth-first search replaced, as a differential oracle
+for the exact chain chosen; only it imports from satakit.
 """
 
 from __future__ import annotations
@@ -134,3 +136,72 @@ def oracle_trusted(roots, links, subject, label, max_depth) -> bool:
         if found:
             break
     return found
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive chain search: the engine's former ``evaluate``, kept as it was.
+#
+# It lists every label-respecting path, depth by depth, and keeps no
+# visited set, so its work grows as fan-out^depth.  At the first depth with
+# a complete chain it returns the smallest by step-key tuple; ``min`` keeps
+# the first generated on ties.  The breadth-first search in satakit.trust
+# must return exactly this chain.
+
+from satakit.trust import (  # noqa: E402
+    ChainLink,
+    TrustChain,
+    delegation_label,
+    delegation_scope,
+    usable_links,
+)
+
+
+def _identity_of_credential(cred) -> tuple[str, str]:
+    return (cred.sattestor_domain, cred.sattestor_onion.label)
+
+
+def exhaustive_evaluate(policy, credentials, subject, label, now):
+    links = usable_links(credentials, now)
+    by_issuer = {}
+    for cred, idx in links:
+        by_issuer.setdefault(_identity_of_credential(cred), []).append((cred, idx))
+
+    # merge roots sharing an identity so their label sets union
+    allowed_at_root = {}
+    for root in policy.roots:
+        allowed_at_root.setdefault(
+            (root.sattestor.domain, root.sattestor.onion.label), set()
+        ).update(root.trusted_labels)
+
+    # frontier entries: (sort_key, chain links, issuer identity, allowed labels)
+    frontier = [
+        ((), (), ident, frozenset(allowed))
+        for ident, allowed in sorted(allowed_at_root.items())
+    ]
+    for _depth in range(policy.max_chain_depth):
+        complete = []
+        next_frontier = []
+        for key, chain, issuer, allowed in frontier:
+            for cred, idx in by_issuer.get(issuer, ()):
+                binding = cred.sattestees[idx]
+                for lab in binding.labels:
+                    if lab not in allowed:
+                        continue
+                    step_key = key + (
+                        (cred.sattestor_domain, cred.sattestor_onion.label, idx, lab),
+                    )
+                    link = ChainLink(cred, idx, lab)
+                    if lab == label and binding.binds(subject.domain, subject.onion):
+                        complete.append((step_key, chain + (link,)))
+                    scope = delegation_scope(lab)
+                    if scope is not None:
+                        next_allowed = frozenset({scope, delegation_label(scope)})
+                        next_issuer = (binding.domain, binding.onion.label)
+                        next_frontier.append(
+                            (step_key, chain + (link,), next_issuer, next_allowed)
+                        )
+        if complete:
+            _, best = min(complete, key=lambda item: item[0])
+            return TrustChain(links=best, subject=subject, label=label)
+        frontier = next_frontier
+    return None

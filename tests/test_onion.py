@@ -155,7 +155,7 @@ def test_keygen_rejects_short_seed():
 def test_sign_verify_roundtrip():
     pair = keygen(b"\x07" * 32)
     message = b"attested bytes"
-    signature = sign(pair.secret, message)
+    signature = sign(pair, message)
     assert verify(pair.public, message, signature)
     other = keygen(b"\x08" * 32)
     assert not verify(other.public, message, signature)
@@ -164,7 +164,7 @@ def test_sign_verify_roundtrip():
 def test_single_bit_flip_breaks_verification():
     pair = keygen(b"\x07" * 32)
     message = b"attested bytes"
-    signature = sign(pair.secret, message)
+    signature = sign(pair, message)
     flipped_sig = bytes([signature[0] ^ 1]) + signature[1:]
     assert not verify(pair.public, message, flipped_sig)
     flipped_msg = bytes([message[0] ^ 1]) + message[1:]
@@ -175,7 +175,7 @@ def test_rfc8032_vector_1():
     vec = RFC8032_VECTOR_1
     pair = keygen(bytes.fromhex(vec["seed"]))
     assert pair.public.hex() == vec["public"]
-    signature = sign(pair.secret, vec["message"])
+    signature = sign(pair, vec["message"])
     assert signature.hex() == vec["signature"]
     assert verify(pair.public, vec["message"], signature)
 

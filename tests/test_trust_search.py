@@ -1,0 +1,282 @@
+"""The breadth-first trust search: exact agreement with the exhaustive
+search it replaced, polynomial cost, and credential work done once.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import time
+from datetime import date, timedelta
+
+import pytest
+
+import satakit.credential as credential_module
+import satakit.onion as onion_module
+from satakit import (
+    Binding,
+    Sata,
+    Sattestation,
+    SattestationBody,
+    evaluate,
+    is_self_sattestation,
+    issue,
+    keygen,
+    rotation_check,
+    sign,
+    verify_credential,
+)
+from satakit.errors import BadSignature
+from satakit.trust import TrustPolicy, TrustRoot, delegation_label, usable_links
+
+from oracles import RFC8032_VECTOR_1, exhaustive_evaluate
+
+NOW = date(2020, 9, 1)
+NEWS = "news"
+LABELS = [
+    NEWS,
+    "bank",
+    delegation_label(NEWS),
+    delegation_label("bank"),
+    delegation_label(delegation_label(NEWS)),
+]
+
+_KEYS = [keygen(bytes([0x40 + i]) * 32) for i in range(7)]
+_DOMAINS = [f"n{i}.search.example" for i in range(7)]
+
+
+def _sata(i: int) -> Sata:
+    return Sata(domain=_DOMAINS[i], onion=_KEYS[i].address)
+
+
+def _binding(j: int, labels, refreshed: date) -> Binding:
+    return Binding(
+        domain=_DOMAINS[j],
+        onion=_KEYS[j].address,
+        issued=NOW - timedelta(days=40),
+        refreshed_on=refreshed,
+        labels=tuple(labels),
+    )
+
+
+def _body(i: int, bindings) -> SattestationBody:
+    return SattestationBody(
+        sattestor_domain=_DOMAINS[i],
+        sattestor_onion=_KEYS[i].address,
+        refresh_rate_days=7,
+        sattestees=tuple(bindings),
+    )
+
+
+def _random_pool(rng: random.Random, n: int) -> list[Sattestation]:
+    """Credentials over ``n`` nodes: random edges (so cycles and self-loops),
+    some stale bindings, junk signatures, re-issues of a credential under a
+    new refresh date (equal step keys, so the rank breaks the tie) and exact
+    duplicates (equal sort keys, so input order does)."""
+    pool = []
+    for _ in range(rng.randint(1, 14)):
+        i = rng.randrange(n)
+        bindings = [
+            _binding(
+                rng.randrange(n),
+                rng.sample(LABELS, rng.randint(1, 3)),
+                NOW - timedelta(days=30 if rng.random() < 0.15 else rng.randint(0, 3)),
+            )
+            for _ in range(rng.choice((1, 1, 2, 3)))
+        ]
+        body = _body(i, bindings)
+        if rng.random() < 0.1:
+            pool.append(Sattestation(body=body, signature=rng.randbytes(64)))
+            continue
+        pool.append(issue(_KEYS[i], body))
+        if rng.random() < 0.3:
+            refreshed = NOW - timedelta(days=rng.randint(0, 3))
+            reissued = [dataclasses.replace(b, refreshed_on=refreshed) for b in bindings]
+            pool.append(issue(_KEYS[i], _body(i, reissued)))
+        if rng.random() < 0.1:
+            pool.append(issue(_KEYS[i], body))
+    rng.shuffle(pool)
+    return pool
+
+
+def _random_policy(rng: random.Random, n: int, depth: int) -> TrustPolicy:
+    roots = tuple(
+        TrustRoot(
+            sattestor=_sata(rng.randrange(n)),
+            trusted_labels=frozenset(rng.sample(LABELS, rng.randint(1, 3))),
+        )
+        for _ in range(rng.randint(1, 2))
+    )
+    return TrustPolicy(roots=roots, max_chain_depth=depth)
+
+
+def _chain_ids(chain):
+    if chain is None:
+        return None
+    return [(id(link.credential), link.binding_index, link.label) for link in chain.links]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_search_returns_the_exhaustive_chain(depth):
+    rng = random.Random(f"trust-search:{depth}")
+    hits = ties = longest = 0
+    for _ in range(120):
+        n = rng.randint(2, 7)
+        pool = _random_pool(rng, n)
+        policy = _random_policy(rng, n, depth)
+        usable = usable_links(pool, NOW)
+        step_keys = [
+            (c.sattestor_domain, c.sattestor_onion.label, idx, lab)
+            for c, idx in usable
+            for lab in c.sattestees[idx].labels
+        ]
+        for node in range(n):
+            subject = _sata(node)
+            for label in LABELS:
+                got = evaluate(policy, pool, subject, label, NOW)
+                want = exhaustive_evaluate(policy, pool, subject, label, NOW)
+                assert _chain_ids(got) == _chain_ids(want), (node, label)
+                if got is not None:
+                    hits += 1
+                    longest = max(longest, len(got.links))
+                    ties += any(
+                        step_keys.count(
+                            (l.credential.sattestor_domain,
+                             l.credential.sattestor_onion.label,
+                             l.binding_index, l.label)
+                        ) > 1
+                        for l in got.links
+                    )
+    # the pools must exercise what the tie rule decides
+    assert hits >= 200 and ties >= 100 and longest == depth, (hits, ties, longest)
+
+
+# -- cost ---------------------------------------------------------------------------
+
+
+def _complete_graph(n: int):
+    """Every node delegates sattestor(news) to every other; node 0 is the root."""
+    keys = [keygen(bytes([0x80 + i]) * 32) for i in range(n)]
+    satas = [Sata(domain=f"c{i}.complete.example", onion=k.address) for i, k in enumerate(keys)]
+    pool = [
+        issue(
+            keys[i],
+            SattestationBody(
+                sattestor_domain=satas[i].domain,
+                sattestor_onion=satas[i].onion,
+                refresh_rate_days=7,
+                sattestees=tuple(
+                    Binding(
+                        domain=satas[j].domain,
+                        onion=satas[j].onion,
+                        issued=NOW,
+                        refreshed_on=NOW,
+                        labels=(delegation_label(NEWS),),
+                    )
+                    for j in range(n)
+                    if j != i
+                ),
+            ),
+        )
+        for i in range(n)
+    ]
+    root = TrustRoot(sattestor=satas[0], trusted_labels=frozenset({NEWS, delegation_label(NEWS)}))
+    return root, pool
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+def test_miss_on_complete_graph_is_polynomial(depth):
+    # the exhaustive search needs about 40^depth steps here: 31.8 s at depth 4
+    root, pool = _complete_graph(40)
+    policy = TrustPolicy(roots=(root,), max_chain_depth=depth)
+    stranger = Sata(domain="stranger.example", onion=keygen(b"\x7f" * 32).address)
+    started = time.perf_counter()
+    assert evaluate(policy, pool, stranger, NEWS, NOW) is None
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"miss at depth {depth} took {elapsed:.2f} s"
+
+
+# -- verify once -----------------------------------------------------------------------
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Signature checks made through ``satakit.credential.verify``, per signature."""
+    calls: dict[bytes, int] = {}
+    real = credential_module.verify
+
+    def counting(pubkey, message, signature):
+        calls[signature] = calls.get(signature, 0) + 1
+        return real(pubkey, message, signature)
+
+    monkeypatch.setattr(credential_module, "verify", counting)
+    return calls
+
+
+def test_each_credential_object_is_verified_once(verify_calls):
+    rng = random.Random("verify-once")
+    pool = _random_pool(rng, 7)
+    # rotation between nodes 0 and 1, both directions
+    pool += [
+        issue(_KEYS[0], _body(0, [_binding(1, ["rotation"], NOW)])),
+        issue(_KEYS[1], _body(1, [_binding(0, ["rotation"], NOW)])),
+    ]
+    policy = _random_policy(rng, 7, 4)
+    for _ in range(3):
+        usable_links(pool, NOW)
+        for node in range(7):
+            evaluate(policy, pool, _sata(node), NEWS, NOW)
+        rotation_check(_sata(0), Sata(domain=_DOMAINS[0], onion=_KEYS[1].address), pool, NOW)
+    # self-loops without cert fingerprints fail the structural checks, which
+    # come first; exact duplicates are distinct objects sharing one signature
+    signatures = [c.signature for c in pool if not is_self_sattestation(c)]
+    assert verify_calls == {sig: signatures.count(sig) for sig in signatures}
+
+
+def test_tampered_or_reissued_objects_are_checked_again(verify_calls):
+    body = _body(0, [_binding(1, [NEWS], NOW)])
+    original = issue(_KEYS[0], body)
+    verify_credential(original)
+    verify_credential(original)
+    assert verify_calls == {original.signature: 1}
+
+    flipped = bytes([original.signature[0] ^ 1]) + original.signature[1:]
+    tampered_signature = dataclasses.replace(original, signature=flipped)
+    with pytest.raises(BadSignature):
+        verify_credential(tampered_signature)
+    assert verify_calls[flipped] == 1
+
+    tampered_body = Sattestation(
+        body=dataclasses.replace(body, sattestor_domain="evil.example"),
+        signature=original.signature,
+    )
+    with pytest.raises(BadSignature):
+        verify_credential(tampered_body)
+    assert verify_calls[original.signature] == 2
+    assert usable_links([tampered_signature, tampered_body], NOW) == []
+
+    reissued = Sattestation(body=body, signature=original.signature)
+    verify_credential(reissued)
+    assert verify_calls[original.signature] == 3
+
+
+# -- signing ---------------------------------------------------------------------------
+
+
+def test_sign_uses_the_kept_private_key(monkeypatch):
+    vec = RFC8032_VECTOR_1
+    pair = keygen(bytes.fromhex(vec["seed"]))
+
+    class NoDerivation:
+        @staticmethod
+        def from_private_bytes(_seed):
+            raise AssertionError("sign re-derived the private key")
+
+    monkeypatch.setattr(onion_module, "Ed25519PrivateKey", NoDerivation)
+    assert sign(pair, vec["message"]).hex() == vec["signature"]
+
+
+def test_keypair_private_key_is_not_part_of_its_value():
+    a, b = keygen(b"\x05" * 32), keygen(b"\x05" * 32)
+    assert a == b and hash(a) == hash(b)
+    assert "private" not in repr(a)

@@ -150,7 +150,8 @@ class SattestationBody:
 
 @dataclass(frozen=True)
 class Sattestation:
-    """A signed body.  Immutable, so its signature is checked once, on first use."""
+    """A signed body.  Immutable, so its structure and its signature are
+    each checked once, on first use."""
 
     body: SattestationBody
     signature: bytes
@@ -160,6 +161,22 @@ class Sattestation:
             raise MalformedSignature(
                 f"signature must be 64 bytes, got {len(self.signature)}"
             )
+
+    @cached_property
+    def _structural_fault(self) -> str | None:
+        """The first structural invariant the credential breaks, or None."""
+        if self.version != CREDENTIAL_VERSION:
+            return f"unsupported credential version {self.version}"
+        self_satt = is_self_sattestation(self)
+        for i, b in enumerate(self.sattestees):
+            if b.cert_fingerprints and not self_satt:
+                return (
+                    f"binding {i} carries cert fingerprints but the credential "
+                    "is not a self-sattestation"
+                )
+        if self_satt and not self.sattestees[0].cert_fingerprints:
+            return "self-sattestation must bind at least one certificate"
+        return None
 
     @cached_property
     def _signature_ok(self) -> bool:
@@ -246,23 +263,16 @@ def issue(sattestor_key: KeyPair, body: SattestationBody) -> Sattestation:
 def verify_credential(s: Sattestation) -> None:
     """Check structural invariants, then the signature over canonical bytes.
 
-    The structural checks run on every call; the ed25519 check runs once
-    per credential object, whose verdict it keeps.
+    Both verdicts are fixed by the immutable credential object, which keeps
+    them: the checks run on its first call, and a repeat call only reads
+    them back (and raises afresh).
 
     Raises :class:`StructuralViolation` naming the failed invariant, or
     :class:`BadSignature`; returns None when the credential is sound.
     """
-    if s.version != CREDENTIAL_VERSION:
-        raise StructuralViolation(f"unsupported credential version {s.version}")
-    self_satt = is_self_sattestation(s)
-    for i, b in enumerate(s.sattestees):
-        if b.cert_fingerprints and not self_satt:
-            raise StructuralViolation(
-                f"binding {i} carries cert fingerprints but the credential "
-                "is not a self-sattestation"
-            )
-    if self_satt and not s.sattestees[0].cert_fingerprints:
-        raise StructuralViolation("self-sattestation must bind at least one certificate")
+    fault = s._structural_fault
+    if fault is not None:
+        raise StructuralViolation(fault)
     if not s._signature_ok:
         raise BadSignature("signature does not verify under the sattestor onion key")
 
@@ -313,19 +323,24 @@ def make_self_sattestation(
     return credential
 
 
-def check_freshness(s: Sattestation, binding_index: int, now: date) -> None:
-    """Freshness rule: |now - reference| must be strictly less than the rate.
+def is_fresh(b: Binding, refresh_rate_days: float, today: int) -> bool:
+    """The freshness rule on day ordinals (``today`` is ``now.toordinal()``):
+    |today - refreshed_on| must be strictly less than the rate.
 
-    The reference date is the binding's ``refreshed_on`` (which equals
-    ``issued`` when never refreshed).  Raises :class:`Stale` with the
-    margin by which the strict bound was missed.
+    The reference date is the binding's ``refreshed_on``, which equals
+    ``issued`` when never refreshed.
     """
+    return abs(today - b.refreshed_on.toordinal()) < refresh_rate_days
+
+
+def check_freshness(s: Sattestation, binding_index: int, now: date) -> None:
+    """Apply :func:`is_fresh` to one binding; raise :class:`Stale` with the
+    margin by which the strict bound was missed."""
     if not 0 <= binding_index < len(s.sattestees):
         raise IndexError(f"binding index {binding_index} out of range")
     b = s.sattestees[binding_index]
-    reference = b.refreshed_on
-    age = abs((now - reference).days)
-    if age >= s.refresh_rate_days:
+    if not is_fresh(b, s.refresh_rate_days, now.toordinal()):
+        age = abs((now - b.refreshed_on).days)
         raise Stale(
             f"binding {binding_index} is {age} days old, refresh rate is "
             f"{format_refresh_rate(s.refresh_rate_days)} (strict bound)",
@@ -334,15 +349,9 @@ def check_freshness(s: Sattestation, binding_index: int, now: date) -> None:
 
 
 def fresh_binding_indexes(s: Sattestation, now: date) -> list[int]:
-    """Indexes of bindings that pass the freshness rule at ``now``."""
-    out = []
-    for i in range(len(s.sattestees)):
-        try:
-            check_freshness(s, i, now)
-        except Stale:
-            continue
-        out.append(i)
-    return out
+    """Indexes of bindings that pass :func:`is_fresh` at ``now``."""
+    today, rate = now.toordinal(), s.refresh_rate_days
+    return [i for i, b in enumerate(s.sattestees) if is_fresh(b, rate, today)]
 
 
 def to_transport_json(s: Sattestation) -> str:

@@ -80,19 +80,23 @@ class OnionAddress:
 class KeyPair:
     """ed25519 keypair; ``secret`` is the 32-byte seed.
 
-    The private key built to check ``public`` is kept for :func:`sign`, so
-    signing never re-derives it from the seed.
+    The private key is built from the seed once, here: it derives
+    ``public`` when that is omitted, checks it when given, and is kept for
+    :func:`sign`, so signing never re-derives it.
     """
 
     secret: bytes
-    public: bytes
+    public: bytes | None = None
     private: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.secret) != 32:
             raise BadLength(f"secret seed must be 32 bytes, got {len(self.secret)}")
         private = Ed25519PrivateKey.from_private_bytes(self.secret)
-        if self.public != _raw_public(private):
+        public = _raw_public(private)
+        if self.public is None:
+            object.__setattr__(self, "public", public)
+        elif self.public != public:
             raise KeyError("public key is not derivable from the secret seed")
         object.__setattr__(self, "private", private)
 
@@ -176,7 +180,7 @@ def keygen(seed: bytes | None = None) -> KeyPair:
         seed = os.urandom(32)
     if len(seed) != 32:
         raise BadLength(f"seed must be 32 bytes, got {len(seed)}")
-    return KeyPair(secret=seed, public=_raw_public(Ed25519PrivateKey.from_private_bytes(seed)))
+    return KeyPair(secret=seed)
 
 
 def sign(pair: KeyPair, message: bytes) -> bytes:

@@ -13,16 +13,22 @@ connects one of its configured trust roots to the subject:
 Chains are bounded by the policy's ``max_chain_depth``; the shortest valid
 chain wins.  Among chains of that length the one with the smallest tuple
 of step keys ``(sattestor domain, sattestor onion, binding index, label)``
-wins, then the one with the smallest tuple of credential ranks (positions
-in :func:`usable_links` order), so evaluation is deterministic.
+wins, then the one with the smallest tuple of link ranks, so evaluation is
+deterministic.  A link's rank is (credential position, binding index),
+with positions taken in pool order: sorted by (sattestor domain,
+sattestor onion, canonical bytes), stably.  That is the order of
+:func:`usable_links`.
 
 The search is breadth-first over states (issuer identity, allowed-label
 set), in the manner of Clarke et al., "Certificate chain discovery in
 SPKI/SDSI" (J. Computer Security 2001).  Each state is expanded once, at
-the first depth that reaches it, and keeps one chain, so the work is at
-most states x usable bindings, whatever the depth: a pool published by an
-adversary cannot force more.  Each credential's signature is checked once
-per object (see :func:`verify_credential`), however often it is evaluated.
+the first depth that reaches it, and keeps one chain.  A query costs one
+step per credential (sort, verify, group by issuer) plus at most states x
+bindings, whatever the depth: a pool published by an adversary cannot
+force more.  Each credential object keeps its structural and signature
+verdicts (see :func:`verify_credential`), so the step per credential stays
+cheap however often the pool is evaluated; freshness depends on the query
+date and is checked per binding as the search walks it.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .credential import (
     Sattestation,
     canonical_bytes,
     fresh_binding_indexes,
+    is_fresh,
     make_self_sattestation,
     verify_credential,
 )
@@ -122,26 +129,57 @@ def _identity(s: Sata | Binding | Sattestation) -> tuple[str, str]:
     return (s.domain, s.onion.label)
 
 
-def usable_links(
-    credentials: Iterable[Sattestation], now: date
-) -> list[tuple[Sattestation, int]]:
-    """(credential, binding_index) pairs that verify and are fresh at ``now``.
+def _sound_by_issuer(
+    credentials: Iterable[Sattestation],
+) -> dict[tuple[str, str], list[tuple[int, Sattestation]]]:
+    """The credentials that verify, grouped by issuer, as (position,
+    credential) in pool order.
 
-    Unverifiable credentials are excluded, not fatal: an attacker must not
-    be able to poison evaluation by publishing junk.
+    Pool order sorts by (sattestor domain, sattestor onion, canonical
+    bytes), stably.  Grouping first and sorting the issuers, then each
+    group, gives that order with one issuer key per credential.
+    Unverifiable credentials are dropped before the sort, not fatal: an
+    attacker must not be able to poison evaluation by publishing junk,
+    even junk whose canonical bytes cannot be encoded.  Positions count
+    the credentials kept, which leaves their relative order unchanged.
     """
-    ordered = sorted(
-        credentials,
-        key=lambda c: (c.sattestor_domain, c.sattestor_onion.label, canonical_bytes(c)),
-    )
-    out: list[tuple[Sattestation, int]] = []
-    for cred in ordered:
+    groups: dict[tuple[str, str], list[Sattestation]] = {}
+    for cred in credentials:
         try:
             verify_credential(cred)
         except SataError:
             continue
-        out.extend((cred, idx) for idx in fresh_binding_indexes(cred, now))
+        issuer = (cred.sattestor_domain, cred.sattestor_onion.label)
+        groups.setdefault(issuer, []).append(cred)
+    out: dict[tuple[str, str], list[tuple[int, Sattestation]]] = {}
+    pos = 0
+    for issuer in sorted(groups):
+        group = sorted(groups[issuer], key=canonical_bytes)
+        out[issuer] = list(enumerate(group, pos))
+        pos += len(group)
     return out
+
+
+def usable_links(
+    credentials: Iterable[Sattestation], now: date
+) -> list[tuple[Sattestation, int]]:
+    """(credential, binding_index) pairs that verify and are fresh at
+    ``now``, in pool order (see :func:`_sound_by_issuer`)."""
+    return [
+        (cred, idx)
+        for sound in _sound_by_issuer(credentials).values()
+        for _pos, cred in sound
+        for idx in fresh_binding_indexes(cred, now)
+    ]
+
+
+def _grant(label: str) -> Optional[frozenset[str]]:
+    """Labels a link carrying ``label`` lets its subject use at the next
+    hop: ``{X, sattestor(X)}`` for ``sattestor(X)``, None for plain labels."""
+    scope = delegation_scope(label)
+    if scope is None:
+        return None
+    return frozenset({scope, delegation_label(scope)})
 
 
 def evaluate(
@@ -155,12 +193,16 @@ def evaluate(
 
     Delegation semantics: a binding labeled ``sattestor(X)`` authorizes the
     bound SATA to issue label ``X`` at the next hop, or to delegate ``X``
-    further (still as ``sattestor(X)``) within the depth budget.  The tie
-    rule and the cost bound are in the module docstring.
+    further (still as ``sattestor(X)``) within the depth budget.
+
+    A link's rank is (credential position, binding index), positions in
+    pool order.  A query sorts and verifies the pool once, one step per
+    credential, then walks the fresh bindings of each reached issuer's
+    credentials in place: at most states x bindings.  A candidate chain's
+    (step keys, ranks) is built only for a hit or for a state no earlier
+    depth reached.  The tie rule is in the module docstring.
     """
-    by_issuer: dict[tuple[str, str], list[tuple[int, Sattestation, int]]] = {}
-    for rank, (cred, idx) in enumerate(usable_links(credentials, now)):
-        by_issuer.setdefault(_identity(cred), []).append((rank, cred, idx))
+    by_issuer = _sound_by_issuer(credentials)
 
     # merge roots sharing an identity so their label sets union
     allowed_at_root: dict[tuple[str, str], set[str]] = {}
@@ -169,40 +211,49 @@ def evaluate(
             root.trusted_labels
         )
 
-    # state (issuer, allowed labels) -> its one chain as (step keys, ranks,
-    # links).  A state is expanded only at the first depth that reaches it:
-    # a chain through it at a later depth has a shorter twin.  All chains
-    # into a state at one depth have the same length, so the smallest
-    # (step keys, ranks) stays smallest under any common extension.
-    frontier: dict[tuple, tuple[tuple, tuple, tuple[ChainLink, ...]]] = {
-        (ident, frozenset(allowed)): ((), (), ())
+    # state (issuer domain, issuer onion, allowed labels) -> its one chain as
+    # ((step keys, ranks), links).  A state is expanded only at the first
+    # depth that reaches it: a chain through it at a later depth has a
+    # shorter twin.  All chains into a state at one depth have the same
+    # length, so the smallest (step keys, ranks) stays smallest under any
+    # common extension.
+    frontier: dict[tuple, tuple] = {
+        (*ident, frozenset(allowed)): (((), ()), ())
         for ident, allowed in allowed_at_root.items()
     }
     seen = set(frontier)
+    grants: dict[str, Optional[frozenset[str]]] = {}  # label -> _grant(label)
+    today = now.toordinal()
     for _depth in range(policy.max_chain_depth):
-        best: Optional[tuple[tuple, tuple, tuple[ChainLink, ...]]] = None
-        reached: dict[tuple, tuple[tuple, tuple, tuple[ChainLink, ...]]] = {}
-        for (issuer, allowed), (keys, ranks, chain) in frontier.items():
-            for rank, cred, idx in by_issuer.get(issuer, ()):
-                binding = cred.sattestees[idx]
-                for lab in binding.labels:
-                    if lab not in allowed:
+        best: Optional[tuple] = None
+        reached: dict[tuple, tuple] = {}
+        for (domain, onion, allowed), ((keys, ranks), chain) in frontier.items():
+            for pos, cred in by_issuer.get((domain, onion), ()):
+                rate = cred.refresh_rate_days
+                for idx, binding in enumerate(cred.sattestees):
+                    if not is_fresh(binding, rate, today):
                         continue
-                    order = (keys + ((*issuer, idx, lab),), ranks + (rank,))
-                    if lab == label and binding.binds(subject.domain, subject.onion):
-                        if best is None or order < best[:2]:
-                            best = (*order, chain + (ChainLink(cred, idx, lab),))
-                    scope = delegation_scope(lab)
-                    if scope is None:
-                        continue
-                    state = (_identity(binding), frozenset({scope, delegation_label(scope)}))
-                    if state in seen:
-                        continue
-                    kept = reached.get(state)
-                    if kept is None or order < kept[:2]:
-                        reached[state] = (*order, chain + (ChainLink(cred, idx, lab),))
+                    for lab in binding.labels:
+                        if lab not in allowed:
+                            continue
+                        if lab == label and binding.binds(subject.domain, subject.onion):
+                            order = (keys + ((domain, onion, idx, lab),), ranks + ((pos, idx),))
+                            if best is None or order < best[0]:
+                                best = (order, chain + (ChainLink(cred, idx, lab),))
+                        if lab not in grants:
+                            grants[lab] = _grant(lab)
+                        nxt = grants[lab]
+                        if nxt is None:
+                            continue
+                        state = (binding.domain, binding.onion.label, nxt)
+                        if state in seen:
+                            continue
+                        order = (keys + ((domain, onion, idx, lab),), ranks + ((pos, idx),))
+                        kept = reached.get(state)
+                        if kept is None or order < kept[0]:
+                            reached[state] = (order, chain + (ChainLink(cred, idx, lab),))
         if best is not None:
-            return TrustChain(links=best[2], subject=subject, label=label)
+            return TrustChain(links=best[1], subject=subject, label=label)
         seen.update(reached)
         frontier = reached
     return None

@@ -25,6 +25,8 @@ from .errors import (
     EmptyInput,
     InvalidOnionComponent,
     NotASata,
+    OnionAddressError,
+    SataError,
     Stale,
     StructuralViolation,
 )
@@ -232,14 +234,14 @@ def validate_alt_svc(
         return AltSvcDecision.BLOCK
     try:
         alt_onion: OnionAddress = parse_onion(host)
-    except Exception:
+    except OnionAddressError:
         return AltSvcDecision.BLOCK
     if self_satt is None:
         return AltSvcDecision.BLOCK
     try:
         verify_credential(self_satt)
         check_freshness(self_satt, 0, now)
-    except Exception:
+    except SataError:  # junk credentials block; they never raise out of here
         return AltSvcDecision.BLOCK
     if not is_self_sattestation(self_satt):
         return AltSvcDecision.BLOCK

@@ -139,29 +139,74 @@ def oracle_trusted(roots, links, subject, label, max_depth) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive chain search: the engine's former ``evaluate``, kept as it was.
+# Exhaustive chain search: the engine's former ``evaluate``, kept as it was,
+# over its own filter of usable links.
 #
 # It lists every label-respecting path, depth by depth, and keeps no
 # visited set, so its work grows as fan-out^depth.  At the first depth with
 # a complete chain it returns the smallest by step-key tuple; ``min`` keeps
 # the first generated on ties.  The breadth-first search in satakit.trust
-# must return exactly this chain.
+# must return exactly this chain.  Its filter of usable links shares
+# nothing with the engine's: it checks each signature with
+# ``satakit.onion.verify``, and the structural and freshness rules itself.
 
-from satakit.trust import (  # noqa: E402
-    ChainLink,
-    TrustChain,
-    delegation_label,
-    delegation_scope,
-    usable_links,
-)
+from satakit.credential import canonical_bytes  # noqa: E402
+from satakit.errors import UnrepresentableField  # noqa: E402
+from satakit.onion import verify  # noqa: E402
+from satakit.trust import ChainLink, TrustChain  # noqa: E402
+
+
+def oracle_well_formed(cred) -> bool:
+    """Version 1; cert fingerprints on the one binding of a
+    self-sattestation and on no other binding."""
+    if cred.version != 1:
+        return False
+    bindings = cred.sattestees
+    is_self = len(bindings) == 1 and (
+        (bindings[0].domain, bindings[0].onion.label)
+        == (cred.sattestor_domain, cred.sattestor_onion.label)
+    )
+    if is_self != bool(bindings[0].cert_fingerprints):
+        return False
+    return not any(b.cert_fingerprints for b in bindings[1:])
+
+
+def _oracle_sound(cred) -> bool:
+    """Well formed, with canonical bytes and a valid signature over them."""
+    if not oracle_well_formed(cred):
+        return False
+    try:
+        message = canonical_bytes(cred)
+    except UnrepresentableField:
+        return False
+    return verify(cred.sattestor_onion.pubkey, message, cred.signature)
+
+
+def oracle_sound(credentials):
+    """The credentials that verify, sorted by (sattestor domain, sattestor
+    onion, canonical bytes)."""
+    return sorted(
+        (cred for cred in credentials if _oracle_sound(cred)),
+        key=lambda c: (c.sattestor_domain, c.sattestor_onion.label, canonical_bytes(c)),
+    )
+
+
+def oracle_links(sound, now):
+    """(credential, binding index) pairs of ``sound`` fresh at ``now``."""
+    return [
+        (cred, idx)
+        for cred in sound
+        for idx, b in enumerate(cred.sattestees)
+        if abs((now - b.refreshed_on).days) < cred.refresh_rate_days
+    ]
 
 
 def _identity_of_credential(cred) -> tuple[str, str]:
     return (cred.sattestor_domain, cred.sattestor_onion.label)
 
 
-def exhaustive_evaluate(policy, credentials, subject, label, now):
-    links = usable_links(credentials, now)
+def exhaustive_evaluate(policy, links, subject, label):
+    """The chain for (subject, label) over ``links`` from :func:`oracle_links`."""
     by_issuer = {}
     for cred, idx in links:
         by_issuer.setdefault(_identity_of_credential(cred), []).append((cred, idx))
@@ -193,9 +238,9 @@ def exhaustive_evaluate(policy, credentials, subject, label, now):
                     link = ChainLink(cred, idx, lab)
                     if lab == label and binding.binds(subject.domain, subject.onion):
                         complete.append((step_key, chain + (link,)))
-                    scope = delegation_scope(lab)
+                    scope = _oracle_scope(lab)
                     if scope is not None:
-                        next_allowed = frozenset({scope, delegation_label(scope)})
+                        next_allowed = frozenset({scope, f"sattestor({scope})"})
                         next_issuer = (binding.domain, binding.onion.label)
                         next_frontier.append(
                             (step_key, chain + (link,), next_issuer, next_allowed)

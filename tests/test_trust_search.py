@@ -15,6 +15,7 @@ import satakit.credential as credential_module
 import satakit.onion as onion_module
 from satakit import (
     Binding,
+    KeyPair,
     Sata,
     Sattestation,
     SattestationBody,
@@ -26,10 +27,16 @@ from satakit import (
     sign,
     verify_credential,
 )
-from satakit.errors import BadSignature
+from satakit.errors import BadSignature, StructuralViolation
 from satakit.trust import TrustPolicy, TrustRoot, delegation_label, usable_links
 
-from oracles import RFC8032_VECTOR_1, exhaustive_evaluate
+from oracles import (
+    RFC8032_VECTOR_1,
+    exhaustive_evaluate,
+    oracle_links,
+    oracle_sound,
+    oracle_well_formed,
+)
 
 NOW = date(2020, 9, 1)
 NEWS = "news"
@@ -43,6 +50,7 @@ LABELS = [
 
 _KEYS = [keygen(bytes([0x40 + i]) * 32) for i in range(7)]
 _DOMAINS = [f"n{i}.search.example" for i in range(7)]
+FINGERPRINT = "AB" * 32
 
 
 def _sata(i: int) -> Sata:
@@ -70,8 +78,10 @@ def _body(i: int, bindings) -> SattestationBody:
 
 def _random_pool(rng: random.Random, n: int) -> list[Sattestation]:
     """Credentials over ``n`` nodes: random edges (so cycles and self-loops),
-    some stale bindings, junk signatures, re-issues of a credential under a
-    new refresh date (equal step keys, so the rank breaks the tie) and exact
+    some stale bindings, junk signatures, junk that cannot be encoded, cert
+    fingerprints (which make a one-binding self-loop a self-sattestation
+    and break any other credential), re-issues of a credential under a new
+    refresh date (equal step keys, so the rank breaks the tie) and exact
     duplicates (equal sort keys, so input order does)."""
     pool = []
     for _ in range(rng.randint(1, 14)):
@@ -84,9 +94,17 @@ def _random_pool(rng: random.Random, n: int) -> list[Sattestation]:
             )
             for _ in range(rng.choice((1, 1, 2, 3)))
         ]
+        for k, b in enumerate(bindings):
+            loop = len(bindings) == 1 and b.domain == _DOMAINS[i]
+            if rng.random() < (0.6 if loop else 0.1):
+                bindings[k] = dataclasses.replace(b, cert_fingerprints=(FINGERPRINT,))
         body = _body(i, bindings)
         if rng.random() < 0.1:
             pool.append(Sattestation(body=body, signature=rng.randbytes(64)))
+            continue
+        if rng.random() < 0.05:  # a zero rate has no canonical bytes
+            unencodable = dataclasses.replace(body, refresh_rate_days=0)
+            pool.append(Sattestation(body=unencodable, signature=rng.randbytes(64)))
             continue
         pool.append(issue(_KEYS[i], body))
         if rng.random() < 0.3:
@@ -116,39 +134,60 @@ def _chain_ids(chain):
     return [(id(link.credential), link.binding_index, link.label) for link in chain.links]
 
 
+# the same credential objects are queried at each date, so a freshness
+# verdict reused across dates would give a wrong chain
+DATES = [NOW, NOW - timedelta(days=8), NOW + timedelta(days=4), NOW + timedelta(days=8)]
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_search_returns_the_exhaustive_chain(depth):
     rng = random.Random(f"trust-search:{depth}")
-    hits = ties = longest = 0
+    hits = ties = longest = moved = pinned = self_hops = 0
     for _ in range(120):
         n = rng.randint(2, 7)
         pool = _random_pool(rng, n)
         policy = _random_policy(rng, n, depth)
-        usable = usable_links(pool, NOW)
+        sound = oracle_sound(pool)
+        pinned += sum(
+            any(b.cert_fingerprints for b in c.sattestees) and not oracle_well_formed(c)
+            for c in pool
+        )
+        links = {when: oracle_links(sound, when) for when in DATES}
+        for when, want in links.items():
+            usable = [(id(c), i) for c, i in usable_links(pool, when)]
+            assert usable == [(id(c), i) for c, i in want], when
         step_keys = [
             (c.sattestor_domain, c.sattestor_onion.label, idx, lab)
-            for c, idx in usable
+            for c, idx in links[NOW]
             for lab in c.sattestees[idx].labels
         ]
         for node in range(n):
             subject = _sata(node)
             for label in LABELS:
-                got = evaluate(policy, pool, subject, label, NOW)
-                want = exhaustive_evaluate(policy, pool, subject, label, NOW)
-                assert _chain_ids(got) == _chain_ids(want), (node, label)
-                if got is not None:
+                got = {when: evaluate(policy, pool, subject, label, when) for when in DATES}
+                for when, chain in got.items():
+                    want = exhaustive_evaluate(policy, links[when], subject, label)
+                    assert _chain_ids(chain) == _chain_ids(want), (when, node, label)
+                    moved += _chain_ids(chain) != _chain_ids(got[NOW])
+                    if chain is not None:
+                        self_hops += any(is_self_sattestation(l.credential) for l in chain.links)
+                chain = got[NOW]
+                if chain is not None:
                     hits += 1
-                    longest = max(longest, len(got.links))
+                    longest = max(longest, len(chain.links))
                     ties += any(
                         step_keys.count(
                             (l.credential.sattestor_domain,
                              l.credential.sattestor_onion.label,
                              l.binding_index, l.label)
                         ) > 1
-                        for l in got.links
+                        for l in chain.links
                     )
-    # the pools must exercise what the tie rule decides
+    # the pools must exercise what the tie rule, the dates and the
+    # structural rule decide
     assert hits >= 200 and ties >= 100 and longest == depth, (hits, ties, longest)
+    assert moved >= 3 * hits // 2, (moved, hits)
+    assert pinned >= 100 and self_hops >= 30, (pinned, self_hops)
 
 
 # -- cost ---------------------------------------------------------------------------
@@ -227,9 +266,12 @@ def test_each_credential_object_is_verified_once(verify_calls):
         for node in range(7):
             evaluate(policy, pool, _sata(node), NEWS, NOW)
         rotation_check(_sata(0), Sata(domain=_DOMAINS[0], onion=_KEYS[1].address), pool, NOW)
-    # self-loops without cert fingerprints fail the structural checks, which
-    # come first; exact duplicates are distinct objects sharing one signature
-    signatures = [c.signature for c in pool if not is_self_sattestation(c)]
+    # the structural checks come first, so only well-formed credentials with
+    # canonical bytes (a positive rate) reach the signature; exact
+    # duplicates are distinct objects sharing one
+    signatures = [
+        c.signature for c in pool if oracle_well_formed(c) and c.refresh_rate_days > 0
+    ]
     assert verify_calls == {sig: signatures.count(sig) for sig in signatures}
 
 
@@ -260,6 +302,19 @@ def test_tampered_or_reissued_objects_are_checked_again(verify_calls):
     assert verify_calls[original.signature] == 3
 
 
+def test_structural_verdict_is_kept_and_raised_afresh(monkeypatch):
+    # a self-loop without cert fingerprints breaks the structural rule
+    loop = issue(_KEYS[0], _body(0, [_binding(0, [NEWS], NOW)]))
+    first = pytest.raises(StructuralViolation, verify_credential, loop).value
+
+    def no_recheck(_credential):
+        raise AssertionError("structural checks ran again")
+
+    monkeypatch.setattr(credential_module, "is_self_sattestation", no_recheck)
+    again = pytest.raises(StructuralViolation, verify_credential, loop).value
+    assert again is not first and str(again) == str(first)
+
+
 # -- signing ---------------------------------------------------------------------------
 
 
@@ -274,6 +329,26 @@ def test_sign_uses_the_kept_private_key(monkeypatch):
 
     monkeypatch.setattr(onion_module, "Ed25519PrivateKey", NoDerivation)
     assert sign(pair, vec["message"]).hex() == vec["signature"]
+
+
+def test_keygen_derives_the_private_key_once(monkeypatch):
+    vec = RFC8032_VECTOR_1
+    real = onion_module.Ed25519PrivateKey
+    seeds: list[bytes] = []
+
+    class Counting:
+        @staticmethod
+        def from_private_bytes(seed):
+            seeds.append(seed)
+            return real.from_private_bytes(seed)
+
+    monkeypatch.setattr(onion_module, "Ed25519PrivateKey", Counting)
+    pair = keygen(bytes.fromhex(vec["seed"]))
+    assert seeds == [pair.secret]
+    assert pair.public.hex() == vec["public"]
+    assert sign(pair, vec["message"]).hex() == vec["signature"]
+    with pytest.raises(KeyError):
+        KeyPair(secret=pair.secret, public=keygen(b"\x01" * 32).public)
 
 
 def test_keypair_private_key_is_not_part_of_its_value():

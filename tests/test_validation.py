@@ -5,6 +5,7 @@ from datetime import date
 
 import pytest
 
+import satakit.validation as validation_module
 from satakit import (
     AltSvcDecision,
     Sata,
@@ -17,6 +18,7 @@ from satakit import (
     validate_connection,
     validate_onion_location,
 )
+from satakit.credential import from_transport_json, to_transport_json
 from satakit.errors import EmptyInput
 from satakit.trust import TrustPolicy
 from satakit.validation import CertDescriptor, VerdictOutcome
@@ -262,6 +264,47 @@ def test_alt_svc_policy_can_forbid_all():
         "bank.example", f"{alt_key.address.label}.onion", cred, policy, now=TODAY
     )
     assert decision is AltSvcDecision.BLOCK
+
+
+def test_alt_svc_blocks_on_each_sata_error():
+    alt_key = key_for("bank-alt")
+    host = f"{alt_key.address.label}.onion"
+    cred = _alt_self_satt("bank.example", "bank-alt", FP_A)
+    flipped = dataclasses.replace(
+        cred, signature=bytes([cred.signature[0] ^ 1]) + cred.signature[1:]
+    )
+    unpinned = Sattestation(  # a self-sattestation binding no certificate
+        body=dataclasses.replace(
+            cred.body,
+            sattestees=(dataclasses.replace(cred.sattestees[0], cert_fingerprints=()),),
+        ),
+        signature=cred.signature,
+    )
+    # the wire form accepts a zero rate, which canonical bytes cannot encode
+    zero_rate = from_transport_json(
+        to_transport_json(cred).replace('"7 days"', '"0 days"')
+    )
+    bad_checksum = "a" * 56 + ".onion"
+    cases = [(bad_checksum, cred), (host, flipped), (host, unpinned), (host, zero_rate)]
+    for alt_host, satt in cases:
+        decision = validate_alt_svc("bank.example", alt_host, satt, None, now=TODAY)
+        assert decision is AltSvcDecision.BLOCK
+
+
+@pytest.mark.parametrize("name", ["parse_onion", "verify_credential", "check_freshness"])
+def test_alt_svc_lets_other_errors_through(monkeypatch, name):
+    """Only SataError means a bad input; a fault in the code is not a BLOCK."""
+    alt_key = key_for("bank-alt")
+    cred = _alt_self_satt("bank.example", "bank-alt", FP_A)
+
+    def broken(*_args, **_kwargs):
+        raise RuntimeError(name)
+
+    monkeypatch.setattr(validation_module, name, broken)
+    with pytest.raises(RuntimeError, match=name):
+        validate_alt_svc(
+            "bank.example", f"{alt_key.address.label}.onion", cred, None, now=TODAY
+        )
 
 
 # -- fingerprints ------------------------------------------------------------------

@@ -422,9 +422,7 @@ def _cmd_sim_matrix(args) -> int:
         scenario = simmod.load_scenario(path)
         browsers = list(scenario.browsers.values())
         rows.extend(simmod.run_matrix([scenario], browsers))
-    text = json.dumps(rows, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    _write_out(args, json.dumps(rows, indent=2))
     if args.json:
         print(json.dumps(rows, separators=(",", ":")))
     else:
@@ -542,7 +540,6 @@ def build_parser() -> _Parser:
     p = sim.add_parser("run", help="replay one fixture under one browser")
     p.add_argument("--fixture", required=True)
     p.add_argument("--browser", required=True, help="browser name defined in the fixture")
-    p.add_argument("--now", type=date.fromisoformat, help="unused; step dates drive the clock")
     p.set_defaults(func=_cmd_sim_run)
     p = sim.add_parser("matrix", help="scenario x browser outcome table")
     p.add_argument("--fixtures", required=True, help="directory of fixture JSON files")
@@ -557,19 +554,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SataError as exc:
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (SataError, ValueError, KeyError) as exc:
         name = type(exc).__name__
         if args.json:
             print(json.dumps({"error": {"class": name, "detail": str(exc)}}))
         print(f"error: {name}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, FileNotFoundError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        if args.json:
-            print(json.dumps({"error": {"class": type(exc).__name__, "detail": str(exc)}}))
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime
 from functools import cached_property
 from typing import Iterable
@@ -38,6 +38,7 @@ from .errors import (
     KeyMismatch,
     MalformedSignature,
     NoFingerprints,
+    NoSuchBinding,
     Stale,
     StructuralViolation,
     TooLarge,
@@ -127,7 +128,9 @@ class Binding:
 class SattestationBody:
     """Everything the sattestor signs; a Sattestation is body + signature.
 
-    Immutable, so its canonical bytes are encoded once, on first use.
+    Immutable, so its canonical bytes are encoded once, on first use.  A
+    refresh rate with no wire form (not positive and finite) is rejected
+    here, not when the bytes are first needed.
     """
 
     sattestor_domain: str
@@ -141,6 +144,7 @@ class SattestationBody:
         object.__setattr__(self, "sattestees", tuple(self.sattestees))
         if not self.sattestees:
             raise StructuralViolation("credential must carry at least one binding")
+        format_refresh_rate(self.refresh_rate_days)
 
     @cached_property
     def _canonical(self) -> bytes:
@@ -337,7 +341,7 @@ def check_freshness(s: Sattestation, binding_index: int, now: date) -> None:
     """Apply :func:`is_fresh` to one binding; raise :class:`Stale` with the
     margin by which the strict bound was missed."""
     if not 0 <= binding_index < len(s.sattestees):
-        raise IndexError(f"binding index {binding_index} out of range")
+        raise NoSuchBinding(f"binding index {binding_index} out of range")
     b = s.sattestees[binding_index]
     if not is_fresh(b, s.refresh_rate_days, now.toordinal()):
         age = abs((now - b.refreshed_on).days)
@@ -438,8 +442,3 @@ def from_transport_json(text: str | bytes) -> Sattestation:
     except ValueError as exc:
         raise MalformedSignature(f"signature is not hex: {exc}") from exc
     return Sattestation(body=body, signature=signature)
-
-
-def with_sattestees(s: Sattestation, sattestees: tuple[Binding, ...]) -> SattestationBody:
-    """Body identical to ``s`` except for its binding list (for re-issuing)."""
-    return replace(s.body, sattestees=sattestees)

@@ -98,6 +98,10 @@ class Stale(SataError):
         self.margin_days = margin_days
 
 
+class NoSuchBinding(SataError, IndexError):
+    """A binding index outside the credential's binding list."""
+
+
 class EmptyInput(SataError):
     pass
 

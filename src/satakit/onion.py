@@ -6,7 +6,9 @@ An onion address label is::
     CHECKSUM = SHA3-256(".onion checksum" | PUBKEY | VERSION)[:2]
 
 where PUBKEY is a 32-byte ed25519 public key and VERSION is the single
-byte 0x03.  All values are immutable after construction and every
+byte 0x03.  A label authenticates its address because it re-encodes from
+its own public key; :class:`OnionAddress` construction is the one place
+that is checked.  All values are immutable after construction and every
 operation here is a pure function, so concurrent use needs no locking.
 """
 
@@ -39,13 +41,19 @@ def _checksum(pubkey: bytes, version: int = ONION_VERSION) -> bytes:
     return hashlib.sha3_256(CHECKSUM_PREFIX + pubkey + bytes([version])).digest()[:2]
 
 
+def _label(pubkey: bytes, checksum: bytes, version: int) -> str:
+    return base64.b32encode(pubkey + checksum + bytes([version])).decode("ascii").lower()
+
+
 @dataclass(frozen=True)
 class OnionAddress:
     """Decoded v3 onion identity.
 
     ``label`` is the bare 56-character lowercase form; the ``.onion``
-    suffix is never stored.  Construction re-derives the checksum, so an
-    inconsistent instance cannot exist.
+    suffix is never stored.  Construction checks, in order, the public
+    key length, the checksum over the version byte, the version, and that
+    the label re-encodes from those fields, so an inconsistent instance
+    cannot exist.
     """
 
     pubkey: bytes
@@ -56,15 +64,15 @@ class OnionAddress:
     def __post_init__(self) -> None:
         if len(self.pubkey) != 32:
             raise BadLength(f"pubkey must be 32 bytes, got {len(self.pubkey)}", len(self.pubkey))
-        if self.version != ONION_VERSION:
-            raise BadVersion(f"unsupported onion address version {self.version}", self.version)
         expected = _checksum(self.pubkey, self.version)
         if self.checksum != expected:
             raise BadChecksum(
                 f"checksum {self.checksum.hex()} does not match derived {expected.hex()}"
             )
+        if self.version != ONION_VERSION:
+            raise BadVersion(f"unsupported onion address version {self.version}", self.version)
         object.__setattr__(self, "label", self.label.lower())
-        if self.label != encode_onion(self.pubkey):
+        if self.label != _label(self.pubkey, self.checksum, self.version):
             raise BadChecksum("label does not re-encode from its own public key")
 
     @property
@@ -119,17 +127,17 @@ def encode_onion(pubkey: bytes) -> str:
     """
     if len(pubkey) != 32:
         raise BadLength(f"pubkey must be 32 bytes, got {len(pubkey)}", len(pubkey))
-    raw = pubkey + _checksum(pubkey) + bytes([ONION_VERSION])
-    return base64.b32encode(raw).decode("ascii").lower()
+    return _label(pubkey, _checksum(pubkey), ONION_VERSION)
 
 
 def address_for(pubkey: bytes) -> OnionAddress:
     """OnionAddress for a public key without going through string parsing."""
+    checksum = _checksum(pubkey)
     return OnionAddress(
         pubkey=pubkey,
-        checksum=_checksum(pubkey),
+        checksum=checksum,
         version=ONION_VERSION,
-        label=encode_onion(pubkey),
+        label=_label(pubkey, checksum, ONION_VERSION),
     )
 
 
@@ -147,7 +155,8 @@ def parse_onion(label: str) -> OnionAddress:
     * :class:`BadVersion`  decoded version byte is not 3.
 
     The checksum is verified over the *decoded* version byte, so a flip
-    inside the version characters surfaces as :class:`BadChecksum`.
+    inside the version characters surfaces as :class:`BadChecksum`.  These
+    last two are :class:`OnionAddress`'s own checks.
     """
     text = label.strip().lower()
     if text.endswith(ONION_SUFFIX):
@@ -163,15 +172,7 @@ def parse_onion(label: str) -> OnionAddress:
             )
     raw = base64.b32decode(text.upper())
     assert len(raw) == 35  # 56 base32 chars decode to exactly 35 bytes
-    pubkey, checksum, version = raw[:32], raw[32:34], raw[34]
-    expected = _checksum(pubkey, version)
-    if checksum != expected:
-        raise BadChecksum(
-            f"checksum {checksum.hex()} does not match derived {expected.hex()}"
-        )
-    if version != ONION_VERSION:
-        raise BadVersion(f"unsupported onion address version {version}", version)
-    return OnionAddress(pubkey=pubkey, checksum=checksum, version=version, label=text)
+    return OnionAddress(pubkey=raw[:32], checksum=raw[32:34], version=raw[34], label=text)
 
 
 def keygen(seed: bytes | None = None) -> KeyPair:

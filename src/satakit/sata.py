@@ -57,19 +57,24 @@ class Sata:
     def __post_init__(self) -> None:
         object.__setattr__(self, "domain", normalize_domain(self.domain))
 
-    def same_identity(self, other: "Sata") -> bool:
-        """Equality on the (domain, onion) pair, ignoring the form field."""
-        return self.domain == other.domain and self.onion.label == other.onion.label
-
     def __str__(self) -> str:
         return f"{self.domain}[{self.onion.label[:8]}...]"
 
 
-def _ensure_url(url_or_host: str) -> str:
+def split_url(url_or_host: str) -> tuple[str, str]:
+    """(lowercased hostname, query) of a URL or bare hostname; a
+    scheme-less input is treated as https.  The hostname is empty when
+    there is none: each caller raises its own error for that."""
     text = url_or_host.strip()
     if "://" not in text:
         text = "https://" + text
-    return text
+    parts = urlsplit(text)
+    return (parts.hostname or "").lower(), parts.query
+
+
+def query_values(query: str, name: str) -> list[str]:
+    """Every value of the query parameter ``name``, in order, blanks kept."""
+    return [v for k, v in parse_qsl(query, keep_blank_values=True) if k == name]
 
 
 def parse_sata(url_or_host: str) -> Sata:
@@ -84,8 +89,7 @@ def parse_sata(url_or_host: str) -> Sata:
     treat the address as legacy) and :class:`InvalidOnionComponent` when
     a component is present but invalid (hard failure).
     """
-    parts = urlsplit(_ensure_url(url_or_host))
-    host = (parts.hostname or "").lower()
+    host, query = split_url(url_or_host)
     if not host:
         raise NotASata(f"no hostname in {url_or_host!r}")
 
@@ -102,7 +106,7 @@ def parse_sata(url_or_host: str) -> Sata:
         sub_domain = rest
 
     query_onion: OnionAddress | None = None
-    values = [v for k, v in parse_qsl(parts.query, keep_blank_values=True) if k == QUERY_PARAM]
+    values = query_values(query, QUERY_PARAM)
     if values:
         if len(set(values)) > 1:
             raise InvalidOnionComponent("conflicting onion query parameters")

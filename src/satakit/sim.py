@@ -19,7 +19,7 @@ Fixture files are JSON::
       "name": "...",
       "keys": {"victim": "<64 hex chars>", ...},          # ed25519 seeds
       "attacker": {"rogue_cert_for": [...], "dns_hijack": [...],
-                   "ruleset_control": false, "onion_keys": ["{onion:attacker}"],
+                   "onion_keys": ["{onion:attacker}"],
                    "compromised_victim_onion_key": false},
       "he_rules": {"typed.name": "{onion:attacker}"},      # installed ruleset
       "certs": {"victim-cert": {"sans": ["{sata_sans:victim.example:victim}"],
@@ -38,7 +38,10 @@ Fixture files are JSON::
 
 ``{onion:NAME}`` anywhere in a string substitutes the onion label of the
 named key; cert DER bytes are derived from the cert's name so fingerprints
-in credentials and descriptors always agree.
+in credentials and descriptors always agree.  A browser's ``policy`` is
+the file form :func:`satakit.trust.policy_from_json` reads, except that
+each root is ``{"domain", "key", "trusted_labels"}``, naming the key that
+owns its onion address.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
-from urllib.parse import parse_qsl, urlsplit
 
 from .credential import (
     Sattestation,
@@ -60,8 +62,17 @@ from .credential import (
 )
 from .errors import InvalidOnionComponent, NotASata, UnknownHost
 from .onion import KeyPair, keygen
-from .sata import SECUREDROP_SUFFIX, Sata, expected_sans, parse_sata, securedrop_rewrite
-from .trust import TrustPolicy, TrustRoot, evaluate
+from .sata import (
+    QUERY_PARAM,
+    SECUREDROP_SUFFIX,
+    Sata,
+    expected_sans,
+    parse_sata,
+    query_values,
+    securedrop_rewrite,
+    split_url,
+)
+from .trust import TrustPolicy, evaluate, policy_from_json
 from .validation import (
     AltSvcDecision,
     CertDescriptor,
@@ -111,7 +122,6 @@ class SiteRecord:
 class AttackerCaps:
     rogue_cert_for: frozenset[str] = frozenset()
     dns_hijack: frozenset[str] = frozenset()
-    ruleset_control: bool = False
     onion_keys: frozenset[str] = frozenset()  # onion labels whose keys the attacker holds
     compromised_victim_onion_key: bool = False
 
@@ -206,20 +216,11 @@ def validate_world(world: World) -> None:
 
 
 def _host_of(url: str) -> tuple[str, str]:
-    """(hostname, query) of a URL; scheme-less inputs are treated as https."""
-    text = url.strip()
-    if "://" not in text:
-        text = "https://" + text
-    parts = urlsplit(text)
-    host = (parts.hostname or "").lower()
+    """:func:`split_url`, raising :class:`UnknownHost` when there is no hostname."""
+    host, query = split_url(url)
     if not host:
         raise UnknownHost(f"no hostname in {url!r}")
-    return host, parts.query
-
-
-def _query_param(query: str, name: str) -> str | None:
-    values = [v for k, v in parse_qsl(query, keep_blank_values=True) if k == name]
-    return values[0] if values else None
+    return host, query
 
 
 def _alt_host_str(alt: AltSvcHeader) -> str:
@@ -276,8 +277,9 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
         target_host = world.he_rules[host] + ".onion"
         notes.append(f"ruleset rewrite {host} -> {target_host}")
         if browser.sata_aware and host.endswith(SECUREDROP_SUFFIX):
+            onions = query_values(query, QUERY_PARAM)
             try:
-                base, expected_onion = securedrop_rewrite(host, _query_param(query, "onion"))
+                base, expected_onion = securedrop_rewrite(host, onions[0] if onions else None)
             except InvalidOnionComponent as exc:
                 verdicts.append(Verdict(VerdictOutcome.REJECT_NOT_SATA, str(exc)))
                 alert = True
@@ -422,18 +424,15 @@ def run_scenario(scenario: Scenario, browser: BrowserConfig) -> list[Outcome]:
 
 
 def run_matrix(
-    scenarios: Sequence[Scenario],
-    browsers: Sequence[BrowserConfig],
-    now: date | None = None,
+    scenarios: Sequence[Scenario], browsers: Sequence[BrowserConfig]
 ) -> list[dict]:
     """Cross product of scenarios and browser configurations.
 
     Each row reports the steady-state endpoint (after the last scripted
     visit), whether any step raised a user-visible alert, and whether the
     attack succeeded: final endpoint attacker-controlled with no alert
-    anywhere.  ``now`` is unused when every step carries its own date.
+    anywhere.
     """
-    del now  # step dates drive the clock; kept for interface symmetry
     rows: list[dict] = []
     for scenario in scenarios:
         for browser in browsers:
@@ -631,26 +630,18 @@ def _site_from_spec(
     )
 
 
-def _policy_from_spec(spec: dict, keys: Mapping[str, KeyPair]) -> TrustPolicy:
-    roots = tuple(
-        TrustRoot(
-            sattestor=Sata(domain=r["domain"], onion=keys[r["key"]].address),
-            trusted_labels=frozenset(r["trusted_labels"]),
-        )
-        for r in spec.get("roots", [])
-    )
-    return TrustPolicy(
-        roots=roots,
-        max_chain_depth=spec.get("max_chain_depth", 3),
-        require_sattestation_for=frozenset(spec.get("require_sattestation_for", [])),
-        allow_credentialed_alt_services=spec.get("allow_credentialed_alt_services", True),
-    )
-
-
 def browser_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> BrowserConfig:
     policy = None
     if spec.get("policy"):
-        policy = _policy_from_spec(spec["policy"], keys)
+        roots = [
+            {
+                "sattestor_domain": r["domain"],
+                "sattestor_onion": keys[r["key"]].address.label,
+                "trusted_labels": r["trusted_labels"],
+            }
+            for r in spec["policy"].get("roots", [])
+        ]
+        policy = policy_from_json({**spec["policy"], "roots": roots})
     return BrowserConfig(
         name=name,
         sata_aware=spec.get("sata_aware", False),
@@ -686,7 +677,6 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     attacker = AttackerCaps(
         rogue_cert_for=frozenset(_substitute(attacker_spec.get("rogue_cert_for", []), keys)),
         dns_hijack=frozenset(_substitute(attacker_spec.get("dns_hijack", []), keys)),
-        ruleset_control=attacker_spec.get("ruleset_control", False),
         onion_keys=frozenset(_substitute(attacker_spec.get("onion_keys", []), keys)),
         compromised_victim_onion_key=attacker_spec.get("compromised_victim_onion_key", False),
     )

@@ -139,9 +139,9 @@ def _sound_by_issuer(
     bytes), stably.  Grouping first and sorting the issuers, then each
     group, gives that order with one issuer key per credential.
     Unverifiable credentials are dropped before the sort, not fatal: an
-    attacker must not be able to poison evaluation by publishing junk,
-    even junk whose canonical bytes cannot be encoded.  Positions count
-    the credentials kept, which leaves their relative order unchanged.
+    attacker must not be able to poison evaluation by publishing junk, so
+    any ``SataError`` drops the credential.  Positions count the
+    credentials kept, which leaves their relative order unchanged.
     """
     groups: dict[tuple[str, str], list[Sattestation]] = {}
     for cred in credentials:
@@ -343,22 +343,3 @@ def policy_from_json(obj: dict) -> TrustPolicy:
         allow_credentialed_alt_services=obj.get("allow_credentialed_alt_services", True),
     )
 
-
-def evaluate_trust_propagation_after_rotation(
-    policy: TrustPolicy,
-    credentials: Iterable[Sattestation],
-    old: Sata,
-    new: Sata,
-    label: str,
-    now: date,
-) -> Optional[TrustChain]:
-    """Trust for the post-rotation address; old trust never carries over.
-
-    This is exactly ``evaluate`` applied to ``new``: third-party
-    sattestations naming ``old`` cannot satisfy a query about ``new``
-    because bindings match on the full (domain, onion) pair.  ``old`` is
-    accepted as an argument to make that contract explicit; it is
-    deliberately not consulted.
-    """
-    del old
-    return evaluate(policy, credentials, new, label, now)

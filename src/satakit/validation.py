@@ -93,6 +93,11 @@ def fingerprint_cert(der: bytes) -> str:
     return hashlib.sha256(der).hexdigest().upper()
 
 
+def _origin_domain(origin: Union[Sata, str]) -> str:
+    """Registered domain of an origin given as a SATA or a hostname."""
+    return origin.domain if isinstance(origin, Sata) else normalize_domain(origin)
+
+
 def _sans_cover(s: Sata, san_list: tuple[str, ...]) -> str | None:
     """None when the SAN requirement holds, else a description of the gap.
 
@@ -186,7 +191,7 @@ def validate_onion_location(
     HTTPS certificate.  Bare .onion targets and foreign-domain SATAs are
     rejected.
     """
-    origin_domain = origin.domain if isinstance(origin, Sata) else normalize_domain(origin)
+    origin_domain = _origin_domain(origin)
     try:
         target = parse_sata(redirect_target)
     except NotASata:
@@ -226,9 +231,9 @@ def validate_alt_svc(
     not forbid credentialed alternative services.  Everything else blocks:
     the default posture is fail closed.
     """
-    if policy is not None and not getattr(policy, "allow_credentialed_alt_services", True):
+    if policy is not None and not policy.allow_credentialed_alt_services:
         return AltSvcDecision.BLOCK
-    origin_domain = origin.domain if isinstance(origin, Sata) else normalize_domain(origin)
+    origin_domain = _origin_domain(origin)
     host = alt_host.strip().lower()
     if not host.endswith(".onion"):
         return AltSvcDecision.BLOCK

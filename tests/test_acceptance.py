@@ -23,7 +23,6 @@ from satakit import (
     Sattestation,
     encode_onion,
     evaluate,
-    evaluate_trust_propagation_after_rotation,
     from_transport_json,
     keygen,
     load_scenario,
@@ -289,10 +288,7 @@ def test_criterion_08_rotation():
     )
     creds = [old_to_new, new_to_old, root_about_old]
     assert evaluate(policy, creds, old, "news", TODAY) is not None
-    assert (
-        evaluate_trust_propagation_after_rotation(policy, creds, old, new, "news", TODAY)
-        is None
-    )
+    assert evaluate(policy, creds, new, "news", TODAY) is None
     _report(8, "mutual rotation ok; one-way invalid; trust does not propagate")
 
 

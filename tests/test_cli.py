@@ -8,7 +8,7 @@ import pytest
 from satakit import expected_sans, to_query_form, to_transport_json
 from satakit.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
-from conftest import FIXTURES_DIR, key_for, sata_for, seed_for
+from conftest import DATA_DIR, FIXTURES_DIR, key_for, sata_for, seed_for
 from oracles import FACEBOOK_LABEL, SELFAUTH_LABEL
 from test_credential import fig1_body, paper_shaped_self_sattestation
 
@@ -619,6 +619,18 @@ def test_every_error_class_reachable(capsys, tmp_path, bank_files):
         assert payload["error"]["class"] == expected_class, (
             f"expected {expected_class}, got {payload['error']}"
         )
+
+
+@pytest.mark.parametrize("index", ["9", "-1"])
+def test_binding_index_out_of_range_exit_65(capsys, index):
+    argv = ["satt", "fresh", "--file", str(DATA_DIR / "fig1_credential.satt"),
+            "--binding", index, "--now", "2020-09-01"]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err == f"error: NoSuchBinding: binding index {index} out of range\n"
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EXIT_DATA
+    assert json.loads(out)["error"]["class"] == "NoSuchBinding"
 
 
 def test_bad_version_reachable(capsys):

@@ -4,11 +4,18 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satakit import (
+    Binding,
+    Sata,
+    Sattestation,
+    SattestationBody,
     evaluate,
-    evaluate_trust_propagation_after_rotation,
     expired_rotation_form,
+    issue,
+    keygen,
     rotation_check,
     to_subdomain_form,
     verify_credential,
@@ -31,6 +38,7 @@ from trustgraphs import (
     NOW,
     PLAIN_LABELS,
     assert_chain_well_formed,
+    node_key,
     node_sata,
     random_graph,
 )
@@ -312,10 +320,7 @@ def test_trust_does_not_propagate_after_rotation():
     assert rotation_check(old, new, creds, TODAY).ok
     # old is trusted, new is not, despite the valid rotation
     assert evaluate(policy, creds, old, "news", TODAY) is not None
-    assert (
-        evaluate_trust_propagation_after_rotation(policy, creds, old, new, "news", TODAY)
-        is None
-    )
+    assert evaluate(policy, creds, new, "news", TODAY) is None
 
 
 def test_fresh_sattestation_of_new_address_restores_trust():
@@ -327,15 +332,78 @@ def test_fresh_sattestation_of_new_address_restores_trust():
     policy = TrustPolicy(
         roots=(TrustRoot(sattestor=root, trusted_labels=frozenset({"news"})),)
     )
-    with_rotation = evaluate_trust_propagation_after_rotation(
-        policy, [a, b, root_about_new], old, new, "news", TODAY
-    )
+    with_rotation = evaluate(policy, [a, b, root_about_new], new, "news", TODAY)
     assert with_rotation is not None
     # rotation credentials are orthogonal: trust works without them too
-    without_rotation = evaluate_trust_propagation_after_rotation(
-        policy, [root_about_new], old, new, "news", TODAY
-    )
+    without_rotation = evaluate(policy, [root_about_new], new, "news", TODAY)
     assert without_rotation is not None
+
+
+_ROTATED_KEYS = [keygen(bytes([0x80 + i]) * 32) for i in range(6)]
+
+
+def _naming_old(issuer: int, old: Sata, labels_per_binding) -> Sattestation:
+    """A credential by graph node ``issuer`` whose every binding names ``old``."""
+    body = SattestationBody(
+        sattestor_domain=node_sata(issuer).domain,
+        sattestor_onion=node_sata(issuer).onion,
+        refresh_rate_days=7,
+        sattestees=tuple(
+            Binding(domain=old.domain, onion=old.onion, issued=NOW, refreshed_on=NOW,
+                    labels=tuple(labels))
+            for labels in labels_per_binding
+        ),
+    )
+    return issue(node_key(issuer), body)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    target=st.integers(0, 5),
+    label=st.sampled_from(PLAIN_LABELS),
+    rotated=st.booleans(),
+    extra=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.lists(
+                st.lists(st.sampled_from(PLAIN_LABELS), min_size=1, max_size=3, unique=True),
+                min_size=1,
+                max_size=3,
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_credentials_naming_old_never_change_trust_in_new(seed, target, label, rotated, extra):
+    """Old trust never carries over to a rotated address: adding credentials
+    whose every binding names ``old`` with a plain label leaves the chain
+    ``evaluate`` returns for ``new`` unchanged.  ``old`` shares ``new``'s
+    domain (rotation keeps it), so bindings must match on the full (domain,
+    onion) pair; with ``rotated`` the pool also holds an old-to-new
+    rotation credential, so plain labels must not delegate either.  Issuers are
+    drawn from the roots first, so that the added bindings are reached."""
+    n, policy, creds, _, _ = random_graph(random.Random(seed))
+    j = target % n
+    new = node_sata(j)
+    old = Sata(domain=new.domain, onion=_ROTATED_KEYS[j].address)
+    if rotated:
+        old_to_new = SattestationBody(
+            sattestor_domain=old.domain,
+            sattestor_onion=old.onion,
+            refresh_rate_days=7,
+            sattestees=(
+                Binding(domain=new.domain, onion=new.onion, issued=NOW, refreshed_on=NOW,
+                        labels=tuple(PLAIN_LABELS)),
+            ),
+        )
+        creds = creds + [issue(_ROTATED_KEYS[j], old_to_new)]
+    issuers = [k for k in range(n) if any(r.sattestor == node_sata(k) for r in policy.roots)]
+    issuers += range(n)
+    naming_old = [_naming_old(issuers[i % len(issuers)], old, labels) for i, labels in extra]
+    before = evaluate(policy, creds, new, label, NOW)
+    assert evaluate(policy, creds + naming_old, new, label, NOW) == before
 
 
 # -- plumbing ------------------------------------------------------------------------

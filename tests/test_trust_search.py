@@ -27,7 +27,7 @@ from satakit import (
     sign,
     verify_credential,
 )
-from satakit.errors import BadSignature, StructuralViolation
+from satakit.errors import BadSignature, StructuralViolation, UnrepresentableField
 from satakit.trust import TrustPolicy, TrustRoot, delegation_label, usable_links
 
 from oracles import (
@@ -78,11 +78,12 @@ def _body(i: int, bindings) -> SattestationBody:
 
 def _random_pool(rng: random.Random, n: int) -> list[Sattestation]:
     """Credentials over ``n`` nodes: random edges (so cycles and self-loops),
-    some stale bindings, junk signatures, junk that cannot be encoded, cert
-    fingerprints (which make a one-binding self-loop a self-sattestation
-    and break any other credential), re-issues of a credential under a new
-    refresh date (equal step keys, so the rank breaks the tie) and exact
-    duplicates (equal sort keys, so input order does)."""
+    some stale bindings, junk signatures, cert fingerprints (which make a
+    one-binding self-loop a self-sattestation and break any other
+    credential), re-issues of a credential under a new refresh date (equal
+    step keys, so the rank breaks the tie) and exact duplicates (equal sort
+    keys, so input order does).  A body that cannot be encoded (a zero
+    rate) is refused when it is built."""
     pool = []
     for _ in range(rng.randint(1, 14)):
         i = rng.randrange(n)
@@ -103,8 +104,11 @@ def _random_pool(rng: random.Random, n: int) -> list[Sattestation]:
             pool.append(Sattestation(body=body, signature=rng.randbytes(64)))
             continue
         if rng.random() < 0.05:  # a zero rate has no canonical bytes
-            unencodable = dataclasses.replace(body, refresh_rate_days=0)
-            pool.append(Sattestation(body=unencodable, signature=rng.randbytes(64)))
+            with pytest.raises(UnrepresentableField):
+                dataclasses.replace(body, refresh_rate_days=0)
+            # junk of another kind takes its place, so every pool keeps its
+            # size and the random draws that follow it
+            pool.append(Sattestation(body=body, signature=rng.randbytes(64)))
             continue
         pool.append(issue(_KEYS[i], body))
         if rng.random() < 0.3:

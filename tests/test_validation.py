@@ -19,7 +19,7 @@ from satakit import (
     validate_onion_location,
 )
 from satakit.credential import from_transport_json, to_transport_json
-from satakit.errors import EmptyInput
+from satakit.errors import EmptyInput, UnrepresentableField
 from satakit.trust import TrustPolicy
 from satakit.validation import CertDescriptor, VerdictOutcome
 
@@ -280,12 +280,12 @@ def test_alt_svc_blocks_on_each_sata_error():
         ),
         signature=cred.signature,
     )
-    # the wire form accepts a zero rate, which canonical bytes cannot encode
-    zero_rate = from_transport_json(
-        to_transport_json(cred).replace('"7 days"', '"0 days"')
-    )
+    # a rate with no wire form cannot be parsed, so it never reaches here
+    for rate in ("0", "9" * 400):  # 400 digits parse as inf
+        with pytest.raises(UnrepresentableField):
+            from_transport_json(to_transport_json(cred).replace('"7 days"', f'"{rate} days"'))
     bad_checksum = "a" * 56 + ".onion"
-    cases = [(bad_checksum, cred), (host, flipped), (host, unpinned), (host, zero_rate)]
+    cases = [(bad_checksum, cred), (host, flipped), (host, unpinned)]
     for alt_host, satt in cases:
         decision = validate_alt_svc("bank.example", alt_host, satt, None, now=TODAY)
         assert decision is AltSvcDecision.BLOCK

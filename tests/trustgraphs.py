@@ -26,6 +26,10 @@ def node_sata(i: int) -> Sata:
     return Sata(domain=_NODE_DOMAINS[i], onion=_NODE_KEYS[i].address)
 
 
+def node_key(i: int):
+    return _NODE_KEYS[i]
+
+
 def node_identity(i: int) -> tuple[str, str]:
     return (_NODE_DOMAINS[i], _NODE_KEYS[i].address.label)
 

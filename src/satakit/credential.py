@@ -55,6 +55,7 @@ MAX_SELF_SATTESTATION_BYTES = 800
 
 _RATE_RE = re.compile(r"^(\d+(?:\.\d+)?) days$")
 _FINGERPRINT_RE = re.compile(r"^[0-9A-F]+$")
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 
 
 def format_refresh_rate(days: float) -> str:
@@ -109,10 +110,12 @@ class Binding:
                 f"refreshed_on {self.refreshed_on} precedes issued {self.issued}"
             )
         for label in self.labels:
-            if not label or "," in label:
+            if not label or "," in label or _SURROGATE_RE.search(label):
                 raise StructuralViolation(
-                    f"label {label!r} must be nonempty and comma-free"
+                    f"label {label!r} must be nonempty, comma-free and encodable as UTF-8"
                 )
+        if self.onion_reachable is not None and type(self.onion_reachable) is not bool:
+            raise StructuralViolation(f"onion_reachable {self.onion_reachable!r} is not a boolean")
         normalized = tuple(fp.upper() for fp in self.cert_fingerprints)
         for fp in normalized:
             if not _FINGERPRINT_RE.match(fp):
@@ -208,15 +211,12 @@ class Sattestation:
         return self.body.sattestees
 
 
-def is_self_sattestation(body: SattestationBody | Sattestation) -> bool:
+def is_self_sattestation(s: Sattestation) -> bool:
     """A credential about the sattestor itself: exactly one binding whose
     (domain, onion) equals the sattestor's own pair."""
-    if isinstance(body, Sattestation):
-        body = body.body
-    if len(body.sattestees) != 1:
+    if len(s.sattestees) != 1:
         return False
-    only = body.sattestees[0]
-    return only.binds(body.sattestor_domain, body.sattestor_onion)
+    return s.sattestees[0].binds(s.sattestor_domain, s.sattestor_onion)
 
 
 def _binding_wire(b: Binding) -> dict:
@@ -225,8 +225,8 @@ def _binding_wire(b: Binding) -> dict:
         out["labels"] = ",".join(b.labels)
     if b.cert_fingerprints:
         out["cert_fingerprint"] = list(b.cert_fingerprints)
-    out["issued"] = _require_date(b.issued, "issued").isoformat()
-    out["refreshed_on"] = _require_date(b.refreshed_on, "refreshed_on").isoformat()
+    out["issued"] = b.issued.isoformat()
+    out["refreshed_on"] = b.refreshed_on.isoformat()
     if b.onion_reachable is not None:
         out["onion_reachable"] = b.onion_reachable
     return out
@@ -350,12 +350,6 @@ def check_freshness(s: Sattestation, binding_index: int, now: date) -> None:
             f"{format_refresh_rate(s.refresh_rate_days)} (strict bound)",
             margin_days=age - s.refresh_rate_days,
         )
-
-
-def fresh_binding_indexes(s: Sattestation, now: date) -> list[int]:
-    """Indexes of bindings that pass :func:`is_fresh` at ``now``."""
-    today, rate = now.toordinal(), s.refresh_rate_days
-    return [i for i, b in enumerate(s.sattestees) if is_fresh(b, rate, today)]
 
 
 def to_transport_json(s: Sattestation) -> str:

@@ -9,6 +9,10 @@ the browser ended up, which verdicts fired, and whether the user saw an
 alert.  There is no wall clock and no network: identical inputs always
 produce identical outcomes.
 
+A SATA-aware browser stores an alternative service only when
+:func:`satakit.validation.validate_alt_svc` accepts the served header or
+a published credential for it, by the check a SATA connection applies.
+
 Endpoint ids starting with ``attacker`` are attacker-controlled; an
 attack counts as succeeding only when the browser lands on one of those
 *without* a user-visible alert.
@@ -231,29 +235,6 @@ def _alt_host_str(alt: AltSvcHeader) -> str:
     return alt.host
 
 
-def _alt_svc_allowed(
-    world: World, origin_host: str, alt_host: str, now: date
-) -> bool:
-    """SATA-aware gate for storing an alternative service.
-
-    Allowed only when some published (or served) self-sattestation binds
-    the origin's domain to the alternative onion address.
-    """
-    record = world.sites.get(origin_host)
-    candidates: list[Sattestation] = []
-    if record is not None and record.headers.sata_header is not None:
-        candidates.append(record.headers.sata_header)
-    candidates.extend(world.credentials)
-    policy = world.browser.policy
-    for cred in candidates:
-        if (
-            validate_alt_svc(origin_host, alt_host, cred, policy, now=now)
-            is AltSvcDecision.ALLOW
-        ):
-            return True
-    return False
-
-
 def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, World]:
     """Simulate one navigation; returns the outcome and the updated world.
 
@@ -317,7 +298,12 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
         alt_host = _alt_host_str(record.headers.alt_svc)
         store = True
         if browser.sata_aware:
-            store = _alt_svc_allowed(world, target_host, alt_host, now)
+            served = record.headers.sata_header
+            pool = world.credentials if served is None else (served, *world.credentials)
+            store = (
+                validate_alt_svc(target_host, alt_host, pool, browser.policy, now=now)
+                is AltSvcDecision.ALLOW
+            )
             if not store:
                 notes.append(f"alt-svc {alt_host} blocked: no trusted self-sattestation")
         if store:
@@ -332,26 +318,22 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
         and expected is None
         and via_alt is None
     ):
+        follow = True
         if browser.sata_aware:
             v = validate_onion_location(origin_sata or host, loc, record.cert)
             verdicts.append(v)
-            if v.accepted():
-                follow_host, _ = _host_of(loc)
-                follow = world.sites.get(follow_host)
-                if follow is None:
-                    raise UnknownHost(f"onion-location target {follow_host!r} unknown")
-                record, target_host = follow, follow_host
+            follow = v.accepted()
+            alert = alert or not follow
+        if follow:
+            target_host, _ = _host_of(loc)
+            record = world.sites.get(target_host)
+            if record is None:
+                raise UnknownHost(f"onion-location target {target_host!r} unknown")
+            kind = "onion-location"
+            if browser.sata_aware:
                 expected = parse_sata(loc)
-                notes.append(f"followed self-authenticating onion-location to {follow_host}")
-            else:
-                alert = True
-        else:
-            follow_host, _ = _host_of(loc)
-            follow = world.sites.get(follow_host)
-            if follow is None:
-                raise UnknownHost(f"onion-location target {follow_host!r} unknown")
-            record, target_host = follow, follow_host
-            notes.append(f"followed onion-location to {follow_host}")
+                kind = "self-authenticating onion-location"
+            notes.append(f"followed {kind} to {target_host}")
 
     validated: Sata | None = None
     if browser.sata_aware:

@@ -41,12 +41,11 @@ from .credential import (
     Binding,
     Sattestation,
     canonical_bytes,
-    fresh_binding_indexes,
     is_fresh,
     make_self_sattestation,
     verify_credential,
 )
-from .errors import DomainMismatch, KeyMismatch, SataError
+from .errors import DomainMismatch, KeyMismatch, SataError, UnrepresentableField
 from .onion import KeyPair, parse_onion
 from .sata import Sata, to_subdomain_form
 
@@ -165,11 +164,13 @@ def usable_links(
 ) -> list[tuple[Sattestation, int]]:
     """(credential, binding_index) pairs that verify and are fresh at
     ``now``, in pool order (see :func:`_sound_by_issuer`)."""
+    today = now.toordinal()
     return [
         (cred, idx)
         for sound in _sound_by_issuer(credentials).values()
         for _pos, cred in sound
-        for idx in fresh_binding_indexes(cred, now)
+        for idx, binding in enumerate(cred.sattestees)
+        if is_fresh(binding, cred.refresh_rate_days, today)
     ]
 
 
@@ -321,25 +322,46 @@ def expired_rotation_form(
     )
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# JSON key -> type test; a key left out of the file takes TrustPolicy's
+# default.  type() is exact, so true is no integer.
+_POLICY_TYPES = {
+    "roots": lambda v: isinstance(v, list) and all(
+        isinstance(r, dict)
+        and isinstance(r.get("sattestor_domain"), str)
+        and isinstance(r.get("sattestor_onion"), str)
+        and _is_strings(r.get("trusted_labels", []))
+        for r in v
+    ),
+    "max_chain_depth": lambda v: type(v) is int,
+    "require_sattestation_for": _is_strings,
+    "allow_credentialed_alt_services": lambda v: type(v) is bool,
+}
+
+
 def policy_from_json(obj: dict) -> TrustPolicy:
     """Build a policy from its JSON file form.
 
     Roots are given as ``{"sattestor_domain": ..., "sattestor_onion":
-    "<56-char label>", "trusted_labels": [...]}``.
+    "<56-char label>", "trusted_labels": [...]}``.  A value of the wrong
+    JSON type raises :class:`UnrepresentableField`.
     """
+    if not isinstance(obj, dict):
+        raise UnrepresentableField(f"policy must be a JSON object, got {obj!r}")
+    fields = {key: obj[key] for key in _POLICY_TYPES if key in obj}
+    for key, value in fields.items():
+        if not _POLICY_TYPES[key](value):
+            raise UnrepresentableField(f"policy field {key!r} has the wrong JSON type: {value!r}")
     roots = tuple(
         TrustRoot(
             sattestor=Sata(
                 domain=r["sattestor_domain"], onion=parse_onion(r["sattestor_onion"])
             ),
-            trusted_labels=frozenset(r.get("trusted_labels", [])),
+            trusted_labels=r.get("trusted_labels", ()),
         )
-        for r in obj.get("roots", [])
+        for r in fields.pop("roots", ())
     )
-    return TrustPolicy(
-        roots=roots,
-        max_chain_depth=obj.get("max_chain_depth", 3),
-        require_sattestation_for=frozenset(obj.get("require_sattestation_for", [])),
-        allow_credentialed_alt_services=obj.get("allow_credentialed_alt_services", True),
-    )
-
+    return TrustPolicy(roots=roots, **fields)

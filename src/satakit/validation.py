@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .credential import (
     Sattestation,
@@ -21,14 +21,11 @@ from .credential import (
     verify_credential,
 )
 from .errors import (
-    BadSignature,
     EmptyInput,
     InvalidOnionComponent,
     NotASata,
     OnionAddressError,
     SataError,
-    Stale,
-    StructuralViolation,
 )
 from .sata import Sata, expected_sans, normalize_domain, parse_sata
 from .onion import OnionAddress, parse_onion
@@ -115,6 +112,35 @@ def _sans_cover(s: Sata, san_list: tuple[str, ...]) -> str | None:
     return None
 
 
+def _self_sattestation_fault(
+    header: Sattestation | None, domain: str, onion: OnionAddress, now: date
+) -> Verdict | None:
+    """None when ``header`` is a sound self-sattestation bound to
+    (``domain``, ``onion``) and fresh at ``now``, checked in that order;
+    else the first failure's verdict.  Any :class:`SataError` rejects."""
+    if header is None:
+        return Verdict(VerdictOutcome.REJECT_SIGNATURE, "no SATA header presented")
+    try:
+        verify_credential(header)
+    except SataError as exc:
+        return Verdict(VerdictOutcome.REJECT_SIGNATURE, str(exc))
+    if not is_self_sattestation(header):
+        return Verdict(
+            VerdictOutcome.REJECT_SIGNATURE, "header is not a self-sattestation"
+        )
+    if header.sattestor_domain != domain or header.sattestor_onion.label != onion.label:
+        return Verdict(
+            VerdictOutcome.REJECT_SIGNATURE,
+            "header signature data is not bound to this SATA "
+            f"(signed for {header.sattestor_domain!r})",
+        )
+    try:
+        check_freshness(header, 0, now)
+    except SataError as exc:
+        return Verdict(VerdictOutcome.REJECT_STALE, str(exc))
+    return None
+
+
 def validate_connection(
     s: Sata,
     cert: CertDescriptor,
@@ -135,30 +161,9 @@ def validate_connection(
     if gap is not None:
         return Verdict(VerdictOutcome.REJECT_SAN_MISSING, gap)
 
-    if header is None:
-        return Verdict(VerdictOutcome.REJECT_SIGNATURE, "no SATA header presented")
-    try:
-        verify_credential(header)
-    except (BadSignature, StructuralViolation) as exc:
-        return Verdict(VerdictOutcome.REJECT_SIGNATURE, str(exc))
-    if not is_self_sattestation(header):
-        return Verdict(
-            VerdictOutcome.REJECT_SIGNATURE, "header is not a self-sattestation"
-        )
-    if (
-        header.sattestor_domain != s.domain
-        or header.sattestor_onion.label != s.onion.label
-    ):
-        return Verdict(
-            VerdictOutcome.REJECT_SIGNATURE,
-            "header signature data is not bound to this SATA "
-            f"(signed for {header.sattestor_domain!r})",
-        )
-
-    try:
-        check_freshness(header, 0, now)
-    except Stale as exc:
-        return Verdict(VerdictOutcome.REJECT_STALE, str(exc))
+    fault = _self_sattestation_fault(header, s.domain, s.onion, now)
+    if fault is not None:
+        return fault
 
     binding = header.sattestees[0]
     if cert.fingerprint not in binding.cert_fingerprints:
@@ -219,17 +224,18 @@ def validate_onion_location(
 def validate_alt_svc(
     origin: Union[Sata, str],
     alt_host: str,
-    self_satt: Sattestation | None,
+    credentials: Iterable[Sattestation],
     policy: "TrustPolicy | None" = None,
     *,
     now: date,
 ) -> AltSvcDecision:
     """Decide whether an advertised alternative service may be used.
 
-    Allowed only when a valid, fresh self-sattestation binds the origin's
-    registered domain to the alternative onion address and the policy does
-    not forbid credentialed alternative services.  Everything else blocks:
-    the default posture is fail closed.
+    Allowed only when the policy does not forbid credentialed alternative
+    services and some credential (the served header, if any, then the
+    published ones) passes :func:`validate_connection`'s header check for
+    the origin's registered domain and the alternative onion address.
+    Everything else, an empty pool included, blocks: fail closed.
     """
     if policy is not None and not policy.allow_credentialed_alt_services:
         return AltSvcDecision.BLOCK
@@ -238,19 +244,10 @@ def validate_alt_svc(
     if not host.endswith(".onion"):
         return AltSvcDecision.BLOCK
     try:
-        alt_onion: OnionAddress = parse_onion(host)
+        alt_onion = parse_onion(host)
     except OnionAddressError:
         return AltSvcDecision.BLOCK
-    if self_satt is None:
-        return AltSvcDecision.BLOCK
-    try:
-        verify_credential(self_satt)
-        check_freshness(self_satt, 0, now)
-    except SataError:  # junk credentials block; they never raise out of here
-        return AltSvcDecision.BLOCK
-    if not is_self_sattestation(self_satt):
-        return AltSvcDecision.BLOCK
-    binding = self_satt.sattestees[0]
-    if not binding.binds(origin_domain, alt_onion):
-        return AltSvcDecision.BLOCK
-    return AltSvcDecision.ALLOW
+    for cred in credentials:
+        if _self_sattestation_fault(cred, origin_domain, alt_onion, now) is None:
+            return AltSvcDecision.ALLOW
+    return AltSvcDecision.BLOCK

@@ -466,6 +466,23 @@ def test_sim_run_and_matrix(capsys, tmp_path):
     assert len(rows) >= 9
 
 
+SIM_RUN_GOLDEN = json.loads((DATA_DIR / "sim_run_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "fixture,browser",
+    [(f, b) for f, browsers in sorted(SIM_RUN_GOLDEN.items()) for b in sorted(browsers)],
+)
+def test_sim_run_matches_golden(capsys, fixture, browser):
+    """``--json sim run`` output, verdict details and notes included, byte
+    for byte as recorded in ``sim_run_golden.json``."""
+    golden = SIM_RUN_GOLDEN[fixture][browser]
+    code, out, _ = run(
+        capsys, "--json", "sim", "run", "--fixture", str(DATA_DIR / fixture), "--browser", browser
+    )
+    assert (code, out) == (golden["exit"], golden["stdout"])
+
+
 def test_json_output_stable_across_runs(capsys):
     _, out1, _ = run(capsys, "--json", "onion", "parse", FACEBOOK_LABEL)
     _, out2, _ = run(capsys, "--json", "onion", "parse", FACEBOOK_LABEL)
@@ -619,6 +636,39 @@ def test_every_error_class_reachable(capsys, tmp_path, bank_files):
         assert payload["error"]["class"] == expected_class, (
             f"expected {expected_class}, got {payload['error']}"
         )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        [1, 2],
+        {"roots": "abc"},
+        {"roots": [1]},
+        {"roots": [{"sattestor_domain": "a.example"}]},
+        {"roots": [{"sattestor_domain": 5, "sattestor_onion": "x"}]},
+        {"max_chain_depth": "3"},
+        {"max_chain_depth": True},
+        {"require_sattestation_for": 5},
+        {"require_sattestation_for": [5]},
+        {"allow_credentialed_alt_services": "no"},
+    ],
+)
+def test_bad_policy_json_exit_65(capsys, tmp_path, policy):
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(json.dumps(policy))
+    creds_dir = tmp_path / "creds"
+    creds_dir.mkdir()
+    argv = [
+        "trust", "eval", "--policy", str(policy_file), "--creds", str(creds_dir),
+        "--subject", "https://a.example/?onion=" + key_for("a").address.label,
+        "--label", "news", "--now", "2020-09-01",
+    ]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: UnrepresentableField: policy")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EXIT_DATA
+    assert json.loads(out)["error"]["class"] == "UnrepresentableField"
 
 
 @pytest.mark.parametrize("index", ["9", "-1"])

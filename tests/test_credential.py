@@ -3,9 +3,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from datetime import date
+from datetime import date, datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satakit import (
     Binding,
@@ -34,6 +36,7 @@ from satakit.errors import (
     KeyMismatch,
     MalformedSignature,
     NoFingerprints,
+    SataError,
     Stale,
     StructuralViolation,
     TooLarge,
@@ -126,14 +129,13 @@ def test_canonical_bytes_binding_order_significant():
     assert canonical_bytes(body) != canonical_bytes(reordered)
 
 
-def test_canonical_bytes_rejects_non_date():
-    body = fig1_body()
-    broken = dataclasses.replace(body.sattestees[0])
-    # bypass Binding validation to hit the serializer's own check
-    object.__setattr__(broken, "issued", "2020-06-01")  # a string, not a date
-    body = dataclasses.replace(body, sattestees=(broken, body.sattestees[1]))
-    with pytest.raises(UnrepresentableField):
-        canonical_bytes(body)
+def test_binding_rejects_non_date():
+    # the Binding owns the date rule; the serializer formats what it kept
+    binding = fig1_body().sattestees[0]
+    for field in ("issued", "refreshed_on"):
+        for value in ("2020-06-01", datetime(2020, 6, 1, 12, 0)):
+            with pytest.raises(UnrepresentableField, match=field):
+                dataclasses.replace(binding, **{field: value})
 
 
 def test_refresh_rate_wire_forms():
@@ -272,6 +274,40 @@ def test_labels_with_commas_rejected():
             refreshed_on=date(2020, 8, 25),
             labels=("news,union",),
         )
+
+
+def _wire_with(field: str, raw: str) -> str:
+    """fig1's transport form with the first binding's ``field`` set to the
+    raw JSON text ``raw``, signed by its sattestor."""
+    wire = json.loads(to_transport_json(issue(key_for("sattestora.info"), fig1_body())))
+    wire["sattestation"]["sattestees"][0][field] = "@RAW@"
+    return json.dumps(wire).replace('"@RAW@"', raw)
+
+
+@pytest.mark.parametrize(
+    "field,raw", [("labels", r'"\ud800"'), ("onion_reachable", r'"\ud800"'), ("onion_reachable", "1")]
+)
+def test_wire_binding_without_canonical_form_rejected(field, raw):
+    """A lone surrogate has no UTF-8 form, so no canonical bytes: it must
+    fail as a SataError where the binding is built, not later as a
+    UnicodeEncodeError in every trust query over its pool."""
+    with pytest.raises(StructuralViolation):
+        from_transport_json(_wire_with(field, raw))
+
+
+# any code point, lone surrogates (category Cs) drawn often
+ANY_CHARACTER = st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(label=st.text(ANY_CHARACTER))
+def test_binding_label_builds_only_with_canonical_bytes(label):
+    body = fig1_body()
+    try:
+        binding = dataclasses.replace(body.sattestees[0], labels=(label,))
+    except SataError:
+        return
+    canonical_bytes(dataclasses.replace(body, sattestees=(binding,)))
 
 
 # -- self-sattestations ---------------------------------------------------------

@@ -19,11 +19,13 @@ from satakit import (
     run_visit,
     track_alt_svc_exposure,
 )
+from satakit.credential import make_self_sattestation
 from satakit.errors import UnknownHost
 from satakit.sim import is_attacker_endpoint, validate_world
+from satakit.trust import TrustPolicy
 from satakit.validation import VerdictOutcome
 
-from conftest import DATA_DIR, FIXTURES_DIR, cert_for
+from conftest import DATA_DIR, FIXTURES_DIR, cert_for, key_for
 
 ATTACK_FIXTURES = [
     FIXTURES_DIR / "attack1_onion_alt_svc.json",
@@ -109,6 +111,23 @@ def test_attack2_sata_aware_would_accept_same_domain_sata_redirect():
     assert outcome.reached_endpoint == "origin-full"
     assert not outcome.user_visible_alert
     assert any(v.accepted() for v in outcome.verdicts)
+    assert outcome.notes == ("followed self-authenticating onion-location to full.com",)
+
+
+def test_onion_location_to_an_unknown_host_raises():
+    scenario = load("attack2_onion_location.json")
+    sites = dict(scenario.world.sites)
+    sites["full.com"] = dataclasses.replace(
+        sites["full.com"],
+        headers=dataclasses.replace(
+            sites["full.com"].headers, onion_location="http://gone.example/"
+        ),
+    )
+    world = dataclasses.replace(
+        scenario.world, sites=sites, browser=scenario.browsers["legacy"]
+    )
+    with pytest.raises(UnknownHost, match="onion-location target 'gone.example' unknown"):
+        run_visit(world, "https://full.com/", date(2020, 9, 1))
 
 
 # -- attack 3: compromised SecureDrop ruleset ---------------------------------------
@@ -230,6 +249,44 @@ def test_cache_expiry_honored():
     # far beyond the 172800 s lifetime: entry expired, back to direct fetch
     out2, _ = run_visit(world, "https://victim.example/", date(2020, 9, 10))
     assert out2.via_alt_service is None
+
+
+@pytest.mark.parametrize("source", ["served", "published", "neither", "forbidden"])
+def test_sata_aware_store_gate(source):
+    """A SATA-aware browser stores an alternative service when the header
+    the origin served, or any published credential, is a self-sattestation
+    binding the origin to the alternative onion, and the policy allows it."""
+    alt = key_for("shop-alt")
+    alt_host = f"{alt.address.label}.onion"
+    cert = cert_for("shop", ["shop.example"])
+    binding = make_self_sattestation(
+        key=alt, domain="shop.example", cert_fingerprints=[cert.fingerprint],
+        issued=date(2020, 8, 31), refreshed_on=date(2020, 8, 31), refresh_rate_days=7,
+    )
+    unrelated = make_self_sattestation(
+        key=key_for("elsewhere"), domain="elsewhere.example",
+        cert_fingerprints=[cert.fingerprint],
+        issued=date(2020, 8, 31), refreshed_on=date(2020, 8, 31), refresh_rate_days=7,
+    )
+    headers = SiteHeaders(
+        alt_svc=AltSvcHeader(host=alt_host),
+        sata_header=binding if source == "served" else unrelated,
+    )
+    policy = None
+    if source == "forbidden":
+        policy = TrustPolicy(roots=(), allow_credentialed_alt_services=False)
+    world = World(
+        sites={"shop.example": SiteRecord("origin-shop", cert, headers)},
+        browser=BrowserConfig(sata_aware=True, policy=policy),
+        credentials=(unrelated, binding) if source in ("published", "forbidden") else (unrelated,),
+    )
+    outcome, _ = run_visit(world, "https://shop.example/", date(2020, 9, 1))
+    stored = [w.alt_host for w in outcome.cache_writes]
+    blocked = f"alt-svc {alt_host} blocked: no trusted self-sattestation"
+    if source in ("served", "published"):
+        assert stored == [alt_host] and blocked not in outcome.notes
+    else:
+        assert stored == [] and blocked in outcome.notes
 
 
 def test_cache_write_records_expiry():

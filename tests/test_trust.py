@@ -442,6 +442,11 @@ def test_policy_from_json_roundtrip():
     assert policy.require_sattestation_for == frozenset({"news"})
 
 
+def test_policy_from_json_leaves_defaults_to_the_policy():
+    assert policy_from_json({}) == TrustPolicy(roots=())
+    assert policy_from_json({"max_chain_depth": 5}) == TrustPolicy(roots=(), max_chain_depth=5)
+
+
 def test_policy_depth_must_be_positive():
     with pytest.raises(ValueError):
         TrustPolicy(roots=(), max_chain_depth=0)

@@ -4,6 +4,8 @@ import dataclasses
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satakit.validation as validation_module
 from satakit import (
@@ -23,7 +25,7 @@ from satakit.errors import EmptyInput, UnrepresentableField
 from satakit.trust import TrustPolicy
 from satakit.validation import CertDescriptor, VerdictOutcome
 
-from conftest import TODAY, cert_for, key_for
+from conftest import TODAY, cert_for, key_for, third_party
 from oracles import SHA256_ABC
 
 FP_A = "632B119944" + "A" * 54
@@ -203,7 +205,7 @@ def test_alt_svc_with_valid_self_sattestation_allowed():
     alt_key = key_for("bank-alt")
     cred = _alt_self_satt("bank.example", "bank-alt", FP_A)
     decision = validate_alt_svc(
-        "bank.example", f"{alt_key.address.label}.onion", cred, None, now=TODAY
+        "bank.example", f"{alt_key.address.label}.onion", [cred], None, now=TODAY
     )
     assert decision is AltSvcDecision.ALLOW
 
@@ -211,7 +213,7 @@ def test_alt_svc_with_valid_self_sattestation_allowed():
 def test_alt_svc_without_credential_blocked():
     alt_key = key_for("bank-alt")
     decision = validate_alt_svc(
-        "bank.example", f"{alt_key.address.label}.onion", None, None, now=TODAY
+        "bank.example", f"{alt_key.address.label}.onion", (), None, now=TODAY
     )
     assert decision is AltSvcDecision.BLOCK
 
@@ -220,7 +222,7 @@ def test_alt_svc_credential_for_other_domain_blocked():
     alt_key = key_for("bank-alt")
     cred = _alt_self_satt("other.example", "bank-alt", FP_A)
     decision = validate_alt_svc(
-        "bank.example", f"{alt_key.address.label}.onion", cred, None, now=TODAY
+        "bank.example", f"{alt_key.address.label}.onion", [cred], None, now=TODAY
     )
     assert decision is AltSvcDecision.BLOCK
 
@@ -229,7 +231,7 @@ def test_alt_svc_credential_for_other_onion_blocked():
     cred = _alt_self_satt("bank.example", "bank-alt", FP_A)
     other = key_for("unrelated-onion")
     decision = validate_alt_svc(
-        "bank.example", f"{other.address.label}.onion", cred, None, now=TODAY
+        "bank.example", f"{other.address.label}.onion", [cred], None, now=TODAY
     )
     assert decision is AltSvcDecision.BLOCK
 
@@ -245,14 +247,14 @@ def test_alt_svc_stale_credential_blocked():
         refresh_rate_days=7,
     )
     decision = validate_alt_svc(
-        "bank.example", f"{alt_key.address.label}.onion", cred, None, now=TODAY
+        "bank.example", f"{alt_key.address.label}.onion", [cred], None, now=TODAY
     )
     assert decision is AltSvcDecision.BLOCK
 
 
 def test_alt_svc_non_onion_host_blocked():
     cred = _alt_self_satt("bank.example", "bank-alt", FP_A)
-    decision = validate_alt_svc("bank.example", "cdn.example", cred, None, now=TODAY)
+    decision = validate_alt_svc("bank.example", "cdn.example", [cred], None, now=TODAY)
     assert decision is AltSvcDecision.BLOCK
 
 
@@ -261,7 +263,7 @@ def test_alt_svc_policy_can_forbid_all():
     cred = _alt_self_satt("bank.example", "bank-alt", FP_A)
     policy = TrustPolicy(roots=(), allow_credentialed_alt_services=False)
     decision = validate_alt_svc(
-        "bank.example", f"{alt_key.address.label}.onion", cred, policy, now=TODAY
+        "bank.example", f"{alt_key.address.label}.onion", [cred], policy, now=TODAY
     )
     assert decision is AltSvcDecision.BLOCK
 
@@ -287,7 +289,7 @@ def test_alt_svc_blocks_on_each_sata_error():
     bad_checksum = "a" * 56 + ".onion"
     cases = [(bad_checksum, cred), (host, flipped), (host, unpinned)]
     for alt_host, satt in cases:
-        decision = validate_alt_svc("bank.example", alt_host, satt, None, now=TODAY)
+        decision = validate_alt_svc("bank.example", alt_host, [satt], None, now=TODAY)
         assert decision is AltSvcDecision.BLOCK
 
 
@@ -303,8 +305,124 @@ def test_alt_svc_lets_other_errors_through(monkeypatch, name):
     monkeypatch.setattr(validation_module, name, broken)
     with pytest.raises(RuntimeError, match=name):
         validate_alt_svc(
-            "bank.example", f"{alt_key.address.label}.onion", cred, None, now=TODAY
+            "bank.example", f"{alt_key.address.label}.onion", [cred], None, now=TODAY
         )
+
+
+def test_alt_svc_parses_the_alt_host_once_per_pool(monkeypatch):
+    alt_key = key_for("bank-alt")
+    host = f"{alt_key.address.label}.onion"
+    good = _alt_self_satt("bank.example", "bank-alt", FP_A)
+    junk = [_alt_self_satt(f"other{i}.example", f"other-{i}", FP_A) for i in range(8)]
+    calls = []
+    real = validation_module.parse_onion
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(validation_module, "parse_onion", counting)
+    for pool, expected in [
+        ((), AltSvcDecision.BLOCK),
+        ([good], AltSvcDecision.ALLOW),
+        (junk, AltSvcDecision.BLOCK),
+        (junk + [good], AltSvcDecision.ALLOW),
+    ]:
+        calls.clear()
+        assert validate_alt_svc("bank.example", host, pool, None, now=TODAY) is expected
+        assert calls == [host]
+
+
+def test_alt_svc_junk_before_a_good_credential_allows():
+    alt_key = key_for("bank-alt")
+    good = _alt_self_satt("bank.example", "bank-alt", FP_A)
+    flipped = dataclasses.replace(
+        good, signature=bytes([good.signature[0] ^ 1]) + good.signature[1:]
+    )
+    host = f"{alt_key.address.label}.onion"
+    for junk in (None, flipped):
+        pool = iter([junk, good])  # any iterable, consumed once
+        assert validate_alt_svc("bank.example", host, pool, None, now=TODAY) is (
+            AltSvcDecision.ALLOW
+        )
+
+
+def test_connection_and_alt_svc_share_one_header_check(monkeypatch, bank_sata, bank_cert):
+    alt_key = key_for("bank-alt")
+    cred = _alt_self_satt("bank.example", "bank-alt", FP_A)
+    seen = []
+
+    def refuse(header, domain, onion, now):
+        seen.append((header, domain, onion.label, now))
+        return validation_module.Verdict(VerdictOutcome.REJECT_SIGNATURE, "refused")
+
+    monkeypatch.setattr(validation_module, "_self_sattestation_fault", refuse)
+    verdict = validate_connection(bank_sata, bank_cert, cred, TODAY)
+    assert verdict.detail == "refused"
+    host = f"{alt_key.address.label}.onion"
+    assert validate_alt_svc("bank.example", host, [cred], now=TODAY) is AltSvcDecision.BLOCK
+    assert seen == [
+        (cred, "bank.example", bank_sata.onion.label, TODAY),
+        (cred, "bank.example", alt_key.address.label, TODAY),
+    ]
+
+
+HEADER_MUTATIONS = (
+    "flip_signature", "other_domain", "other_key", "third_party", "no_fingerprints"
+)
+
+
+def _mutated_header(mutations: frozenset, age_days: int, cert: CertDescriptor):
+    """A header for bank.example at the bank-alt onion, with some of
+    :data:`HEADER_MUTATIONS` applied and refreshed ``age_days`` ago."""
+    domain = "other.example" if "other_domain" in mutations else "bank.example"
+    key_name = "unrelated-onion" if "other_key" in mutations else "bank-alt"
+    refreshed = date.fromordinal(TODAY.toordinal() - age_days)
+    if "third_party" in mutations:
+        header = third_party(
+            "root.example", "root.example", [(domain, key_name, ["news"])],
+            issued=refreshed, refreshed_on=refreshed,
+        )
+    else:
+        header = make_self_sattestation(
+            key=key_for(key_name),
+            domain=domain,
+            cert_fingerprints=[cert.fingerprint],
+            issued=refreshed,
+            refreshed_on=refreshed,
+            refresh_rate_days=7,
+        )
+        if "no_fingerprints" in mutations:  # signed over the pinned body
+            unpinned = dataclasses.replace(header.sattestees[0], cert_fingerprints=())
+            header = Sattestation(
+                body=dataclasses.replace(header.body, sattestees=(unpinned,)),
+                signature=header.signature,
+            )
+    if "flip_signature" in mutations:
+        header = dataclasses.replace(
+            header, signature=bytes([header.signature[0] ^ 1]) + header.signature[1:]
+        )
+    return header
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    mutations=st.frozensets(st.sampled_from(HEADER_MUTATIONS)),
+    age_days=st.integers(min_value=-9, max_value=9),
+)
+def test_alt_svc_allows_exactly_the_headers_a_connection_accepts(mutations, age_days):
+    """Served-header equivalence: the alt-svc gate and connection
+    validation reach one verdict on a header, given a certificate that
+    covers the SATA and pins the header's fingerprint."""
+    alt_key = key_for("bank-alt")
+    s = Sata(domain="bank.example", onion=alt_key.address)
+    cert = cert_for("bank-alt-cert", list(expected_sans(s)))
+    header = _mutated_header(mutations, age_days, cert)
+    accepted = validate_connection(s, cert, header, TODAY).accepted()
+    host = f"{alt_key.address.label}.onion"
+    decision = validate_alt_svc("bank.example", host, [header], now=TODAY)
+    assert (decision is AltSvcDecision.ALLOW) == accepted
+    assert accepted == (not mutations and abs(age_days) < 7)
 
 
 # -- fingerprints ------------------------------------------------------------------

@@ -28,8 +28,8 @@ import os
 import sys
 from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import sim as simmod
 from .credential import (
     Sattestation,
     body_from_wire,
@@ -41,7 +41,7 @@ from .credential import (
     to_transport_json,
     verify_credential,
 )
-from .errors import EmptyInput, SataError
+from .errors import EmptyInput, SataError, UnrepresentableField
 from .onion import encode_onion, keygen, parse_onion
 from .sata import (
     Sata,
@@ -64,6 +64,9 @@ from .validation import (
     fingerprint_cert,
     validate_connection,
 )
+
+if TYPE_CHECKING:  # the simulator is imported only by the ``sim`` commands
+    from .sim import Outcome
 
 EXIT_OK = 0
 EXIT_USAGE = 64
@@ -125,18 +128,46 @@ def _load_cert(path: str) -> CertDescriptor:
     if not data.strip():
         raise EmptyInput(f"certificate file {path!r} is empty")
     if data.lstrip().startswith(b"{"):
-        obj = json.loads(data)
-        der = bytes.fromhex(obj["der_hex"]) if "der_hex" in obj else None
-        fingerprint = obj.get("fingerprint") or fingerprint_cert(der or b"")
-        return CertDescriptor(
-            fingerprint=fingerprint,
-            san_list=tuple(obj.get("san_list", [])),
-            not_before=date.fromisoformat(obj["not_before"]),
-            not_after=date.fromisoformat(obj["not_after"]),
-            has_sct=obj.get("has_sct", False),
-            der=der,
-        )
+        return _cert_from_json(json.loads(data))
     return _cert_from_x509(data)
+
+
+def _cert_field(obj: dict, name: str, kind: type, default=None):
+    value = obj.get(name, default)
+    if not isinstance(value, kind):
+        raise UnrepresentableField(
+            f"certificate {name!r} must be a {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _cert_date(obj: dict, name: str) -> date:
+    text = _cert_field(obj, name, str)
+    try:
+        return date.fromisoformat(text)
+    except ValueError as exc:
+        raise UnrepresentableField(f"certificate {name!r} is not an ISO date: {text!r}") from exc
+
+
+def _cert_from_json(obj: dict) -> CertDescriptor:
+    """A certificate descriptor from its JSON form, each field type-checked."""
+    der = None
+    if "der_hex" in obj:
+        try:
+            der = bytes.fromhex(_cert_field(obj, "der_hex", str))
+        except ValueError as exc:
+            raise UnrepresentableField(f"certificate 'der_hex' is not hex: {exc}") from exc
+    san_list = _cert_field(obj, "san_list", list, [])
+    if not all(isinstance(name, str) for name in san_list):
+        raise UnrepresentableField(f"certificate 'san_list' must hold strings, got {san_list!r}")
+    return CertDescriptor(
+        fingerprint=_cert_field(obj, "fingerprint", str, "") or fingerprint_cert(der or b""),
+        san_list=tuple(san_list),
+        not_before=_cert_date(obj, "not_before"),
+        not_after=_cert_date(obj, "not_after"),
+        has_sct=_cert_field(obj, "has_sct", bool, False),
+        der=der,
+    )
 
 
 def _cert_from_x509(data: bytes) -> CertDescriptor:
@@ -184,7 +215,7 @@ def _chain_payload(chain: TrustChain) -> dict:
     }
 
 
-def _outcome_payload(o: simmod.Outcome) -> dict:
+def _outcome_payload(o: Outcome) -> dict:
     return {
         "reached_endpoint": o.reached_endpoint,
         "alert": o.user_visible_alert,
@@ -396,6 +427,8 @@ def _cmd_rotate_pointer(args) -> int:
 
 
 def _cmd_sim_run(args) -> int:
+    from . import sim as simmod
+
     scenario = simmod.load_scenario(Path(args.fixture))
     if args.browser not in scenario.browsers:
         raise SataError(
@@ -417,6 +450,8 @@ def _cmd_sim_run(args) -> int:
 
 
 def _cmd_sim_matrix(args) -> int:
+    from . import sim as simmod
+
     rows: list[dict] = []
     for path in sorted(Path(args.fixtures).glob("*.json")):
         scenario = simmod.load_scenario(path)

@@ -70,7 +70,7 @@ def format_refresh_rate(days: float) -> str:
 
 
 def parse_refresh_rate(text: str) -> float:
-    m = _RATE_RE.match(text)
+    m = _RATE_RE.match(text) if isinstance(text, str) else None
     if not m:
         raise UnrepresentableField(f"refresh rate not in '<number> days' form: {text!r}")
     return float(m.group(1))
@@ -359,7 +359,21 @@ def to_transport_json(s: Sattestation) -> str:
     return f'{body[:-1]},"signature":"{s.signature.hex()}"}}'
 
 
-def _parse_binding(obj: dict) -> Binding:
+def _wire_text(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise UnrepresentableField(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _wire_onion(value, field: str, decoded: dict[str, OnionAddress]) -> OnionAddress:
+    label = _wire_text(value, field)
+    onion = decoded.get(label)
+    if onion is None:
+        onion = decoded[label] = parse_onion(label)
+    return onion
+
+
+def _parse_binding(obj: dict, decoded: dict[str, OnionAddress]) -> Binding:
     if not isinstance(obj, dict):
         raise UnrepresentableField(f"binding must be an object, got {type(obj).__name__}")
     try:
@@ -369,31 +383,36 @@ def _parse_binding(obj: dict) -> Binding:
         refreshed_text = obj["refreshed_on"]
     except KeyError as exc:
         raise UnrepresentableField(f"binding is missing field {exc.args[0]!r}") from exc
-    labels_field = obj.get("labels", "")
-    if not isinstance(labels_field, str):
-        raise UnrepresentableField("labels must be a comma-separated string")
+    labels_field = _wire_text(obj.get("labels", ""), "labels")
     labels = tuple(part for part in labels_field.split(",") if part) if labels_field else ()
     fingerprints = obj.get("cert_fingerprint", [])
     if isinstance(fingerprints, str):
         fingerprints = [fingerprints]
+    elif not isinstance(fingerprints, list):
+        raise UnrepresentableField(f"cert_fingerprint must be a list, got {fingerprints!r}")
     try:
         issued = date.fromisoformat(issued_text)
         refreshed_on = date.fromisoformat(refreshed_text)
     except (TypeError, ValueError) as exc:
         raise UnrepresentableField(f"bad date in binding: {exc}") from exc
     return Binding(
-        domain=domain,
-        onion=parse_onion(onion_label),
+        domain=_wire_text(domain, "binding domain"),
+        onion=_wire_onion(onion_label, "binding onion", decoded),
         issued=issued,
         refreshed_on=refreshed_on,
         labels=labels,
-        cert_fingerprints=tuple(fingerprints),
+        cert_fingerprints=tuple(_wire_text(fp, "cert_fingerprint") for fp in fingerprints),
         onion_reachable=obj.get("onion_reachable"),
     )
 
 
 def body_from_wire(obj: dict) -> SattestationBody:
-    """Reconstruct a body from parsed wire JSON (the inner object included)."""
+    """Reconstruct a body from parsed wire JSON (the inner object included).
+
+    A field of the wrong JSON type raises :class:`UnrepresentableField`.
+    Each distinct onion label is decoded once per call: in a
+    self-sattestation the sattestor and its binding carry the same label.
+    """
     try:
         inner = obj["sattestation"]
         version = inner["sattestation_version"]
@@ -405,13 +424,17 @@ def body_from_wire(obj: dict) -> SattestationBody:
         raise UnrepresentableField(f"credential missing field: {exc}") from exc
     if not isinstance(sattestees, list):
         raise UnrepresentableField("sattestees must be a list")
-    return SattestationBody(
-        sattestor_domain=sattestor_domain,
-        sattestor_onion=parse_onion(sattestor_onion),
-        refresh_rate_days=parse_refresh_rate(rate),
-        sattestees=tuple(_parse_binding(b) for b in sattestees),
-        version=version,
-    )
+    decoded: dict[str, OnionAddress] = {}
+    try:
+        return SattestationBody(
+            sattestor_domain=_wire_text(sattestor_domain, "sattestor_domain"),
+            sattestor_onion=_wire_onion(sattestor_onion, "sattestor_onion", decoded),
+            refresh_rate_days=parse_refresh_rate(rate),
+            sattestees=tuple(_parse_binding(b, decoded) for b in sattestees),
+            version=version,
+        )
+    except ValueError as exc:  # only normalize_domain raises it: a malformed domain name
+        raise UnrepresentableField(f"bad domain in credential: {exc}") from exc
 
 
 def from_transport_json(text: str | bytes) -> Sattestation:

@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -101,7 +100,7 @@ class KeyPair:
         if len(self.secret) != 32:
             raise BadLength(f"secret seed must be 32 bytes, got {len(self.secret)}")
         private = Ed25519PrivateKey.from_private_bytes(self.secret)
-        public = _raw_public(private)
+        public = private.public_key().public_bytes_raw()
         if self.public is None:
             object.__setattr__(self, "public", public)
         elif self.public != public:
@@ -112,12 +111,6 @@ class KeyPair:
     def address(self) -> OnionAddress:
         """Onion address owned by this keypair."""
         return address_for(self.public)
-
-
-def _raw_public(key: Ed25519PrivateKey) -> bytes:
-    return key.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
 
 
 def encode_onion(pubkey: bytes) -> str:

@@ -671,6 +671,35 @@ def test_bad_policy_json_exit_65(capsys, tmp_path, policy):
     assert json.loads(out)["error"]["class"] == "UnrepresentableField"
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"not_before": 5},
+        {"not_after": None},
+        {"not_before": "yesterday"},
+        {"san_list": "bank.example"},
+        {"san_list": [5]},
+        {"has_sct": "yes"},
+        {"fingerprint": 5},
+        {"der_hex": "zz"},
+    ],
+)
+def test_bad_cert_descriptor_exit_65(capsys, tmp_path, bank_files, change):
+    descriptor = json.loads(bank_files["cert"].read_text())
+    descriptor.update(change)
+    descriptor = {k: v for k, v in descriptor.items() if v is not None}
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(descriptor))
+    argv = ["verify", "--url", bank_files["url"], "--cert", str(cert_file),
+            "--header", str(bank_files["header"]), "--now", "2020-09-01"]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: UnrepresentableField: certificate")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EXIT_DATA
+    assert json.loads(out)["error"]["class"] == "UnrepresentableField"
+
+
 @pytest.mark.parametrize("index", ["9", "-1"])
 def test_binding_index_out_of_range_exit_65(capsys, index):
     argv = ["satt", "fresh", "--file", str(DATA_DIR / "fig1_credential.satt"),

@@ -20,6 +20,7 @@ from satakit import (
     issue,
     keygen,
     make_self_sattestation,
+    parse_onion,
     to_transport_json,
     verify_credential,
 )
@@ -537,6 +538,82 @@ def test_transport_rejects_bad_json():
 def test_transport_rejects_missing_fields():
     with pytest.raises(UnrepresentableField):
         from_transport_json('{"sattestation":{}}')
+
+
+def _set(wire: dict, path: tuple, value) -> None:
+    for key in path[:-1]:
+        wire = wire[key]
+    wire[path[-1]] = value
+
+
+def _string_paths(node, path=()):
+    """Path to every string value in a parsed wire credential."""
+    if isinstance(node, str):
+        yield path
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _string_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _string_paths(value, path + (index,))
+
+
+WIRE_CREDENTIALS = [
+    json.loads(to_transport_json(paper_shaped_self_sattestation())),
+    json.loads(to_transport_json(issue(key_for("sattestora.info"), fig1_body()))),
+]
+STRING_FIELDS = [(i, path) for i, wire in enumerate(WIRE_CREDENTIALS) for path in _string_paths(wire)]
+NON_STRING_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field=st.sampled_from(STRING_FIELDS), value=NON_STRING_JSON)
+def test_wire_string_field_of_another_json_type_rejected(field, value):
+    index, path = field
+    wire = json.loads(json.dumps(WIRE_CREDENTIALS[index]))
+    _set(wire, path, value)
+    with pytest.raises(SataError):
+        from_transport_json(json.dumps(wire))
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("sattestor_domain",), 5),
+        (("sattestor_onion",), 5),
+        (("sattestees", 0, "domain"), 5),
+        (("sattestees", 0, "onion"), [5]),
+        (("sattestor_domain",), "a..example"),
+        (("sattestees", 0, "domain"), "a..example"),
+    ],
+)
+def test_wire_domain_and_onion_of_wrong_type_or_form_rejected(path, value):
+    wire = json.loads(json.dumps(WIRE_CREDENTIALS[0]))
+    _set(wire["sattestation"], path, value)
+    with pytest.raises(UnrepresentableField):
+        from_transport_json(json.dumps(wire))
+
+
+def test_transport_decodes_each_onion_label_once(monkeypatch):
+    """A self-sattestation's sattestor and binding share one label."""
+    import satakit.credential as credential_module
+
+    labels = []
+
+    def counting(label):
+        labels.append(label)
+        return parse_onion(label)
+
+    monkeypatch.setattr(credential_module, "parse_onion", counting)
+    from_transport_json(to_transport_json(paper_shaped_self_sattestation()))
+    assert len(labels) == 1
+    labels.clear()
+    from_transport_json(to_transport_json(issue(key_for("sattestora.info"), fig1_body())))
+    assert len(labels) == 3
 
 
 def test_no_revocation_fields_anywhere():

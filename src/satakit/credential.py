@@ -27,6 +27,7 @@ anywhere: credentials are short-lived and simply re-issued.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -56,6 +57,7 @@ MAX_SELF_SATTESTATION_BYTES = 800
 _RATE_RE = re.compile(r"^(\d+(?:\.\d+)?) days$")
 _FINGERPRINT_RE = re.compile(r"^[0-9A-F]+$")
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
+_LAST_ORDINAL = date.max.toordinal()
 
 
 def format_refresh_rate(days: float) -> str:
@@ -327,14 +329,28 @@ def make_self_sattestation(
     return credential
 
 
-def is_fresh(b: Binding, refresh_rate_days: float, today: int) -> bool:
-    """The freshness rule on day ordinals (``today`` is ``now.toordinal()``):
-    |today - refreshed_on| must be strictly less than the rate.
+def fresh_window(refresh_rate_days: float, now: date) -> tuple[date, date]:
+    """The earliest and latest ``refreshed_on`` that are fresh at ``now``,
+    both included: the freshness rule as a range of dates.
 
-    The reference date is the binding's ``refreshed_on``, which equals
-    ``issued`` when never refreshed.
+    The rule is |now - refreshed_on| < rate, in whole days.  For an integer
+    day difference d, |d| < rate exactly when |d| <= ceil(rate) - 1, so
+    the window is exact for any positive rate, whole or not.  It is clipped
+    to the calendar.  The reference date is the binding's
+    ``refreshed_on``, which equals ``issued`` when never refreshed.
     """
-    return abs(today - b.refreshed_on.toordinal()) < refresh_rate_days
+    slack = math.ceil(refresh_rate_days) - 1
+    today = now.toordinal()
+    return (
+        date.fromordinal(max(today - slack, 1)),
+        date.fromordinal(min(today + slack, _LAST_ORDINAL)),
+    )
+
+
+def is_fresh(b: Binding, refresh_rate_days: float, now: date) -> bool:
+    """Whether one binding is fresh at ``now`` (see :func:`fresh_window`)."""
+    earliest, latest = fresh_window(refresh_rate_days, now)
+    return earliest <= b.refreshed_on <= latest
 
 
 def check_freshness(s: Sattestation, binding_index: int, now: date) -> None:
@@ -343,7 +359,7 @@ def check_freshness(s: Sattestation, binding_index: int, now: date) -> None:
     if not 0 <= binding_index < len(s.sattestees):
         raise NoSuchBinding(f"binding index {binding_index} out of range")
     b = s.sattestees[binding_index]
-    if not is_fresh(b, s.refresh_rate_days, now.toordinal()):
+    if not is_fresh(b, s.refresh_rate_days, now):
         age = abs((now - b.refreshed_on).days)
         raise Stale(
             f"binding {binding_index} is {age} days old, refresh rate is "

@@ -25,7 +25,14 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .errors import BadAlphabet, BadChecksum, BadLength, BadVersion, MalformedSignature
+from .errors import (
+    BadAlphabet,
+    BadChecksum,
+    BadLength,
+    BadVersion,
+    KeyMismatch,
+    MalformedSignature,
+)
 
 ONION_SUFFIX = ".onion"
 LABEL_LENGTH = 56
@@ -104,7 +111,7 @@ class KeyPair:
         if self.public is None:
             object.__setattr__(self, "public", public)
         elif self.public != public:
-            raise KeyError("public key is not derivable from the secret seed")
+            raise KeyMismatch("public key is not derivable from the secret seed")
         object.__setattr__(self, "private", private)
 
     @property

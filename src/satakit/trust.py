@@ -14,21 +14,25 @@ Chains are bounded by the policy's ``max_chain_depth``; the shortest valid
 chain wins.  Among chains of that length the one with the smallest tuple
 of step keys ``(sattestor domain, sattestor onion, binding index, label)``
 wins, then the one with the smallest tuple of link ranks, so evaluation is
-deterministic.  A link's rank is (credential position, binding index),
-with positions taken in pool order: sorted by (sattestor domain,
-sattestor onion, canonical bytes), stably.  That is the order of
+deterministic.  A link's rank is (canonical bytes, input position) of its
+credential, the position counted among its issuer's credentials in the
+order the pool gives them.  Ranks are compared only when the step keys are
+equal, which means the same issuer at every step, so this picks the chain
+that positions in pool order would: sorted by (sattestor domain,
+sattestor onion, canonical bytes), stably, the order of
 :func:`usable_links`.
 
 The search is breadth-first over states (issuer identity, allowed-label
 set), in the manner of Clarke et al., "Certificate chain discovery in
 SPKI/SDSI" (J. Computer Security 2001).  Each state is expanded once, at
 the first depth that reaches it, and keeps one chain.  A query costs one
-step per credential (sort, verify, group by issuer) plus at most states x
-bindings, whatever the depth: a pool published by an adversary cannot
-force more.  Each credential object keeps its structural and signature
-verdicts (see :func:`verify_credential`), so the step per credential stays
+pass over the pool (verify, group by issuer; no sort) plus at most
+states x bindings, whatever the depth: a pool published by an adversary
+cannot force more.  Each credential object keeps its structural and
+signature verdicts (see :func:`verify_credential`), so the pass stays
 cheap however often the pool is evaluated; freshness depends on the query
-date and is checked per binding as the search walks it.
+date and is checked per binding as the search walks it, against one
+window of dates per refresh rate.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .credential import (
     Binding,
     Sattestation,
     canonical_bytes,
+    fresh_window,
     is_fresh,
     make_self_sattestation,
     verify_credential,
@@ -130,17 +135,13 @@ def _identity(s: Sata | Binding | Sattestation) -> tuple[str, str]:
 
 def _sound_by_issuer(
     credentials: Iterable[Sattestation],
-) -> dict[tuple[str, str], list[tuple[int, Sattestation]]]:
-    """The credentials that verify, grouped by issuer, as (position,
-    credential) in pool order.
+) -> dict[tuple[str, str], list[Sattestation]]:
+    """The credentials that verify, grouped by issuer, each group in input
+    order.
 
-    Pool order sorts by (sattestor domain, sattestor onion, canonical
-    bytes), stably.  Grouping first and sorting the issuers, then each
-    group, gives that order with one issuer key per credential.
-    Unverifiable credentials are dropped before the sort, not fatal: an
-    attacker must not be able to poison evaluation by publishing junk, so
-    any ``SataError`` drops the credential.  Positions count the
-    credentials kept, which leaves their relative order unchanged.
+    Unverifiable credentials are dropped, not fatal: an attacker must not
+    be able to poison evaluation by publishing junk, so any ``SataError``
+    drops the credential.
     """
     groups: dict[tuple[str, str], list[Sattestation]] = {}
     for cred in credentials:
@@ -148,29 +149,29 @@ def _sound_by_issuer(
             verify_credential(cred)
         except SataError:
             continue
-        issuer = (cred.sattestor_domain, cred.sattestor_onion.label)
-        groups.setdefault(issuer, []).append(cred)
-    out: dict[tuple[str, str], list[tuple[int, Sattestation]]] = {}
-    pos = 0
-    for issuer in sorted(groups):
-        group = sorted(groups[issuer], key=canonical_bytes)
-        out[issuer] = list(enumerate(group, pos))
-        pos += len(group)
-    return out
+        body = cred.body
+        issuer = (body.sattestor_domain, body.sattestor_onion.label)
+        group = groups.get(issuer)
+        if group is None:
+            groups[issuer] = [cred]
+        else:
+            group.append(cred)
+    return groups
 
 
 def usable_links(
     credentials: Iterable[Sattestation], now: date
 ) -> list[tuple[Sattestation, int]]:
     """(credential, binding_index) pairs that verify and are fresh at
-    ``now``, in pool order (see :func:`_sound_by_issuer`)."""
-    today = now.toordinal()
+    ``now``, in pool order: sorted by (sattestor domain, sattestor onion,
+    canonical bytes), stably."""
+    groups = _sound_by_issuer(credentials)
     return [
         (cred, idx)
-        for sound in _sound_by_issuer(credentials).values()
-        for _pos, cred in sound
+        for issuer in sorted(groups)
+        for cred in sorted(groups[issuer], key=canonical_bytes)
         for idx, binding in enumerate(cred.sattestees)
-        if is_fresh(binding, cred.refresh_rate_days, today)
+        if is_fresh(binding, cred.refresh_rate_days, now)
     ]
 
 
@@ -181,6 +182,9 @@ def _grant(label: str) -> Optional[frozenset[str]]:
     if scope is None:
         return None
     return frozenset({scope, delegation_label(scope)})
+
+
+_NOT_ALLOWED = object()  # a label the state being expanded may not use
 
 
 def evaluate(
@@ -196,12 +200,14 @@ def evaluate(
     bound SATA to issue label ``X`` at the next hop, or to delegate ``X``
     further (still as ``sattestor(X)``) within the depth budget.
 
-    A link's rank is (credential position, binding index), positions in
-    pool order.  A query sorts and verifies the pool once, one step per
-    credential, then walks the fresh bindings of each reached issuer's
-    credentials in place: at most states x bindings.  A candidate chain's
+    A query verifies the pool and groups it by issuer in one pass, in input
+    order, without sorting it.  It then walks the fresh bindings of each
+    reached issuer's credentials in place: at most states x bindings.  The
+    subject is read once per query, and each label's grant and each refresh
+    rate's window of fresh dates are worked out once.  A candidate chain's
     (step keys, ranks) is built only for a hit or for a state no earlier
-    depth reached.  The tie rule is in the module docstring.
+    depth reached, and a link's rank (canonical bytes, input position) only
+    then.  The tie rule is in the module docstring.
     """
     by_issuer = _sound_by_issuer(credentials)
 
@@ -213,61 +219,96 @@ def evaluate(
         )
 
     # state (issuer domain, issuer onion, allowed labels) -> its one chain as
-    # ((step keys, ranks), links).  A state is expanded only at the first
-    # depth that reaches it: a chain through it at a later depth has a
+    # ((step keys, ranks), credentials).  A state is expanded only at the
+    # first depth that reaches it: a chain through it at a later depth has a
     # shorter twin.  All chains into a state at one depth have the same
     # length, so the smallest (step keys, ranks) stays smallest under any
-    # common extension.
+    # common extension.  A step key holds the binding index and label, so
+    # the credentials alone complete the chain's links.
     frontier: dict[tuple, tuple] = {
         (*ident, frozenset(allowed)): (((), ()), ())
         for ident, allowed in allowed_at_root.items()
     }
     seen = set(frontier)
+    subject_domain, subject_onion = subject.domain.lower(), subject.onion.label
     grants: dict[str, Optional[frozenset[str]]] = {}  # label -> _grant(label)
-    today = now.toordinal()
+    windows: dict[float, tuple[date, date]] = {}  # refresh rate -> fresh_window
     for _depth in range(policy.max_chain_depth):
         best: Optional[tuple] = None
         reached: dict[tuple, tuple] = {}
-        for (domain, onion, allowed), ((keys, ranks), chain) in frontier.items():
-            for pos, cred in by_issuer.get((domain, onion), ()):
-                rate = cred.refresh_rate_days
-                for idx, binding in enumerate(cred.sattestees):
-                    if not is_fresh(binding, rate, today):
+        for (domain, onion, allowed), ((keys, ranks), creds) in frontier.items():
+            group = by_issuer.get((domain, onion))
+            if group is None:
+                continue
+            grant = {}  # label -> its grant, for each label this state may use
+            for lab in allowed:
+                if lab not in grants:
+                    grants[lab] = _grant(lab)
+                grant[lab] = grants[lab]
+            for pos, cred in enumerate(group):
+                body = cred.body
+                rate = body.refresh_rate_days
+                window = windows.get(rate)
+                if window is None:
+                    window = windows[rate] = fresh_window(rate, now)
+                earliest, latest = window
+                for idx, binding in enumerate(body.sattestees):
+                    if not earliest <= binding.refreshed_on <= latest:
                         continue
                     for lab in binding.labels:
-                        if lab not in allowed:
+                        nxt = grant.get(lab, _NOT_ALLOWED)
+                        if nxt is _NOT_ALLOWED:
                             continue
-                        if lab == label and binding.binds(subject.domain, subject.onion):
-                            order = (keys + ((domain, onion, idx, lab),), ranks + ((pos, idx),))
+                        if (
+                            lab == label
+                            and binding.domain == subject_domain
+                            and binding.onion.label == subject_onion
+                        ):
+                            order = (
+                                keys + ((domain, onion, idx, lab),),
+                                ranks + ((canonical_bytes(cred), pos),),
+                            )
                             if best is None or order < best[0]:
-                                best = (order, chain + (ChainLink(cred, idx, lab),))
-                        if lab not in grants:
-                            grants[lab] = _grant(lab)
-                        nxt = grants[lab]
+                                best = (order, creds + (cred,))
                         if nxt is None:
                             continue
                         state = (binding.domain, binding.onion.label, nxt)
                         if state in seen:
                             continue
-                        order = (keys + ((domain, onion, idx, lab),), ranks + ((pos, idx),))
+                        order = (
+                            keys + ((domain, onion, idx, lab),),
+                            ranks + ((canonical_bytes(cred), pos),),
+                        )
                         kept = reached.get(state)
                         if kept is None or order < kept[0]:
-                            reached[state] = (order, chain + (ChainLink(cred, idx, lab),))
+                            reached[state] = (order, creds + (cred,))
         if best is not None:
-            return TrustChain(links=best[1], subject=subject, label=label)
+            (keys, _ranks), creds = best
+            links = tuple(
+                ChainLink(cred, idx, lab)
+                for cred, (_domain, _onion, idx, lab) in zip(creds, keys)
+            )
+            return TrustChain(links=links, subject=subject, label=label)
         seen.update(reached)
         frontier = reached
     return None
 
 
 def _attests(
-    links: list[tuple[Sattestation, int]], issuer: Sata, target: Sata
+    credentials: list[Sattestation], issuer: Sata, target: Sata, now: date
 ) -> bool:
-    for cred, idx in links:
+    """Whether a sound credential of ``issuer`` binds ``target``, fresh at ``now``."""
+    for cred in credentials:
         if _identity(cred) != _identity(issuer):
             continue
-        if cred.sattestees[idx].binds(target.domain, target.onion):
-            return True
+        try:
+            verify_credential(cred)
+        except SataError:
+            continue
+        rate = cred.refresh_rate_days
+        for binding in cred.sattestees:
+            if binding.binds(target.domain, target.onion) and is_fresh(binding, rate, now):
+                return True
     return False
 
 
@@ -279,17 +320,19 @@ def rotation_check(
     Both directions are required: the old address must sattest the new one
     AND the new address must sattest the old one.  The new-to-old direction
     defeats framing, where a third party claims to be the successor of an
-    address it never controlled.
+    address it never controlled.  Only the credentials issued by ``old``
+    or ``new`` are verified.
     """
     if old.domain != new.domain:
         raise DomainMismatch(
             f"rotation keeps the domain: {old.domain!r} != {new.domain!r}"
         )
-    links = usable_links(credentials, now)
+    parties = (_identity(old), _identity(new))
+    issued = [cred for cred in credentials if _identity(cred) in parties]
     missing = []
-    if not _attests(links, old, new):
+    if not _attests(issued, old, new, now):
         missing.append("old-to-new")
-    if not _attests(links, new, old):
+    if not _attests(issued, new, old, now):
         missing.append("new-to-old")
     return RotationResult(ok=not missing, missing=tuple(missing))
 

@@ -26,6 +26,7 @@ from .errors import (
     NotASata,
     OnionAddressError,
     SataError,
+    UnrepresentableField,
 )
 from .sata import Sata, expected_sans, normalize_domain, parse_sata
 from .onion import OnionAddress, parse_onion
@@ -76,10 +77,14 @@ class CertDescriptor:
     der: bytes | None = None
 
     def __post_init__(self) -> None:
-        fp = self.fingerprint.upper()
-        if len(fp) != 64 or any(c not in "0123456789ABCDEF" for c in fp):
-            raise ValueError(f"fingerprint must be 64 hex chars, got {self.fingerprint!r}")
-        object.__setattr__(self, "fingerprint", fp)
+        fp = self.fingerprint
+        if (
+            not isinstance(fp, str)
+            or len(fp) != 64
+            or any(c not in "0123456789ABCDEF" for c in fp.upper())
+        ):
+            raise UnrepresentableField(f"certificate fingerprint must be 64 hex chars, got {fp!r}")
+        object.__setattr__(self, "fingerprint", fp.upper())
         object.__setattr__(self, "san_list", tuple(n.lower() for n in self.san_list))
 
 
@@ -235,7 +240,10 @@ def validate_alt_svc(
     services and some credential (the served header, if any, then the
     published ones) passes :func:`validate_connection`'s header check for
     the origin's registered domain and the alternative onion address.
-    Everything else, an empty pool included, blocks: fail closed.
+    Only credentials issued by that (origin domain, alternative onion) pair
+    are checked: any other sattestor fails the check's binding step.
+    Everything else, an empty pool and a ``None`` entry included, blocks:
+    fail closed.
     """
     if policy is not None and not policy.allow_credentialed_alt_services:
         return AltSvcDecision.BLOCK
@@ -247,7 +255,13 @@ def validate_alt_svc(
         alt_onion = parse_onion(host)
     except OnionAddressError:
         return AltSvcDecision.BLOCK
+    alt_label = alt_onion.label
     for cred in credentials:
+        if cred is None:
+            continue
+        body = cred.body
+        if body.sattestor_domain != origin_domain or body.sattestor_onion.label != alt_label:
+            continue
         if _self_sattestation_fault(cred, origin_domain, alt_onion, now) is None:
             return AltSvcDecision.ALLOW
     return AltSvcDecision.BLOCK

@@ -682,6 +682,8 @@ def test_bad_policy_json_exit_65(capsys, tmp_path, policy):
         {"has_sct": "yes"},
         {"fingerprint": 5},
         {"der_hex": "zz"},
+        {"fingerprint": "zz"},
+        {"fingerprint": "f" * 63},
     ],
 )
 def test_bad_cert_descriptor_exit_65(capsys, tmp_path, bank_files, change):

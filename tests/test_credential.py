@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from datetime import date, datetime
 
@@ -30,6 +31,8 @@ from satakit.credential import (
     SATT_FILE_EXTENSION,
     WELL_KNOWN_SATTESTATION_PATH,
     format_refresh_rate,
+    fresh_window,
+    is_fresh,
     parse_refresh_rate,
 )
 from satakit.errors import (
@@ -439,6 +442,43 @@ def test_freshness_index_out_of_range():
     cred = _dated_self_satt(date(2020, 9, 1), 7)
     with pytest.raises(IndexError):
         check_freshness(cred, 5, date(2020, 9, 1))
+
+
+_LAST_DAY = date.max.toordinal()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    rate=st.one_of(
+        st.integers(1, 10**9),
+        st.floats(min_value=1e-6, max_value=1e300, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.5, 1.0, 3.5, 7.0, 7 + 1e-9, 7 - 1e-9, 2.0**-30]),
+    ),
+    today=st.one_of(st.integers(1, _LAST_DAY), st.sampled_from([1, 2, _LAST_DAY - 1, _LAST_DAY])),
+    near_edge=st.booleans(),
+    step=st.integers(-2, 2),
+    offset=st.integers(-(10**6), 10**6),
+    sign=st.sampled_from([-1, 1]),
+)
+def test_fresh_window_is_the_strict_day_bound(rate, today, near_edge, step, offset, sign):
+    """The window holds exactly the refresh dates d days from ``now`` with
+    |d| < rate, the rule as written; dates near its edges are tried most."""
+    now = date.fromordinal(today)
+    if near_edge:
+        offset = sign * (min(math.ceil(rate), _LAST_DAY) + step)
+    refreshed = today + offset
+    if not 1 <= refreshed <= _LAST_DAY:
+        return
+    binding = Binding(
+        domain="fresh.example",
+        onion=key_for("fresh.example").address,
+        issued=date.min,
+        refreshed_on=date.fromordinal(refreshed),
+    )
+    earliest, latest = fresh_window(rate, now)
+    assert earliest <= now <= latest
+    assert is_fresh(binding, rate, now) is (abs(offset) < rate)
+    assert (earliest <= binding.refreshed_on <= latest) is (abs(offset) < rate)
 
 
 # -- sign/verify closure property -------------------------------------------------

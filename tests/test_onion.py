@@ -12,9 +12,11 @@ from satakit.errors import (
     BadChecksum,
     BadLength,
     BadVersion,
+    KeyMismatch,
     MalformedSignature,
+    SataError,
 )
-from satakit.onion import BASE32_ALPHABET
+from satakit.onion import BASE32_ALPHABET, KeyPair
 
 from oracles import (
     FACEBOOK_LABEL,
@@ -150,6 +152,14 @@ def test_keygen_zero_seed_matches_reference_derivation():
 def test_keygen_rejects_short_seed():
     with pytest.raises(BadLength):
         keygen(b"\x00" * 16)
+
+
+def test_keypair_rejects_a_public_key_the_seed_does_not_derive():
+    seed, other = b"\x03" * 32, keygen(b"\x04" * 32).public
+    with pytest.raises(KeyMismatch) as raised:
+        KeyPair(secret=seed, public=other)
+    assert isinstance(raised.value, SataError) and not isinstance(raised.value, KeyError)
+    assert KeyPair(secret=seed, public=keygen(seed).public) == keygen(seed)
 
 
 def test_sign_verify_roundtrip():

@@ -10,6 +10,8 @@ import time
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satakit.credential as credential_module
 import satakit.onion as onion_module
@@ -19,6 +21,7 @@ from satakit import (
     Sata,
     Sattestation,
     SattestationBody,
+    canonical_bytes,
     evaluate,
     is_self_sattestation,
     issue,
@@ -27,7 +30,13 @@ from satakit import (
     sign,
     verify_credential,
 )
-from satakit.errors import BadSignature, StructuralViolation, UnrepresentableField
+from satakit.credential import from_transport_json, to_transport_json
+from satakit.errors import (
+    BadSignature,
+    KeyMismatch,
+    StructuralViolation,
+    UnrepresentableField,
+)
 from satakit.trust import TrustPolicy, TrustRoot, delegation_label, usable_links
 
 from oracles import (
@@ -194,6 +203,140 @@ def test_search_returns_the_exhaustive_chain(depth):
     assert pinned >= 100 and self_hops >= 30, (pinned, self_hops)
 
 
+# -- ranks without a pool sort ----------------------------------------------------------
+#
+# A link's rank is (canonical bytes, input position), read only for a
+# candidate chain; the search never sorts the pool.  These pools put
+# pressure on exactly that: the same object twice, distinct objects with
+# equal bytes, and noise at every position.
+
+
+def _exhaustive_search(pool):
+    """(policy, subject, label, when) -> the exhaustive search's chain over
+    ``pool``, whose signatures the oracle checks once."""
+    sound = oracle_sound(pool)
+    links = {when: oracle_links(sound, when) for when in DATES}
+    return lambda policy, subject, label, when: exhaustive_evaluate(
+        policy, links[when], subject, label
+    )
+
+
+def _equal_bytes_copy(cred: Sattestation) -> Sattestation:
+    """A distinct credential object with the same bytes and signature."""
+    return from_transport_json(to_transport_json(cred))
+
+
+def _issuer(cred) -> tuple[str, str]:
+    return (cred.sattestor_domain, cred.sattestor_onion.label)
+
+
+def _queries(rng: random.Random, n: int):
+    """A policy and every (subject, label, date) query over ``n`` nodes."""
+    policy = _random_policy(rng, n, rng.randint(1, 4))
+    return policy, [
+        (_sata(node), label, when) for node in range(n) for label in LABELS for when in DATES
+    ]
+
+
+@pytest.mark.parametrize("copy", ["same object", "equal bytes"])
+def test_duplicated_credentials_rank_as_the_exhaustive_search(copy):
+    rng = random.Random(f"duplicates:{copy}")
+    relied_on_copies = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        pool = _random_pool(rng, n)
+        copies = set()
+        for cred in rng.sample(pool, rng.randint(1, len(pool))):
+            twin = cred if copy == "same object" else _equal_bytes_copy(cred)
+            pool.insert(rng.randrange(len(pool) + 1), twin)
+            copies.add(canonical_bytes(cred))
+        policy, queries = _queries(rng, n)
+        exhaustive = _exhaustive_search(pool)
+        for subject, label, when in queries:
+            chain = evaluate(policy, pool, subject, label, when)
+            want = exhaustive(policy, subject, label, when)
+            assert _chain_ids(chain) == _chain_ids(want), (subject, label, when)
+            if chain is not None:
+                relied_on_copies += any(
+                    canonical_bytes(link.credential) in copies for link in chain.links
+                )
+    assert relied_on_copies >= 200, relied_on_copies
+
+
+def test_junk_and_stale_credentials_at_random_positions_change_nothing():
+    rng = random.Random("junk-and-stale")
+    hits = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        pool = _random_pool(rng, n)
+        noisy = list(pool)
+        for _ in range(rng.randint(1, 8)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            bindings = [_binding(j, rng.sample(LABELS, rng.randint(1, 3)), NOW)]
+            kind = rng.choice(("junk", "stale", "pinned"))
+            if kind == "junk":
+                noise = Sattestation(body=_body(i, bindings), signature=rng.randbytes(64))
+            elif kind == "stale":  # stale at every date queried
+                stale = [_binding(j, b.labels, NOW - timedelta(days=30)) for b in bindings]
+                noise = issue(_KEYS[i], _body(i, stale))
+            else:  # fingerprints on a binding of a credential about another node
+                pinned = [dataclasses.replace(b, cert_fingerprints=(FINGERPRINT,)) for b in bindings]
+                noise = issue(_KEYS[i], _body(i, pinned + [_binding((j + 1) % n, [NEWS], NOW)]))
+            noisy.insert(rng.randrange(len(noisy) + 1), noise)
+        policy, queries = _queries(rng, n)
+        exhaustive = _exhaustive_search(noisy)
+        for subject, label, when in queries:
+            chain = evaluate(policy, noisy, subject, label, when)
+            assert _chain_ids(chain) == _chain_ids(evaluate(policy, pool, subject, label, when))
+            assert _chain_ids(chain) == _chain_ids(exhaustive(policy, subject, label, when))
+            hits += chain is not None
+    assert hits >= 300, hits
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [list, tuple, lambda pool: (cred for cred in pool)],
+    ids=["list", "tuple", "generator"],
+)
+def test_the_pool_may_be_any_iterable(shape):
+    rng = random.Random("pool-shapes")
+    hits = 0
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        pool = _random_pool(rng, n)
+        policy, queries = _queries(rng, n)
+        exhaustive = _exhaustive_search(pool)
+        for subject, label, when in queries:
+            chain = evaluate(policy, shape(pool), subject, label, when)
+            assert _chain_ids(chain) == _chain_ids(exhaustive(policy, subject, label, when))
+            hits += chain is not None
+    assert hits >= 100, hits
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), mover=st.randoms(use_true_random=False))
+def test_moving_other_issuers_and_unsound_credentials_keeps_the_chain(seed, mover):
+    """Only the input order of one issuer's sound credentials can break a
+    tie, so any move that keeps it leaves every chain as it was."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    pool = _random_pool(rng, n)
+    policy, queries = _queries(rng, n)
+    sound = {id(c) for c in oracle_sound(pool)}
+    in_order: dict[tuple[str, str], list[Sattestation]] = {}
+    for cred in pool:
+        if id(cred) in sound:
+            in_order.setdefault(_issuer(cred), []).append(cred)
+    moved = list(pool)
+    mover.shuffle(moved)
+    # each issuer's sound credentials go back into the slots they now hold,
+    # in their first order; everything else stays where the shuffle put it
+    moved = [in_order[_issuer(c)].pop(0) if id(c) in sound else c for c in moved]
+    for subject, label, when in queries:
+        chain = evaluate(policy, moved, subject, label, when)
+        assert _chain_ids(chain) == _chain_ids(evaluate(policy, pool, subject, label, when))
+
+
 # -- cost ---------------------------------------------------------------------------
 
 
@@ -319,6 +462,98 @@ def test_structural_verdict_is_kept_and_raised_afresh(monkeypatch):
     assert again is not first and str(again) == str(first)
 
 
+# -- rotation ---------------------------------------------------------------------------
+
+# one domain's addresses under four keys: the parties of a rotation
+_ROTATING = [Sata(domain=_DOMAINS[0], onion=_KEYS[k].address) for k in range(4)]
+
+
+def _rotation_pool(rng: random.Random) -> list[Sattestation]:
+    """A random pool plus credentials between the rotating addresses:
+    fresh, stale, junk-signed, pinned (structurally broken) or carrying
+    other bindings besides."""
+    pool = _random_pool(rng, 7)
+    for _ in range(rng.randint(1, 8)):
+        a, b = rng.sample(range(4), 2)
+        age = rng.choice((0, 2, 30))
+        bindings = [
+            Binding(
+                domain=_DOMAINS[0],
+                onion=_KEYS[b].address,
+                issued=NOW - timedelta(days=40),
+                refreshed_on=NOW - timedelta(days=age),
+                labels=("rotation",),
+                cert_fingerprints=(FINGERPRINT,) if rng.random() < 0.1 else (),
+            )
+        ]
+        if rng.random() < 0.3:
+            bindings.insert(rng.randint(0, 1), _binding(rng.randrange(1, 7), [NEWS], NOW))
+        body = SattestationBody(
+            sattestor_domain=_DOMAINS[0],
+            sattestor_onion=_KEYS[a].address,
+            refresh_rate_days=7,
+            sattestees=tuple(bindings),
+        )
+        if rng.random() < 0.15:
+            cred = Sattestation(body=body, signature=rng.randbytes(64))
+        else:
+            cred = issue(_KEYS[a], body)
+        pool.insert(rng.randrange(len(pool) + 1), cred)
+    return pool
+
+
+def _rotation_over_usable_links(old, new, pool, when):
+    """The former ``rotation_check``: both directions over every usable link."""
+
+    def attests(issuer, target):
+        return any(
+            (cred.sattestor_domain, cred.sattestor_onion.label)
+            == (issuer.domain, issuer.onion.label)
+            and cred.sattestees[idx].binds(target.domain, target.onion)
+            for cred, idx in usable_links(pool, when)
+        )
+
+    missing = [name for name, (a, b) in (("old-to-new", (old, new)), ("new-to-old", (new, old)))
+               if not attests(a, b)]
+    return (not missing, tuple(missing))
+
+
+def test_rotation_check_matches_the_check_over_usable_links():
+    rng = random.Random("rotation")
+    outcomes = set()
+    for _ in range(40):
+        pool = _rotation_pool(rng)
+        for when in DATES:
+            for old in _ROTATING:
+                for new in _ROTATING:
+                    if old == new:
+                        continue
+                    got = rotation_check(old, new, pool, when)
+                    assert (got.ok, got.missing) == _rotation_over_usable_links(old, new, pool, when)
+                    outcomes.add(got.missing)
+    assert outcomes == {(), ("old-to-new",), ("new-to-old",), ("old-to-new", "new-to-old")}
+
+
+def test_rotation_check_verifies_only_the_parties_credentials(verify_calls):
+    rng = random.Random("rotation-verifies")
+    verified = 0
+    for _ in range(20):
+        pool = _rotation_pool(rng)
+        old, new = rng.sample(_ROTATING, 2)
+        parties = {(s.domain, s.onion.label) for s in (old, new)}
+        verify_calls.clear()
+        rotation_check(old, new, iter(pool), NOW)
+        issued = {
+            c.signature
+            for c in pool
+            if (c.sattestor_domain, c.sattestor_onion.label) in parties and oracle_well_formed(c)
+        }
+        # a direction stops at its first sound, fresh attestation
+        assert set(verify_calls) <= issued
+        verified += len(verify_calls)
+    assert verified >= 30, verified
+
+
 # -- signing ---------------------------------------------------------------------------
 
 
@@ -351,7 +586,7 @@ def test_keygen_derives_the_private_key_once(monkeypatch):
     assert seeds == [pair.secret]
     assert pair.public.hex() == vec["public"]
     assert sign(pair, vec["message"]).hex() == vec["signature"]
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyMismatch):
         KeyPair(secret=pair.secret, public=keygen(b"\x01" * 32).public)
 
 

@@ -21,7 +21,8 @@ from satakit import (
     validate_onion_location,
 )
 from satakit.credential import from_transport_json, to_transport_json
-from satakit.errors import EmptyInput, UnrepresentableField
+from satakit.onion import parse_onion
+from satakit.errors import EmptyInput, OnionAddressError, UnrepresentableField
 from satakit.trust import TrustPolicy
 from satakit.validation import CertDescriptor, VerdictOutcome
 
@@ -425,6 +426,110 @@ def test_alt_svc_allows_exactly_the_headers_a_connection_accepts(mutations, age_
     assert accepted == (not mutations and abs(age_days) < 7)
 
 
+def _alt_svc_every_credential(origin, alt_host, credentials, policy=None, *, now):
+    """``validate_alt_svc`` as it was before it skipped other sattestors:
+    the served-header check runs on every credential of the pool."""
+    if policy is not None and not policy.allow_credentialed_alt_services:
+        return AltSvcDecision.BLOCK
+    origin_domain = validation_module._origin_domain(origin)
+    host = alt_host.strip().lower()
+    if not host.endswith(".onion"):
+        return AltSvcDecision.BLOCK
+    try:
+        alt_onion = parse_onion(host)
+    except OnionAddressError:
+        return AltSvcDecision.BLOCK
+    for cred in credentials:
+        if validation_module._self_sattestation_fault(cred, origin_domain, alt_onion, now) is None:
+            return AltSvcDecision.ALLOW
+    return AltSvcDecision.BLOCK
+
+
+def _pool_entries() -> list:
+    """Credentials an alt-svc pool may hold: self-sattestations of the
+    right and of other (domain, onion) pairs, third-party sattestations of
+    the right pair, flipped signatures, stale ones, and ``None``."""
+    entries: list = [None]
+    for domain in ("bank.example", "other.example"):
+        for key_name in ("bank-alt", "bank", "unrelated-onion"):
+            good = _alt_self_satt(domain, key_name, FP_A)
+            stale = make_self_sattestation(
+                key=key_for(key_name), domain=domain, cert_fingerprints=[FP_A],
+                issued=date(2020, 8, 10), refreshed_on=date(2020, 8, 10), refresh_rate_days=7,
+            )
+            flipped = dataclasses.replace(
+                good, signature=bytes([good.signature[0] ^ 1]) + good.signature[1:]
+            )
+            entries += [good, stale, flipped]
+    entries.append(third_party("bank.example", "root", [("bank.example", "bank-alt", ["news"])]))
+    entries.append(third_party("root.example", "bank-alt", [("bank.example", "bank-alt", [])]))
+    # issued by the right pair, but about someone else: not a self-sattestation
+    entries.append(third_party("bank.example", "bank-alt", [("other.example", "bank", ["news"])]))
+    return entries
+
+
+POOL_ENTRIES = _pool_entries()
+ORIGINS = (
+    "bank.example",
+    "Bank.Example.",
+    "other.example",
+    Sata(domain="bank.example", onion=key_for("bank").address),
+    Sata(domain="bank.example", onion=key_for("bank-alt").address),
+)
+ALT_HOSTS = (
+    f"{key_for('bank-alt').address.label}.onion",
+    f" {key_for('bank-alt').address.label.upper()}.ONION ",
+    f"{key_for('bank').address.label}.onion",
+    f"{key_for('unrelated-onion').address.label}.onion",
+    "a" * 56 + ".onion",
+    "cdn.example",
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    picks=st.lists(st.integers(0, len(POOL_ENTRIES) - 1), max_size=8),
+    origin=st.sampled_from(ORIGINS),
+    alt_host=st.sampled_from(ALT_HOSTS),
+    forbid=st.booleans(),
+)
+def test_alt_svc_decides_as_the_check_of_every_credential(picks, origin, alt_host, forbid):
+    """Skipping credentials of other sattestors changes no decision."""
+    pool = [POOL_ENTRIES[i] for i in picks]
+    policy = TrustPolicy(roots=(), allow_credentialed_alt_services=not forbid)
+    want = _alt_svc_every_credential(origin, alt_host, pool, policy, now=TODAY)
+    assert validate_alt_svc(origin, alt_host, iter(pool), policy, now=TODAY) is want
+
+
+def test_alt_svc_pool_entries_reach_both_decisions():
+    """The differential pools hold an allowing credential and every kind
+    of blocking one, for the pair (bank.example, bank-alt)."""
+    host = ALT_HOSTS[0]
+    decisions = [
+        _alt_svc_every_credential("bank.example", host, [entry], now=TODAY)
+        for entry in POOL_ENTRIES
+    ]
+    assert decisions.count(AltSvcDecision.ALLOW) == 1
+    assert validate_alt_svc("bank.example", host, [None], now=TODAY) is AltSvcDecision.BLOCK
+
+
+def test_alt_svc_checks_only_the_origin_and_alt_onion_issuer(monkeypatch):
+    host = ALT_HOSTS[0]
+    checked = []
+    real = validation_module._self_sattestation_fault
+
+    def recording(header, domain, onion, now):
+        checked.append(header)
+        return real(header, domain, onion, now)
+
+    monkeypatch.setattr(validation_module, "_self_sattestation_fault", recording)
+    assert validate_alt_svc("bank.example", host, POOL_ENTRIES, now=TODAY) is AltSvcDecision.ALLOW
+    assert checked and all(
+        (c.sattestor_domain, c.sattestor_onion.label) == ("bank.example", key_for("bank-alt").address.label)
+        for c in checked
+    )
+
+
 # -- fingerprints ------------------------------------------------------------------
 
 
@@ -453,9 +558,20 @@ def test_cert_descriptor_normalizes():
 
 
 def test_cert_descriptor_rejects_bad_fingerprint():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnrepresentableField):
         CertDescriptor(
             fingerprint="zz",
+            san_list=("bank.example",),
+            not_before=date(2020, 1, 1),
+            not_after=date(2021, 1, 1),
+        )
+
+
+@pytest.mark.parametrize("fingerprint", ["f" * 63, "F" * 65, "g" * 64, 5, None, b"ab" * 32])
+def test_cert_descriptor_fingerprint_faults_are_sata_errors(fingerprint):
+    with pytest.raises(UnrepresentableField, match="fingerprint"):
+        CertDescriptor(
+            fingerprint=fingerprint,
             san_list=("bank.example",),
             not_before=date(2020, 1, 1),
             not_after=date(2021, 1, 1),

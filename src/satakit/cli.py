@@ -157,12 +157,9 @@ def _cert_from_json(obj: dict) -> CertDescriptor:
             der = bytes.fromhex(_cert_field(obj, "der_hex", str))
         except ValueError as exc:
             raise UnrepresentableField(f"certificate 'der_hex' is not hex: {exc}") from exc
-    san_list = _cert_field(obj, "san_list", list, [])
-    if not all(isinstance(name, str) for name in san_list):
-        raise UnrepresentableField(f"certificate 'san_list' must hold strings, got {san_list!r}")
     return CertDescriptor(
         fingerprint=_cert_field(obj, "fingerprint", str, "") or fingerprint_cert(der or b""),
-        san_list=tuple(san_list),
+        san_list=_cert_field(obj, "san_list", list, []),
         not_before=_cert_date(obj, "not_before"),
         not_after=_cert_date(obj, "not_after"),
         has_sct=_cert_field(obj, "has_sct", bool, False),

@@ -60,6 +60,14 @@ class NotSecureDropName(SataError):
     """Hostname does not end in the SecureDrop rewrite suffix."""
 
 
+class BadDomain(SataError, ValueError):
+    """A domain name that is not a string or breaks DNS name syntax.
+
+    Also a ``ValueError``, which callers that translate a bad domain into
+    their own error class catch.
+    """
+
+
 class UnrepresentableField(SataError):
     """A credential field cannot be canonically serialized (or parsed)."""
 

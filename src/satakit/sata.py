@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from enum import Enum
 from urllib.parse import parse_qsl, urlsplit
 
-from .errors import InvalidOnionComponent, NotASata, NotSecureDropName, OnionAddressError
+from .errors import (
+    BadDomain,
+    InvalidOnionComponent,
+    NotASata,
+    NotSecureDropName,
+    OnionAddressError,
+)
 from .onion import LABEL_LENGTH, OnionAddress, parse_onion
 
 SUBDOMAIN_GLUE = "onion"
@@ -36,13 +42,16 @@ class SataForm(Enum):
 
 
 def normalize_domain(domain: str) -> str:
-    """Lowercase, strip a trailing dot, and check DNS name syntax."""
+    """Lowercase, strip a trailing dot, and check DNS name syntax; raise
+    :class:`BadDomain` otherwise."""
+    if not isinstance(domain, str):
+        raise BadDomain(f"domain name must be a string, got {domain!r}")
     name = domain.strip().lower().rstrip(".")
     if not name or len(name) > 253:
-        raise ValueError(f"domain name length out of range: {domain!r}")
+        raise BadDomain(f"domain name length out of range: {domain!r}")
     for part in name.split("."):
         if len(part) > 63 or not _DNS_LABEL_RE.match(part):
-            raise ValueError(f"invalid DNS label {part!r} in {domain!r}")
+            raise BadDomain(f"invalid DNS label {part!r} in {domain!r}")
     return name
 
 

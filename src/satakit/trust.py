@@ -25,20 +25,34 @@ sattestor onion, canonical bytes), stably, the order of
 The search is breadth-first over states (issuer identity, allowed-label
 set), in the manner of Clarke et al., "Certificate chain discovery in
 SPKI/SDSI" (J. Computer Security 2001).  Each state is expanded once, at
-the first depth that reaches it, and keeps one chain.  A query costs one
-pass over the pool (verify, group by issuer; no sort) plus at most
-states x bindings, whatever the depth: a pool published by an adversary
-cannot force more.  Each credential object keeps its structural and
-signature verdicts (see :func:`verify_credential`), so the pass stays
-cheap however often the pool is evaluated; freshness depends on the query
-date and is checked per binding as the search walks it, against one
-window of dates per refresh rate.
+the first depth that reaches it, and keeps one chain.
+
+A pool's index (its sound credentials grouped by issuer, and each reached
+issuer's bindings keyed for the search) is reused while the same list or
+tuple holds the same credential objects in the same order, which every
+query checks by identity; the indexes of the 16 most recently queried
+pools are kept, and a pool indexed as an edited copy of another (as long,
+most positions holding the same objects) drops the other's index.  A
+query that reuses an index costs one identity pass over the container
+plus at most states x bindings, whatever the depth.  A query whose index
+is not reused (a new or changed container, or any other iterable) first
+pays one pass over the pool (verify, group by issuer; no sort), and each
+issuer's table is built the first time a query reaches it.  A pool
+published by an adversary cannot force more.  Each credential
+object keeps its structural and signature verdicts (see
+:func:`verify_credential`), so the pass stays cheap however often a pool
+is indexed; freshness depends on the query date and is checked per query
+as the search walks the bindings, against one window of dates per refresh
+rate.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date
+from operator import is_
 from typing import Iterable, Optional
 
 from .credential import (
@@ -133,48 +147,6 @@ def _identity(s: Sata | Binding | Sattestation) -> tuple[str, str]:
     return (s.domain, s.onion.label)
 
 
-def _sound_by_issuer(
-    credentials: Iterable[Sattestation],
-) -> dict[tuple[str, str], list[Sattestation]]:
-    """The credentials that verify, grouped by issuer, each group in input
-    order.
-
-    Unverifiable credentials are dropped, not fatal: an attacker must not
-    be able to poison evaluation by publishing junk, so any ``SataError``
-    drops the credential.
-    """
-    groups: dict[tuple[str, str], list[Sattestation]] = {}
-    for cred in credentials:
-        try:
-            verify_credential(cred)
-        except SataError:
-            continue
-        body = cred.body
-        issuer = (body.sattestor_domain, body.sattestor_onion.label)
-        group = groups.get(issuer)
-        if group is None:
-            groups[issuer] = [cred]
-        else:
-            group.append(cred)
-    return groups
-
-
-def usable_links(
-    credentials: Iterable[Sattestation], now: date
-) -> list[tuple[Sattestation, int]]:
-    """(credential, binding_index) pairs that verify and are fresh at
-    ``now``, in pool order: sorted by (sattestor domain, sattestor onion,
-    canonical bytes), stably."""
-    groups = _sound_by_issuer(credentials)
-    return [
-        (cred, idx)
-        for issuer in sorted(groups)
-        for cred in sorted(groups[issuer], key=canonical_bytes)
-        for idx, binding in enumerate(cred.sattestees)
-        if is_fresh(binding, cred.refresh_rate_days, now)
-    ]
-
-
 def _grant(label: str) -> Optional[frozenset[str]]:
     """Labels a link carrying ``label`` lets its subject use at the next
     hop: ``{X, sattestor(X)}`` for ``sattestor(X)``, None for plain labels."""
@@ -184,7 +156,139 @@ def _grant(label: str) -> Optional[frozenset[str]]:
     return frozenset({scope, delegation_label(scope)})
 
 
-_NOT_ALLOWED = object()  # a label the state being expanded may not use
+class _PoolIndex:
+    """One pool's sound credentials, grouped by issuer, and each issuer's
+    search table, built the first time a query reaches that issuer.
+
+    ``entries`` is the pool as it was indexed, kept to tell whether the
+    pool has changed since.  Entries that are not credentials, and
+    credentials that do not verify, are dropped, not fatal: an attacker
+    must not be able to poison evaluation by publishing junk, so any
+    ``SataError`` drops the credential.
+    """
+
+    __slots__ = ("entries", "by_issuer", "_tables")
+
+    def __init__(self, entries: list) -> None:
+        self.entries = entries
+        groups: dict[tuple[str, str], list[Sattestation]] = {}
+        for cred in entries:
+            if not isinstance(cred, Sattestation):
+                continue
+            try:
+                verify_credential(cred)
+            except SataError:
+                continue
+            body = cred.body
+            issuer = (body.sattestor_domain, body.sattestor_onion.label)
+            group = groups.get(issuer)
+            if group is None:
+                groups[issuer] = [cred]
+            else:
+                group.append(cred)
+        self.by_issuer = groups
+        self._tables: dict[tuple[str, str], tuple[dict, dict]] = {}
+
+    def table(self, issuer: tuple[str, str]) -> Optional[tuple[dict, dict]]:
+        """(plain, delegating) rows of ``issuer``'s bindings, or None when
+        the pool holds no sound credential of it.
+
+        ``plain`` maps (subject domain, subject onion, label) to the rows
+        carrying that plain label; ``delegating`` maps each ``sattestor(X)``
+        label to its grant (see :func:`_grant`) and the rows carrying it.
+        A row is (refreshed_on, refresh rate, subject domain, subject onion,
+        binding index, position among the issuer's credentials, credential).
+        """
+        table = self._tables.get(issuer)
+        if table is None:
+            group = self.by_issuer.get(issuer)
+            if group is None:
+                return None
+            plain: dict[tuple[str, str, str], list[tuple]] = {}
+            delegating: dict[str, tuple[frozenset[str], list[tuple]]] = {}
+            for pos, cred in enumerate(group):
+                body = cred.body
+                rate = body.refresh_rate_days
+                for idx, binding in enumerate(body.sattestees):
+                    domain, onion = binding.domain, binding.onion.label
+                    row = (binding.refreshed_on, rate, domain, onion, idx, pos, cred)
+                    for lab in binding.labels:
+                        if lab in delegating:
+                            delegating[lab][1].append(row)
+                            continue
+                        grant = _grant(lab)
+                        if grant is None:
+                            plain.setdefault((domain, onion, lab), []).append(row)
+                        else:
+                            delegating[lab] = (grant, [row])
+            # a racing thread may build the same table; either copy serves
+            table = self._tables[issuer] = (plain, delegating)
+        return table
+
+
+_MEMO_SIZE = 16  # pools whose index is kept, least recently used dropped first
+_memo: OrderedDict[int, _PoolIndex] = OrderedDict()  # id(pool container) -> index
+_memo_lock = threading.Lock()
+
+
+def _edited_copy(old: list, new: list) -> bool:
+    """Whether ``new`` is as long as ``old`` and holds the same objects at
+    more than half of the positions."""
+    return len(old) == len(new) and 2 * sum(map(is_, old, new)) > len(new)
+
+
+def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
+    """The index of ``credentials``, reused while the same list or tuple
+    holds the same objects in the same order.
+
+    The memo is keyed by the container's id and keeps a copy of its
+    entries, not the container, so the indexed credentials stay alive only
+    until the index is dropped.  Each call compares the container's
+    entries with that copy by identity, so a container changed in place,
+    or a new one that took a dead one's id, is indexed afresh.  Any other
+    iterable is read once and indexed afresh on every call.
+    """
+    if not isinstance(credentials, (list, tuple)):
+        return _PoolIndex(list(credentials))
+    key = id(credentials)
+    with _memo_lock:
+        index = _memo.get(key)
+        if index is not None:
+            _memo.move_to_end(key)
+    if (
+        index is not None
+        and len(index.entries) == len(credentials)
+        and all(map(is_, index.entries, credentials))
+    ):
+        return index
+    index = _PoolIndex(list(credentials))
+    with _memo_lock:
+        # a pool republished as an edited copy replaces the original, whose
+        # container is then most likely gone: drop its index now rather
+        # than keep it until it ages out
+        for stale in [k for k, old in _memo.items() if _edited_copy(old.entries, index.entries)]:
+            del _memo[stale]
+        _memo[key] = index
+        _memo.move_to_end(key)
+        if len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return index
+
+
+def usable_links(
+    credentials: Iterable[Sattestation], now: date
+) -> list[tuple[Sattestation, int]]:
+    """(credential, binding_index) pairs that verify and are fresh at
+    ``now``, in pool order: sorted by (sattestor domain, sattestor onion,
+    canonical bytes), stably."""
+    groups = _pool_index(credentials).by_issuer
+    return [
+        (cred, idx)
+        for issuer in sorted(groups)
+        for cred in sorted(groups[issuer], key=canonical_bytes)
+        for idx, binding in enumerate(cred.sattestees)
+        if is_fresh(binding, cred.refresh_rate_days, now)
+    ]
 
 
 def evaluate(
@@ -200,16 +304,24 @@ def evaluate(
     bound SATA to issue label ``X`` at the next hop, or to delegate ``X``
     further (still as ``sattestor(X)``) within the depth budget.
 
-    A query verifies the pool and groups it by issuer in one pass, in input
-    order, without sorting it.  It then walks the fresh bindings of each
-    reached issuer's credentials in place: at most states x bindings.  The
-    subject is read once per query, and each label's grant and each refresh
-    rate's window of fresh dates are worked out once.  A candidate chain's
-    (step keys, ranks) is built only for a hit or for a state no earlier
-    depth reached, and a link's rank (canonical bytes, input position) only
-    then.  The tie rule is in the module docstring.
+    The pool's index (sound credentials grouped by issuer, and per issuer
+    its bindings keyed by subject and plain label, or by delegation label)
+    is reused while the same list or tuple holds the same credential
+    objects in the same order, for up to 16 pools (see the module
+    docstring); that check is one identity pass over the container.
+    Otherwise the query first indexes the pool in one pass, in input
+    order, without sorting it: each entry is verified (a kept verdict
+    after its first check) and grouped.  Either way an issuer's table is
+    built the first time a query reaches it.  A reached state looks up
+    the subject's rows for a plain query label and walks the rows of each
+    delegation label it may use: at most states x bindings.  Freshness is
+    checked per row against one window of dates per refresh rate, worked
+    out once per query.  A candidate chain's (step keys, ranks) is built
+    only for a hit or for a state no earlier depth reached, and a link's
+    rank (canonical bytes, input position) only then.  The tie rule is in
+    the module docstring.
     """
-    by_issuer = _sound_by_issuer(credentials)
+    index = _pool_index(credentials)
 
     # merge roots sharing an identity so their label sets union
     allowed_at_root: dict[tuple[str, str], set[str]] = {}
@@ -224,64 +336,64 @@ def evaluate(
     # shorter twin.  All chains into a state at one depth have the same
     # length, so the smallest (step keys, ranks) stays smallest under any
     # common extension.  A step key holds the binding index and label, so
-    # the credentials alone complete the chain's links.
+    # the credentials alone complete the chain's links.  Candidates are
+    # compared by that order alone, which no two chains share, so the order
+    # in which rows are walked does not matter.
     frontier: dict[tuple, tuple] = {
         (*ident, frozenset(allowed)): (((), ()), ())
         for ident, allowed in allowed_at_root.items()
     }
     seen = set(frontier)
     subject_domain, subject_onion = subject.domain.lower(), subject.onion.label
-    grants: dict[str, Optional[frozenset[str]]] = {}  # label -> _grant(label)
     windows: dict[float, tuple[date, date]] = {}  # refresh rate -> fresh_window
+    plain_label = delegation_scope(label) is None
+    subject_key = (subject_domain, subject_onion, label)
     for _depth in range(policy.max_chain_depth):
         best: Optional[tuple] = None
         reached: dict[tuple, tuple] = {}
         for (domain, onion, allowed), ((keys, ranks), creds) in frontier.items():
-            group = by_issuer.get((domain, onion))
-            if group is None:
+            table = index.table((domain, onion))
+            if table is None:
                 continue
-            grant = {}  # label -> its grant, for each label this state may use
+            plain, delegating = table
+            # (label, its grant, rows carrying it): the subject's rows for a
+            # plain query label, and every row of each delegation label
+            scans = []
+            if plain_label and label in allowed:
+                scans.append((label, None, plain.get(subject_key, ())))
             for lab in allowed:
-                if lab not in grants:
-                    grants[lab] = _grant(lab)
-                grant[lab] = grants[lab]
-            for pos, cred in enumerate(group):
-                body = cred.body
-                rate = body.refresh_rate_days
-                window = windows.get(rate)
-                if window is None:
-                    window = windows[rate] = fresh_window(rate, now)
-                earliest, latest = window
-                for idx, binding in enumerate(body.sattestees):
-                    if not earliest <= binding.refreshed_on <= latest:
+                if lab in delegating:
+                    scans.append((lab, *delegating[lab]))
+            for lab, nxt, rows in scans:
+                for refreshed, rate, sub_domain, sub_onion, idx, pos, cred in rows:
+                    window = windows.get(rate)
+                    if window is None:
+                        window = windows[rate] = fresh_window(rate, now)
+                    if not window[0] <= refreshed <= window[1]:
                         continue
-                    for lab in binding.labels:
-                        nxt = grant.get(lab, _NOT_ALLOWED)
-                        if nxt is _NOT_ALLOWED:
-                            continue
-                        if (
-                            lab == label
-                            and binding.domain == subject_domain
-                            and binding.onion.label == subject_onion
-                        ):
-                            order = (
-                                keys + ((domain, onion, idx, lab),),
-                                ranks + ((canonical_bytes(cred), pos),),
-                            )
-                            if best is None or order < best[0]:
-                                best = (order, creds + (cred,))
-                        if nxt is None:
-                            continue
-                        state = (binding.domain, binding.onion.label, nxt)
-                        if state in seen:
-                            continue
+                    if (
+                        lab == label
+                        and sub_domain == subject_domain
+                        and sub_onion == subject_onion
+                    ):
                         order = (
                             keys + ((domain, onion, idx, lab),),
                             ranks + ((canonical_bytes(cred), pos),),
                         )
-                        kept = reached.get(state)
-                        if kept is None or order < kept[0]:
-                            reached[state] = (order, creds + (cred,))
+                        if best is None or order < best[0]:
+                            best = (order, creds + (cred,))
+                    if nxt is None:
+                        continue
+                    state = (sub_domain, sub_onion, nxt)
+                    if state in seen:
+                        continue
+                    order = (
+                        keys + ((domain, onion, idx, lab),),
+                        ranks + ((canonical_bytes(cred), pos),),
+                    )
+                    kept = reached.get(state)
+                    if kept is None or order < kept[0]:
+                        reached[state] = (order, creds + (cred,))
         if best is not None:
             (keys, _ranks), creds = best
             links = tuple(
@@ -321,14 +433,18 @@ def rotation_check(
     AND the new address must sattest the old one.  The new-to-old direction
     defeats framing, where a third party claims to be the successor of an
     address it never controlled.  Only the credentials issued by ``old``
-    or ``new`` are verified.
+    or ``new`` are verified; entries that are not credentials are skipped.
     """
     if old.domain != new.domain:
         raise DomainMismatch(
             f"rotation keeps the domain: {old.domain!r} != {new.domain!r}"
         )
     parties = (_identity(old), _identity(new))
-    issued = [cred for cred in credentials if _identity(cred) in parties]
+    issued = [
+        cred
+        for cred in credentials
+        if isinstance(cred, Sattestation) and _identity(cred) in parties
+    ]
     missing = []
     if not _attests(issued, old, new, now):
         missing.append("old-to-new")

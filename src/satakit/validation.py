@@ -85,7 +85,13 @@ class CertDescriptor:
         ):
             raise UnrepresentableField(f"certificate fingerprint must be 64 hex chars, got {fp!r}")
         object.__setattr__(self, "fingerprint", fp.upper())
-        object.__setattr__(self, "san_list", tuple(n.lower() for n in self.san_list))
+        sans = self.san_list
+        if isinstance(sans, str) or not isinstance(sans, Iterable):
+            raise UnrepresentableField(f"certificate SANs must be a list of names, got {sans!r}")
+        sans = tuple(sans)
+        if not all(isinstance(name, str) for name in sans):
+            raise UnrepresentableField(f"certificate SANs must be strings, got {sans!r}")
+        object.__setattr__(self, "san_list", tuple(name.lower() for name in sans))
 
 
 def fingerprint_cert(der: bytes) -> str:
@@ -242,8 +248,8 @@ def validate_alt_svc(
     the origin's registered domain and the alternative onion address.
     Only credentials issued by that (origin domain, alternative onion) pair
     are checked: any other sattestor fails the check's binding step.
-    Everything else, an empty pool and a ``None`` entry included, blocks:
-    fail closed.
+    Entries that are not credentials are skipped.  Everything else, an
+    empty pool and a pool of ``None`` entries included, blocks: fail closed.
     """
     if policy is not None and not policy.allow_credentialed_alt_services:
         return AltSvcDecision.BLOCK
@@ -257,7 +263,7 @@ def validate_alt_svc(
         return AltSvcDecision.BLOCK
     alt_label = alt_onion.label
     for cred in credentials:
-        if cred is None:
+        if not isinstance(cred, Sattestation):
             continue
         body = cred.body
         if body.sattestor_domain != origin_domain or body.sattestor_onion.label != alt_label:

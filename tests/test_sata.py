@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from datetime import date
 
 import pytest
 
 from satakit import (
+    Binding,
     Sata,
     SataForm,
     expected_sans,
@@ -15,7 +17,14 @@ from satakit import (
     to_query_form,
     to_subdomain_form,
 )
-from satakit.errors import InvalidOnionComponent, NotASata, NotSecureDropName
+from satakit.errors import (
+    BadDomain,
+    InvalidOnionComponent,
+    NotASata,
+    NotSecureDropName,
+    SataError,
+)
+from satakit.sata import normalize_domain
 
 from oracles import CBC_LABEL, SELFAUTH_LABEL
 
@@ -185,3 +194,34 @@ def test_never_not_a_sata_when_an_onion_component_is_present():
                 pass  # fail closed is the required behavior for broken labels
             except NotASata:  # pragma: no cover - forbidden downgrade
                 pytest.fail(f"NotASata for onion-bearing URL {url!r}")
+
+
+@pytest.mark.parametrize(
+    "domain", ["a..example", "", "-bank.example", "x" * 64 + ".example", 5, None, b"bank.example"]
+)
+def test_bad_domain_is_a_sata_error_and_a_value_error(domain):
+    with pytest.raises(BadDomain) as raised:
+        normalize_domain(domain)
+    assert isinstance(raised.value, SataError) and isinstance(raised.value, ValueError)
+
+
+def test_sata_and_binding_reject_bad_domains_with_sata_errors():
+    onion = keygen(b"\x11" * 32).address
+    with pytest.raises(SataError):
+        Sata(domain="a..example", onion=onion)
+    with pytest.raises(SataError):
+        Binding(
+            domain=5,
+            onion=onion,
+            issued=date(2020, 8, 1),
+            refreshed_on=date(2020, 8, 1),
+        )
+
+
+def test_bad_domains_keep_their_translations():
+    """Callers that turn a malformed domain into their own error still do."""
+    label = keygen(b"\x12" * 32).address.label
+    with pytest.raises(InvalidOnionComponent):
+        parse_sata(f"https://{label}onion.a..example/")
+    with pytest.raises(NotSecureDropName):
+        securedrop_rewrite("a..b.securedrop.tor.onion")

@@ -5,8 +5,13 @@ search it replaced, polynomial cost, and credential work done once.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import operator
 import random
+import sys
+import threading
 import time
+import weakref
 from datetime import date, timedelta
 
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 
 import satakit.credential as credential_module
 import satakit.onion as onion_module
+import satakit.trust as trust_module
 from satakit import (
     Binding,
     KeyPair,
@@ -335,6 +341,236 @@ def test_moving_other_issuers_and_unsound_credentials_keeps_the_chain(seed, move
     for subject, label, when in queries:
         chain = evaluate(policy, moved, subject, label, when)
         assert _chain_ids(chain) == _chain_ids(evaluate(policy, pool, subject, label, when))
+
+
+# -- entries that are not credentials ---------------------------------------------------
+
+JUNK_ENTRIES = (None, "junk", 5, 2.5, b"\x00" * 64, ("bank.example",), object())
+
+
+def _with_junk(rng: random.Random, pool: list) -> list:
+    noisy = list(pool)
+    for entry in rng.sample(JUNK_ENTRIES, rng.randint(1, len(JUNK_ENTRIES))):
+        noisy.insert(rng.randrange(len(noisy) + 1), entry)
+    return noisy
+
+
+def test_entries_that_are_not_credentials_change_no_answer():
+    rng = random.Random("not-credentials")
+    hits = rotations = 0
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        pool = _random_pool(rng, n)
+        noisy = _with_junk(rng, pool)
+        policy, queries = _queries(rng, n)
+        for subject, label, when in queries:
+            chain = evaluate(policy, noisy, subject, label, when)
+            assert _chain_ids(chain) == _chain_ids(evaluate(policy, pool, subject, label, when))
+            hits += chain is not None
+        for when in DATES:
+            assert usable_links(noisy, when) == usable_links(pool, when)
+        pool = _rotation_pool(rng)
+        noisy = _with_junk(rng, pool)
+        old, new = rng.sample(_ROTATING, 2)
+        got = rotation_check(old, new, noisy, NOW)
+        assert got == rotation_check(old, new, pool, NOW)
+        rotations += got.ok
+    assert hits >= 100 and rotations >= 1, (hits, rotations)
+
+
+# -- the pool index is reused only while the pool is unchanged -------------------------
+
+
+def _oracle_chain(policy, pool, subject, label, when):
+    """The exhaustive search's chain over the credentials ``pool`` holds now."""
+    sound = oracle_sound([c for c in pool if isinstance(c, Sattestation)])
+    return exhaustive_evaluate(policy, oracle_links(sound, when), subject, label)
+
+
+def _assert_answers_match_the_oracle(policy, pool, queries):
+    hits = 0
+    for subject, label, when in queries:
+        chain = evaluate(policy, pool, subject, label, when)
+        want = _oracle_chain(policy, pool, subject, label, when)
+        assert _chain_ids(chain) == _chain_ids(want), (subject, label, when)
+        if chain is not None:
+            hits += 1
+            # the chain relies on the objects the pool holds now
+            assert all(any(link.credential is c for c in pool) for link in chain.links)
+    return hits
+
+
+MUTATIONS = ("replace", "insert", "delete", "equal bytes", "junk")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**16)), max_size=5),
+)
+def test_a_list_changed_in_place_is_indexed_again(seed, steps):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    pool = _random_pool(rng, n)
+    spare = _random_pool(rng, n)
+    policy = _random_policy(rng, n, rng.randint(1, 3))
+    queries = [
+        (_sata(node), label, when)
+        for node in range(n)
+        for label in LABELS
+        for when in (NOW, NOW + timedelta(days=4))
+    ]
+    _assert_answers_match_the_oracle(policy, pool, queries)
+    for kind, at in steps:
+        i = at % (len(pool) + 1)
+        if kind == "insert":
+            pool.insert(i, spare[at % len(spare)])
+        elif kind == "junk":
+            pool.append(JUNK_ENTRIES[at % len(JUNK_ENTRIES)])
+        elif not pool or i == len(pool):
+            continue
+        elif kind == "replace":
+            pool[i] = spare[at % len(spare)]
+        elif kind == "delete":
+            del pool[i]
+        elif isinstance(pool[i], Sattestation):  # an equal-bytes copy in its place
+            pool[i] = _equal_bytes_copy(pool[i])
+        _assert_answers_match_the_oracle(policy, pool, queries)
+
+
+def _one_binding_pool(size: int) -> tuple[TrustPolicy, list[Sattestation]]:
+    """``size`` credentials of one root, each binding one site with news."""
+    pool = [
+        issue(
+            _KEYS[0],
+            _body(
+                0,
+                [
+                    Binding(
+                        domain=f"site{i}.pool.example",
+                        onion=_KEYS[1 + i % 6].address,
+                        issued=NOW,
+                        refreshed_on=NOW,
+                        labels=(NEWS,),
+                    )
+                ],
+            ),
+        )
+        for i in range(size)
+    ]
+    root = TrustRoot(sattestor=_sata(0), trusted_labels=frozenset({NEWS}))
+    return TrustPolicy(roots=(root,)), pool
+
+
+def _site(i: int) -> Sata:
+    return Sata(domain=f"site{i}.pool.example", onion=_KEYS[1 + i % 6].address)
+
+
+def test_a_reused_index_verifies_nothing(monkeypatch):
+    policy, pool = _one_binding_pool(4000)
+    calls = []
+    real = trust_module.verify_credential
+
+    def counting(cred):
+        calls.append(cred)
+        return real(cred)
+
+    monkeypatch.setattr(trust_module, "verify_credential", counting)
+    first = evaluate(policy, pool, _site(0), NEWS, NOW)
+    assert [link.credential for link in first.links] == [pool[0]]
+    assert len(calls) == len(pool)
+    calls.clear()
+    for i in (1, 1999, 3999):
+        chain = evaluate(policy, pool, _site(i), NEWS, NOW)
+        assert [link.credential for link in chain.links] == [pool[i]]
+    assert evaluate(policy, pool, _site(4000), NEWS, NOW) is None
+    assert calls == []
+    # a credential swapped in place is noticed, and the pool indexed again
+    pool[7] = issue(_KEYS[0], pool[7].body)
+    chain = evaluate(policy, pool, _site(7), NEWS, NOW)
+    assert chain.links[0].credential is pool[7]
+    assert len(calls) == len(pool)
+
+
+def test_a_pool_republished_as_edited_copies_keeps_one_index():
+    """A new tuple that re-issues one credential of the last replaces it,
+    as a pool republished after each refresh does; the old pools' indexes
+    are dropped, not kept until they age out."""
+    policy, creds = _one_binding_pool(20)
+    pool = tuple(creds)
+    assert evaluate(policy, pool, _site(3), NEWS, NOW) is not None
+    for k in range(40):
+        i = k % len(pool)
+        pool = pool[:i] + (issue(_KEYS[0], pool[i].body),) + pool[i + 1 :]
+        chain = evaluate(policy, pool, _site(i), NEWS, NOW)
+        assert chain.links[0].credential is pool[i]
+    # every version re-issues the same bodies; other tests' pools share none
+    bodies = {id(cred.body) for cred in creds}
+    held = [
+        index
+        for index in trust_module._memo.values()
+        if any(id(getattr(entry, "body", None)) in bodies for entry in index.entries)
+    ]
+    assert len(held) == 1 and all(map(operator.is_, held[0].entries, pool))
+
+
+def test_the_memo_does_not_keep_the_pool_container_alive():
+    class Pool(list):  # a list that can be weakly referenced
+        pass
+
+    policy, creds = _one_binding_pool(3)
+    pool = Pool(creds)
+    gone = weakref.ref(pool)
+    assert evaluate(policy, pool, _site(1), NEWS, NOW) is not None
+    assert evaluate(policy, pool, _site(2), NEWS, NOW) is not None
+    del pool
+    gc.collect()
+    assert gone() is None
+
+
+def test_threads_sharing_and_churning_pools_agree_with_the_oracle():
+    rng = random.Random("threads")
+    cases = []
+    while len(cases) < 5:  # one shared pool, one per thread
+        n = rng.randint(3, 6)
+        pool = _random_pool(rng, n)
+        policy, queries = _queries(rng, n)
+        answers = [(q, _chain_ids(_oracle_chain(policy, pool, *q))) for q in queries]
+        hits = [a for a in answers if a[1] is not None][:20]
+        if len(hits) < 8:
+            continue
+        misses = [a for a in answers if a[1] is None][:20]
+        queries, want = zip(*(hits + misses))
+        cases.append((policy, pool, queries, want))
+    shared, own = cases[0], cases[1:]
+    failures: list = []
+
+    def work(mine):
+        try:
+            for round_ in range(6):
+                for policy, pool, queries, want in (shared, mine):
+                    # every other round a new container: the memo evicts
+                    # while other threads read it
+                    pool = tuple(pool) if round_ % 2 else pool
+                    for (subject, label, when), chain_ids in zip(queries, want):
+                        got = evaluate(policy, pool, subject, label, when)
+                        if _chain_ids(got) != chain_ids:
+                            failures.append((subject, label, when))
+        except Exception as exc:  # reported below, with the thread's failures
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(mine,)) for mine in own]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 # -- cost ---------------------------------------------------------------------------

@@ -576,3 +576,39 @@ def test_cert_descriptor_fingerprint_faults_are_sata_errors(fingerprint):
             not_before=date(2020, 1, 1),
             not_after=date(2021, 1, 1),
         )
+
+
+@pytest.mark.parametrize(
+    "san_list",
+    ["bank.example", (5,), None],
+    ids=["a plain string", "a non-string name", "no list at all"],
+)
+def test_cert_descriptor_san_list_faults_are_sata_errors(san_list):
+    with pytest.raises(UnrepresentableField, match="SANs"):
+        CertDescriptor(
+            fingerprint=SHA256_ABC,
+            san_list=san_list,
+            not_before=date(2020, 1, 1),
+            not_after=date(2021, 1, 1),
+        )
+
+
+def test_cert_descriptor_takes_any_iterable_of_names():
+    cert = CertDescriptor(
+        fingerprint=SHA256_ABC,
+        san_list=(name for name in ["Bank.Example", "www.bank.example"]),
+        not_before=date(2020, 1, 1),
+        not_after=date(2021, 1, 1),
+    )
+    assert cert.san_list == ("bank.example", "www.bank.example")
+
+
+def test_alt_svc_skips_entries_that_are_not_credentials():
+    junk = [None, "junk", 5, b"\x00" * 64, object()]
+    for host in ALT_HOSTS:
+        for origin in ORIGINS:
+            want = validate_alt_svc(origin, host, POOL_ENTRIES[1:], now=TODAY)
+            noisy = list(POOL_ENTRIES[1:])
+            for k, entry in enumerate(junk):
+                noisy.insert((7 * k) % (len(noisy) + 1), entry)
+            assert validate_alt_svc(origin, host, noisy, now=TODAY) is want

@@ -64,7 +64,7 @@ from .credential import (
     Binding,
     SattestationBody,
 )
-from .errors import InvalidOnionComponent, NotASata, UnknownHost
+from .errors import InvalidOnionComponent, NotASata, UnknownHost, UnrepresentableField
 from .onion import KeyPair, keygen
 from .sata import (
     QUERY_PARAM,
@@ -298,12 +298,10 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
         alt_host = _alt_host_str(record.headers.alt_svc)
         store = True
         if browser.sata_aware:
-            served = record.headers.sata_header
-            pool = world.credentials if served is None else (served, *world.credentials)
-            store = (
-                validate_alt_svc(target_host, alt_host, pool, browser.policy, now=now)
-                is AltSvcDecision.ALLOW
-            )
+            store = validate_alt_svc(
+                target_host, alt_host, world.credentials, browser.policy,
+                now=now, header=record.headers.sata_header,
+            ) is AltSvcDecision.ALLOW
             if not store:
                 notes.append(f"alt-svc {alt_host} blocked: no trusted self-sattestation")
         if store:
@@ -633,7 +631,10 @@ def browser_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> Bro
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
-    """Load a scenario fixture from a JSON file, JSON text, or parsed dict."""
+    """Load a scenario fixture from a JSON file, JSON text, or parsed dict.
+
+    A fixture that is not a JSON object, or whose ``keys`` are not hex
+    seed strings, raises :class:`UnrepresentableField`."""
     if isinstance(source, dict):
         raw = source
     elif isinstance(source, Path):
@@ -642,7 +643,10 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         text = str(source)
         raw = json.loads(text) if text.lstrip().startswith("{") else json.loads(Path(text).read_text())
 
-    keys = {name: keygen(bytes.fromhex(seed)) for name, seed in raw.get("keys", {}).items()}
+    seeds = raw.get("keys", {}) if isinstance(raw, dict) else None
+    if not isinstance(seeds, dict) or not all(isinstance(v, str) for v in seeds.values()):
+        raise UnrepresentableField("fixture must be an object whose 'keys' map names to hex seeds")
+    keys = {name: keygen(bytes.fromhex(seed)) for name, seed in seeds.items()}
     certs = {
         name: _cert_from_spec(name, spec, keys)
         for name, spec in raw.get("certs", {}).items()

@@ -27,23 +27,36 @@ set), in the manner of Clarke et al., "Certificate chain discovery in
 SPKI/SDSI" (J. Computer Security 2001).  Each state is expanded once, at
 the first depth that reaches it, and keeps one chain.
 
-A pool's index (its sound credentials grouped by issuer, and each reached
-issuer's bindings keyed for the search) is reused while the same list or
-tuple holds the same credential objects in the same order, which every
-query checks by identity; the indexes of the 16 most recently queried
-pools are kept, and a pool indexed as an edited copy of another (as long,
-most positions holding the same objects) drops the other's index.  A
-query that reuses an index costs one identity pass over the container
-plus at most states x bindings, whatever the depth.  A query whose index
-is not reused (a new or changed container, or any other iterable) first
-pays one pass over the pool (verify, group by issuer; no sort), and each
-issuer's table is built the first time a query reaches it.  A pool
-published by an adversary cannot force more.  Each credential
-object keeps its structural and signature verdicts (see
-:func:`verify_credential`), so the pass stays cheap however often a pool
-is indexed; freshness depends on the query date and is checked per query
-as the search walks the bindings, against one window of dates per refresh
-rate.
+Every query reads a pool through its index, the one owner of which
+published credentials count: :func:`evaluate`, :func:`usable_links`,
+:func:`rotation_check` and :func:`satakit.validation.validate_alt_svc`.
+The index groups the pool's credentials by issuer in one pass, in input
+order, without sorting or verifying them; entries that are not
+credentials are skipped.  The first query that reads an issuer verifies
+that issuer's credentials and keeps the sound ones with the index, in
+pool order.  A credential that raises any ``SataError`` is dropped, not
+fatal, so publishing junk cannot poison a query.  For :func:`evaluate`
+each issuer it reaches also gets a table of its bindings, keyed by
+subject and plain label or by delegation label, built once.
+
+An index is reused while the same list or tuple holds the same credential
+objects in the same order, which every query checks by identity.  The
+indexes of the 16 most recently queried pools are kept in one
+process-wide memo guarded by a lock, and a pool indexed as an edited copy
+of another (as long, most positions holding the same objects) drops the
+other's index.  Any other iterable is read once and indexed afresh on
+every call.
+
+Cost: a query that reuses an index pays one identity pass over the
+container, plus for :func:`evaluate` at most states x bindings, whatever
+the depth.  A query whose index is not reused first pays one grouping
+pass.  Either way an issuer is verified, and its table built, only the
+first time a query reads it, so a query verifies only the issuers it
+reaches and a pool published by an adversary cannot force more.  Each
+credential object keeps its structural and signature verdicts (see
+:func:`verify_credential`), so indexing a pool again stays cheap;
+freshness depends on the query date and is checked per query, against
+one window of dates per refresh rate.
 """
 
 from __future__ import annotations
@@ -53,10 +66,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date
 from operator import is_
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .credential import (
-    Binding,
     Sattestation,
     canonical_bytes,
     fresh_window,
@@ -140,10 +152,8 @@ class RotationResult:
     missing: tuple[str, ...] = ()
 
 
-def _identity(s: Sata | Binding | Sattestation) -> tuple[str, str]:
-    """(domain, onion label) of a SATA or binding, or of a credential's sattestor."""
-    if isinstance(s, Sattestation):
-        return (s.sattestor_domain, s.sattestor_onion.label)
+def _identity(s: Sata) -> tuple[str, str]:
+    """(domain, onion label) of a SATA: the issuer key of its credentials."""
     return (s.domain, s.onion.label)
 
 
@@ -156,38 +166,49 @@ def _grant(label: str) -> Optional[frozenset[str]]:
     return frozenset({scope, delegation_label(scope)})
 
 
+def _verifies(cred: Sattestation) -> bool:
+    """Whether ``cred`` passes :func:`verify_credential`; any ``SataError`` fails it."""
+    try:
+        verify_credential(cred)
+    except SataError:
+        return False
+    return True
+
+
 class _PoolIndex:
-    """One pool's sound credentials, grouped by issuer, and each issuer's
-    search table, built the first time a query reaches that issuer.
+    """One pool's credentials grouped by issuer; each issuer's sound
+    credentials and search table, kept from the first query that reads
+    that issuer (see the module docstring).
 
     ``entries`` is the pool as it was indexed, kept to tell whether the
-    pool has changed since.  Entries that are not credentials, and
-    credentials that do not verify, are dropped, not fatal: an attacker
-    must not be able to poison evaluation by publishing junk, so any
-    ``SataError`` drops the credential.
+    pool has changed since.
     """
 
-    __slots__ = ("entries", "by_issuer", "_tables")
+    __slots__ = ("entries", "_groups", "_sound", "_tables")
 
     def __init__(self, entries: list) -> None:
         self.entries = entries
         groups: dict[tuple[str, str], list[Sattestation]] = {}
         for cred in entries:
-            if not isinstance(cred, Sattestation):
-                continue
-            try:
-                verify_credential(cred)
-            except SataError:
-                continue
-            body = cred.body
-            issuer = (body.sattestor_domain, body.sattestor_onion.label)
-            group = groups.get(issuer)
-            if group is None:
-                groups[issuer] = [cred]
-            else:
-                group.append(cred)
-        self.by_issuer = groups
+            if isinstance(cred, Sattestation):
+                issuer = (cred.body.sattestor_domain, cred.body.sattestor_onion.label)
+                groups.setdefault(issuer, []).append(cred)
+        self._groups = groups
+        self._sound: dict[tuple[str, str], list[Sattestation]] = {}
         self._tables: dict[tuple[str, str], tuple[dict, dict]] = {}
+
+    def issuers(self) -> Iterable[tuple[str, str]]:
+        """Every issuer that has a credential in the pool, sound or not."""
+        return self._groups.keys()
+
+    def issued(self, issuer: tuple[str, str]) -> Sequence[Sattestation]:
+        """``issuer``'s credentials that verify, in pool order; the rest
+        are dropped on any ``SataError``."""
+        sound = self._sound.get(issuer)
+        if sound is None and issuer in self._groups:
+            # a racing thread may verify the same group; either list serves
+            sound = self._sound[issuer] = [c for c in self._groups[issuer] if _verifies(c)]
+        return sound or ()
 
     def table(self, issuer: tuple[str, str]) -> Optional[tuple[dict, dict]]:
         """(plain, delegating) rows of ``issuer``'s bindings, or None when
@@ -201,8 +222,8 @@ class _PoolIndex:
         """
         table = self._tables.get(issuer)
         if table is None:
-            group = self.by_issuer.get(issuer)
-            if group is None:
+            group = self.issued(issuer)
+            if not group:
                 return None
             plain: dict[tuple[str, str, str], list[tuple]] = {}
             delegating: dict[str, tuple[frozenset[str], list[tuple]]] = {}
@@ -281,11 +302,11 @@ def usable_links(
     """(credential, binding_index) pairs that verify and are fresh at
     ``now``, in pool order: sorted by (sattestor domain, sattestor onion,
     canonical bytes), stably."""
-    groups = _pool_index(credentials).by_issuer
+    index = _pool_index(credentials)
     return [
         (cred, idx)
-        for issuer in sorted(groups)
-        for cred in sorted(groups[issuer], key=canonical_bytes)
+        for issuer in sorted(index.issuers())
+        for cred in sorted(index.issued(issuer), key=canonical_bytes)
         for idx, binding in enumerate(cred.sattestees)
         if is_fresh(binding, cred.refresh_rate_days, now)
     ]
@@ -304,22 +325,13 @@ def evaluate(
     bound SATA to issue label ``X`` at the next hop, or to delegate ``X``
     further (still as ``sattestor(X)``) within the depth budget.
 
-    The pool's index (sound credentials grouped by issuer, and per issuer
-    its bindings keyed by subject and plain label, or by delegation label)
-    is reused while the same list or tuple holds the same credential
-    objects in the same order, for up to 16 pools (see the module
-    docstring); that check is one identity pass over the container.
-    Otherwise the query first indexes the pool in one pass, in input
-    order, without sorting it: each entry is verified (a kept verdict
-    after its first check) and grouped.  Either way an issuer's table is
-    built the first time a query reaches it.  A reached state looks up
-    the subject's rows for a plain query label and walks the rows of each
-    delegation label it may use: at most states x bindings.  Freshness is
-    checked per row against one window of dates per refresh rate, worked
-    out once per query.  A candidate chain's (step keys, ranks) is built
-    only for a hit or for a state no earlier depth reached, and a link's
-    rank (canonical bytes, input position) only then.  The tie rule is in
-    the module docstring.
+    The pool is read through its index; the module docstring states how
+    it is kept and what a query costs, and the tie rule.  A reached state
+    looks up the subject's rows for a plain query label and walks the rows
+    of each delegation label it may use.  A candidate chain's (step keys,
+    ranks) is built only for a hit or for a state no earlier depth
+    reached, and a link's rank (canonical bytes, input position) only
+    then.
     """
     index = _pool_index(credentials)
 
@@ -406,24 +418,6 @@ def evaluate(
     return None
 
 
-def _attests(
-    credentials: list[Sattestation], issuer: Sata, target: Sata, now: date
-) -> bool:
-    """Whether a sound credential of ``issuer`` binds ``target``, fresh at ``now``."""
-    for cred in credentials:
-        if _identity(cred) != _identity(issuer):
-            continue
-        try:
-            verify_credential(cred)
-        except SataError:
-            continue
-        rate = cred.refresh_rate_days
-        for binding in cred.sattestees:
-            if binding.binds(target.domain, target.onion) and is_fresh(binding, rate, now):
-                return True
-    return False
-
-
 def rotation_check(
     old: Sata, new: Sata, credentials: Iterable[Sattestation], now: date
 ) -> RotationResult:
@@ -432,25 +426,25 @@ def rotation_check(
     Both directions are required: the old address must sattest the new one
     AND the new address must sattest the old one.  The new-to-old direction
     defeats framing, where a third party claims to be the successor of an
-    address it never controlled.  Only the credentials issued by ``old``
-    or ``new`` are verified; entries that are not credentials are skipped.
+    address it never controlled.  Only the pool index's credentials of
+    ``old`` and ``new`` are read.
     """
     if old.domain != new.domain:
         raise DomainMismatch(
             f"rotation keeps the domain: {old.domain!r} != {new.domain!r}"
         )
-    parties = (_identity(old), _identity(new))
-    issued = [
-        cred
-        for cred in credentials
-        if isinstance(cred, Sattestation) and _identity(cred) in parties
-    ]
-    missing = []
-    if not _attests(issued, old, new, now):
-        missing.append("old-to-new")
-    if not _attests(issued, new, old, now):
-        missing.append("new-to-old")
-    return RotationResult(ok=not missing, missing=tuple(missing))
+    index = _pool_index(credentials)
+    missing = tuple(
+        direction
+        for direction, issuer, target in (("old-to-new", old, new), ("new-to-old", new, old))
+        if not any(
+            binding.binds(target.domain, target.onion)
+            and is_fresh(binding, cred.refresh_rate_days, now)
+            for cred in index.issued(_identity(issuer))
+            for binding in cred.sattestees
+        )
+    )
+    return RotationResult(ok=not missing, missing=missing)
 
 
 def expired_rotation_form(

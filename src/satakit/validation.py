@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import Iterable, Union
 
 from .credential import (
     Sattestation,
@@ -30,9 +30,7 @@ from .errors import (
 )
 from .sata import Sata, expected_sans, normalize_domain, parse_sata
 from .onion import OnionAddress, parse_onion
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .trust import TrustPolicy
+from .trust import TrustPolicy, _pool_index
 
 
 class VerdictOutcome(Enum):
@@ -236,20 +234,22 @@ def validate_alt_svc(
     origin: Union[Sata, str],
     alt_host: str,
     credentials: Iterable[Sattestation],
-    policy: "TrustPolicy | None" = None,
+    policy: TrustPolicy | None = None,
     *,
     now: date,
+    header: Sattestation | None = None,
 ) -> AltSvcDecision:
     """Decide whether an advertised alternative service may be used.
 
     Allowed only when the policy does not forbid credentialed alternative
-    services and some credential (the served header, if any, then the
+    services and some credential (the served ``header``, if any, then the
     published ones) passes :func:`validate_connection`'s header check for
     the origin's registered domain and the alternative onion address.
     Only credentials issued by that (origin domain, alternative onion) pair
-    are checked: any other sattestor fails the check's binding step.
-    Entries that are not credentials are skipped.  Everything else, an
-    empty pool and a pool of ``None`` entries included, blocks: fail closed.
+    are checked: any other sattestor fails the check's binding step.  The
+    published ones are those the pool's index keeps for that issuer (see
+    :mod:`satakit.trust`).  Everything else, an empty pool and a pool of
+    ``None`` entries included, blocks: fail closed.
     """
     if policy is not None and not policy.allow_credentialed_alt_services:
         return AltSvcDecision.BLOCK
@@ -261,13 +261,11 @@ def validate_alt_svc(
         alt_onion = parse_onion(host)
     except OnionAddressError:
         return AltSvcDecision.BLOCK
-    alt_label = alt_onion.label
-    for cred in credentials:
-        if not isinstance(cred, Sattestation):
-            continue
-        body = cred.body
-        if body.sattestor_domain != origin_domain or body.sattestor_onion.label != alt_label:
-            continue
+    issuer = (origin_domain, alt_onion.label)
+    candidates = _pool_index(credentials).issued(issuer)
+    if header is not None and (header.sattestor_domain, header.sattestor_onion.label) == issuer:
+        candidates = (header, *candidates)
+    for cred in candidates:
         if _self_sattestation_fault(cred, origin_domain, alt_onion, now) is None:
             return AltSvcDecision.ALLOW
     return AltSvcDecision.BLOCK

@@ -3,9 +3,11 @@
 Everything in this module but the last section was computed before (and
 apart from) the main implementation, using only the standard library, so
 tests can check the package against a second, independently written
-route.  The last section keeps the trust engine's former exhaustive path
-search, which the breadth-first search replaced, as a differential oracle
-for the exact chain chosen; only it imports from satakit.
+route.  The last two sections keep former query paths as differential
+oracles, and only they import from satakit: the trust engine's exhaustive
+path search, which the breadth-first search replaced, for the exact chain
+chosen; and the rotation and alt-svc checks as they were before they read
+the pool index.
 """
 
 from __future__ import annotations
@@ -250,3 +252,51 @@ def exhaustive_evaluate(policy, links, subject, label):
             return TrustChain(links=best, subject=subject, label=label)
         frontier = next_frontier
     return None
+
+
+# ---------------------------------------------------------------------------
+# Rotation and alt-svc checks over the whole pool, as they were before
+# they read the pool index.
+
+import satakit.validation as validation_module  # noqa: E402
+from satakit.credential import Sattestation  # noqa: E402
+from satakit.onion import parse_onion  # noqa: E402
+from satakit.errors import OnionAddressError  # noqa: E402
+from satakit.validation import AltSvcDecision  # noqa: E402
+
+
+def rotation_over_links(old, new, links):
+    """The former ``rotation_check``, over (credential, binding index)
+    pairs that verify and are fresh: (ok, missing directions)."""
+
+    def attests(issuer, target):
+        return any(
+            _identity_of_credential(cred) == (issuer.domain, issuer.onion.label)
+            and cred.sattestees[idx].binds(target.domain, target.onion)
+            for cred, idx in links
+        )
+
+    missing = [name for name, (a, b) in (("old-to-new", (old, new)), ("new-to-old", (new, old)))
+               if not attests(a, b)]
+    return (not missing, tuple(missing))
+
+
+def alt_svc_every_credential(origin, alt_host, credentials, policy=None, *, now):
+    """``validate_alt_svc`` as it was before it skipped other sattestors:
+    the served-header check runs on every credential of the pool."""
+    if policy is not None and not policy.allow_credentialed_alt_services:
+        return AltSvcDecision.BLOCK
+    origin_domain = validation_module._origin_domain(origin)
+    host = alt_host.strip().lower()
+    if not host.endswith(".onion"):
+        return AltSvcDecision.BLOCK
+    try:
+        alt_onion = parse_onion(host)
+    except OnionAddressError:
+        return AltSvcDecision.BLOCK
+    for cred in credentials:
+        if not isinstance(cred, Sattestation):
+            continue
+        if validation_module._self_sattestation_fault(cred, origin_domain, alt_onion, now) is None:
+            return AltSvcDecision.ALLOW
+    return AltSvcDecision.BLOCK

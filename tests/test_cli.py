@@ -724,3 +724,20 @@ def test_bad_version_reachable(capsys):
     code, out, _ = run(capsys, "--json", "onion", "parse", label)
     assert code == EXIT_DATA
     assert json.loads(out)["error"]["class"] == "BadVersion"
+
+
+@pytest.mark.parametrize("fixture", [[1, 2], {"keys": {"a": 5}}, {"keys": ["a"]}])
+@pytest.mark.parametrize("command", ["run", "matrix"])
+def test_bad_fixture_json_exit_65(capsys, tmp_path, fixture, command):
+    (tmp_path / "bad.json").write_text(json.dumps(fixture))
+    if command == "run":
+        argv = ["sim", "run", "--fixture", str(tmp_path / "bad.json"), "--browser", "legacy"]
+    else:
+        argv = ["sim", "matrix", "--fixtures", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: UnrepresentableField: fixture")
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EXIT_DATA
+    assert json.loads(out)["error"]["class"] == "UnrepresentableField"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import operator
 import random
 import sys
@@ -22,6 +23,7 @@ import satakit.credential as credential_module
 import satakit.onion as onion_module
 import satakit.trust as trust_module
 from satakit import (
+    AltSvcDecision,
     Binding,
     KeyPair,
     Sata,
@@ -32,8 +34,10 @@ from satakit import (
     is_self_sattestation,
     issue,
     keygen,
+    make_self_sattestation,
     rotation_check,
     sign,
+    validate_alt_svc,
     verify_credential,
 )
 from satakit.credential import from_transport_json, to_transport_json
@@ -47,10 +51,12 @@ from satakit.trust import TrustPolicy, TrustRoot, delegation_label, usable_links
 
 from oracles import (
     RFC8032_VECTOR_1,
+    alt_svc_every_credential,
     exhaustive_evaluate,
     oracle_links,
     oracle_sound,
     oracle_well_formed,
+    rotation_over_links,
 )
 
 NOW = date(2020, 9, 1)
@@ -388,10 +394,22 @@ def _oracle_chain(policy, pool, subject, label, when):
 
 
 def _assert_answers_match_the_oracle(policy, pool, queries):
+    """``evaluate``, ``rotation_check`` and ``validate_alt_svc`` on ``pool``
+    agree with the oracles over the credentials it holds now."""
+    sound = oracle_sound([c for c in pool if isinstance(c, Sattestation)])
+    links = {when: oracle_links(sound, when) for _subject, _label, when in queries}
+    for when in links:
+        for old, new in itertools.permutations(_ROTATING, 2):
+            got = rotation_check(old, new, pool, when)
+            assert (got.ok, got.missing) == rotation_over_links(old, new, links[when])
+        for origin, onion in itertools.product(_DOMAINS[:5], _KEYS[:5]):
+            host = f"{onion.address.label}.onion"
+            want = alt_svc_every_credential(origin, host, pool, now=when)
+            assert validate_alt_svc(origin, host, pool, now=when) is want
     hits = 0
     for subject, label, when in queries:
         chain = evaluate(policy, pool, subject, label, when)
-        want = _oracle_chain(policy, pool, subject, label, when)
+        want = exhaustive_evaluate(policy, links[when], subject, label)
         assert _chain_ids(chain) == _chain_ids(want), (subject, label, when)
         if chain is not None:
             hits += 1
@@ -411,8 +429,9 @@ MUTATIONS = ("replace", "insert", "delete", "equal bytes", "junk")
 def test_a_list_changed_in_place_is_indexed_again(seed, steps):
     rng = random.Random(seed)
     n = rng.randint(2, 5)
-    pool = _random_pool(rng, n)
-    spare = _random_pool(rng, n)
+    # credentials between the rotating addresses give rotation_check both answers
+    pool = _random_pool(rng, n) + [_rotation_credential(rng) for _ in range(rng.randint(0, 4))]
+    spare = _random_pool(rng, n) + [_rotation_credential(rng) for _ in range(rng.randint(0, 4))]
     policy = _random_policy(rng, n, rng.randint(1, 3))
     queries = [
         (_sata(node), label, when)
@@ -698,60 +717,100 @@ def test_structural_verdict_is_kept_and_raised_afresh(monkeypatch):
     assert again is not first and str(again) == str(first)
 
 
+def test_queries_verify_only_the_issuers_they_read(verify_calls, monkeypatch):
+    """``evaluate`` verifies the credentials of the issuers its search
+    reaches and no others; ``rotation_check`` and ``validate_alt_svc`` on
+    the same list then read that index, verifying nothing and building no
+    other; ``usable_links`` reads every issuer."""
+    # the root (node 0) delegates news to node 1, which binds node 2; node 0
+    # also sattests itself and its next address, node 0's domain at key 1
+    successor = Sata(domain=_DOMAINS[0], onion=_KEYS[1].address)
+    to_successor = Binding(
+        domain=successor.domain, onion=successor.onion, issued=NOW, refreshed_on=NOW,
+        labels=("rotation",),
+    )
+    reached = [
+        issue(_KEYS[0], _body(0, [_binding(1, [delegation_label(NEWS)], NOW), to_successor])),
+        issue(_KEYS[1], _body(1, [_binding(2, [NEWS], NOW)])),
+        make_self_sattestation(
+            key=_KEYS[0], domain=_DOMAINS[0], cert_fingerprints=[FINGERPRINT],
+            issued=NOW, refreshed_on=NOW, refresh_rate_days=7,
+        ),
+        Sattestation(body=_body(1, [_binding(3, [NEWS], NOW)]), signature=b"\x01" * 64),
+    ]
+    unreached = [issue(_KEYS[i], _body(i, [_binding(2, [NEWS], NOW)])) for i in (3, 4, 5)]
+    junk = Sattestation(body=_body(6, [_binding(2, [NEWS], NOW)]), signature=b"\x02" * 64)
+    unreached.append(junk)
+    pool = [cred for pair in zip(unreached, reached) for cred in pair]
+    root = TrustRoot(sattestor=_sata(0), trusted_labels=frozenset({NEWS, delegation_label(NEWS)}))
+    policy = TrustPolicy(roots=(root,), max_chain_depth=2)
+    built = []
+    real_index = trust_module._PoolIndex
+
+    def counting_index(entries):
+        built.append(entries)
+        return real_index(entries)
+
+    monkeypatch.setattr(trust_module, "_PoolIndex", counting_index)
+    chain = evaluate(policy, pool, _sata(2), NEWS, NOW)
+    assert [link.credential for link in chain.links] == reached[:2]
+    assert verify_calls == {cred.signature: 1 for cred in reached}
+    assert len(built) == 1
+
+    verify_calls.clear()
+    assert rotation_check(_sata(0), successor, pool, NOW).missing == ("new-to-old",)
+    host = f"{_KEYS[0].address.label}.onion"
+    assert validate_alt_svc(_DOMAINS[0], host, pool, now=NOW) is AltSvcDecision.ALLOW
+    assert verify_calls == {}
+    assert len(built) == 1
+
+    assert len(usable_links(pool, NOW)) == 7
+    assert verify_calls == {cred.signature: 1 for cred in unreached}
+    assert len(built) == 1
+
+
 # -- rotation ---------------------------------------------------------------------------
 
 # one domain's addresses under four keys: the parties of a rotation
 _ROTATING = [Sata(domain=_DOMAINS[0], onion=_KEYS[k].address) for k in range(4)]
 
 
+def _rotation_credential(rng: random.Random) -> Sattestation:
+    """A credential between two rotating addresses: fresh, stale,
+    junk-signed, pinned (structurally broken) or carrying another binding
+    besides."""
+    a, b = rng.sample(range(4), 2)
+    age = rng.choice((0, 2, 30))
+    bindings = [
+        Binding(
+            domain=_DOMAINS[0],
+            onion=_KEYS[b].address,
+            issued=NOW - timedelta(days=40),
+            refreshed_on=NOW - timedelta(days=age),
+            labels=("rotation",),
+            cert_fingerprints=(FINGERPRINT,) if rng.random() < 0.1 else (),
+        )
+    ]
+    if rng.random() < 0.3:
+        bindings.insert(rng.randint(0, 1), _binding(rng.randrange(1, 7), [NEWS], NOW))
+    body = SattestationBody(
+        sattestor_domain=_DOMAINS[0],
+        sattestor_onion=_KEYS[a].address,
+        refresh_rate_days=7,
+        sattestees=tuple(bindings),
+    )
+    if rng.random() < 0.15:
+        return Sattestation(body=body, signature=rng.randbytes(64))
+    return issue(_KEYS[a], body)
+
+
 def _rotation_pool(rng: random.Random) -> list[Sattestation]:
-    """A random pool plus credentials between the rotating addresses:
-    fresh, stale, junk-signed, pinned (structurally broken) or carrying
-    other bindings besides."""
+    """A random pool plus credentials between the rotating addresses."""
     pool = _random_pool(rng, 7)
     for _ in range(rng.randint(1, 8)):
-        a, b = rng.sample(range(4), 2)
-        age = rng.choice((0, 2, 30))
-        bindings = [
-            Binding(
-                domain=_DOMAINS[0],
-                onion=_KEYS[b].address,
-                issued=NOW - timedelta(days=40),
-                refreshed_on=NOW - timedelta(days=age),
-                labels=("rotation",),
-                cert_fingerprints=(FINGERPRINT,) if rng.random() < 0.1 else (),
-            )
-        ]
-        if rng.random() < 0.3:
-            bindings.insert(rng.randint(0, 1), _binding(rng.randrange(1, 7), [NEWS], NOW))
-        body = SattestationBody(
-            sattestor_domain=_DOMAINS[0],
-            sattestor_onion=_KEYS[a].address,
-            refresh_rate_days=7,
-            sattestees=tuple(bindings),
-        )
-        if rng.random() < 0.15:
-            cred = Sattestation(body=body, signature=rng.randbytes(64))
-        else:
-            cred = issue(_KEYS[a], body)
+        cred = _rotation_credential(rng)
         pool.insert(rng.randrange(len(pool) + 1), cred)
     return pool
-
-
-def _rotation_over_usable_links(old, new, pool, when):
-    """The former ``rotation_check``: both directions over every usable link."""
-
-    def attests(issuer, target):
-        return any(
-            (cred.sattestor_domain, cred.sattestor_onion.label)
-            == (issuer.domain, issuer.onion.label)
-            and cred.sattestees[idx].binds(target.domain, target.onion)
-            for cred, idx in usable_links(pool, when)
-        )
-
-    missing = [name for name, (a, b) in (("old-to-new", (old, new)), ("new-to-old", (new, old)))
-               if not attests(a, b)]
-    return (not missing, tuple(missing))
 
 
 def test_rotation_check_matches_the_check_over_usable_links():
@@ -765,7 +824,8 @@ def test_rotation_check_matches_the_check_over_usable_links():
                     if old == new:
                         continue
                     got = rotation_check(old, new, pool, when)
-                    assert (got.ok, got.missing) == _rotation_over_usable_links(old, new, pool, when)
+                    want = rotation_over_links(old, new, usable_links(pool, when))
+                    assert (got.ok, got.missing) == want
                     outcomes.add(got.missing)
     assert outcomes == {(), ("old-to-new",), ("new-to-old",), ("old-to-new", "new-to-old")}
 

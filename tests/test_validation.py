@@ -4,7 +4,7 @@ import dataclasses
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import satakit.validation as validation_module
@@ -21,13 +21,12 @@ from satakit import (
     validate_onion_location,
 )
 from satakit.credential import from_transport_json, to_transport_json
-from satakit.onion import parse_onion
-from satakit.errors import EmptyInput, OnionAddressError, UnrepresentableField
+from satakit.errors import EmptyInput, UnrepresentableField
 from satakit.trust import TrustPolicy
 from satakit.validation import CertDescriptor, VerdictOutcome
 
 from conftest import TODAY, cert_for, key_for, third_party
-from oracles import SHA256_ABC
+from oracles import SHA256_ABC, alt_svc_every_credential
 
 FP_A = "632B119944" + "A" * 54
 FP_B = "23964A1368" + "B" * 54
@@ -426,25 +425,6 @@ def test_alt_svc_allows_exactly_the_headers_a_connection_accepts(mutations, age_
     assert accepted == (not mutations and abs(age_days) < 7)
 
 
-def _alt_svc_every_credential(origin, alt_host, credentials, policy=None, *, now):
-    """``validate_alt_svc`` as it was before it skipped other sattestors:
-    the served-header check runs on every credential of the pool."""
-    if policy is not None and not policy.allow_credentialed_alt_services:
-        return AltSvcDecision.BLOCK
-    origin_domain = validation_module._origin_domain(origin)
-    host = alt_host.strip().lower()
-    if not host.endswith(".onion"):
-        return AltSvcDecision.BLOCK
-    try:
-        alt_onion = parse_onion(host)
-    except OnionAddressError:
-        return AltSvcDecision.BLOCK
-    for cred in credentials:
-        if validation_module._self_sattestation_fault(cred, origin_domain, alt_onion, now) is None:
-            return AltSvcDecision.ALLOW
-    return AltSvcDecision.BLOCK
-
-
 def _pool_entries() -> list:
     """Credentials an alt-svc pool may hold: self-sattestations of the
     right and of other (domain, onion) pairs, third-party sattestations of
@@ -497,8 +477,26 @@ def test_alt_svc_decides_as_the_check_of_every_credential(picks, origin, alt_hos
     """Skipping credentials of other sattestors changes no decision."""
     pool = [POOL_ENTRIES[i] for i in picks]
     policy = TrustPolicy(roots=(), allow_credentialed_alt_services=not forbid)
-    want = _alt_svc_every_credential(origin, alt_host, pool, policy, now=TODAY)
+    want = alt_svc_every_credential(origin, alt_host, pool, policy, now=TODAY)
     assert validate_alt_svc(origin, alt_host, iter(pool), policy, now=TODAY) is want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    picks=st.lists(st.integers(0, len(POOL_ENTRIES) - 1), max_size=8),
+    served=st.sampled_from(POOL_ENTRIES),
+    origin=st.sampled_from(ORIGINS),
+    alt_host=st.sampled_from(ALT_HOSTS),
+)
+# POOL_ENTRIES[1], the one allowing entry, served alone and published alone
+@example(picks=[], served=POOL_ENTRIES[1], origin="bank.example", alt_host=ALT_HOSTS[0])
+@example(picks=[1], served=None, origin="bank.example", alt_host=ALT_HOSTS[0])
+def test_alt_svc_served_header_counts_as_the_pool_s_first_entry(picks, served, origin, alt_host):
+    """Passing the served header apart decides as gluing it to the pool's
+    front; ``None`` (no header served) is among the entries drawn."""
+    pool = [POOL_ENTRIES[i] for i in picks]
+    glued = validate_alt_svc(origin, alt_host, (served, *pool), now=TODAY)
+    assert validate_alt_svc(origin, alt_host, pool, now=TODAY, header=served) is glued
 
 
 def test_alt_svc_pool_entries_reach_both_decisions():
@@ -506,7 +504,7 @@ def test_alt_svc_pool_entries_reach_both_decisions():
     of blocking one, for the pair (bank.example, bank-alt)."""
     host = ALT_HOSTS[0]
     decisions = [
-        _alt_svc_every_credential("bank.example", host, [entry], now=TODAY)
+        alt_svc_every_credential("bank.example", host, [entry], now=TODAY)
         for entry in POOL_ENTRIES
     ]
     assert decisions.count(AltSvcDecision.ALLOW) == 1

@@ -501,39 +501,96 @@ def track_alt_svc_exposure(
 # JSON fixture loading
 
 
-def _substitute(value, keys: Mapping[str, KeyPair]):
-    if isinstance(value, str):
-        out = value
-        while "{onion:" in out:
-            start = out.index("{onion:")
-            end = out.index("}", start)
-            name = out[start + len("{onion:") : end]
-            out = out[:start] + keys[name].address.label + out[end + 1 :]
-        return out
-    if isinstance(value, list):
-        return [_substitute(v, keys) for v in value]
-    if isinstance(value, dict):
-        return {k: _substitute(v, keys) for k, v in value.items()}
+_REQUIRED = object()
+
+
+def _field(spec: dict, name: str, kind: type | tuple[type, ...], default=_REQUIRED):
+    """``spec[name]``, or ``default`` when it is absent; a missing required
+    field, or a value that is not a ``kind`` (JSON ``true`` is no number),
+    raises :class:`UnrepresentableField`."""
+    value = spec.get(name, default)
+    if value is _REQUIRED:
+        raise UnrepresentableField(f"fixture field {name!r} is missing")
+    if value is not default and (
+        not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+    ):
+        raise UnrepresentableField(f"fixture field {name!r} has the wrong JSON type: {value!r}")
     return value
+
+
+def _mapping(spec: dict, name: str, kind: type | tuple[type, ...] = dict) -> dict:
+    """``spec[name]``, an object whose values are each a ``kind`` (empty
+    when absent)."""
+    value = _field(spec, name, dict, {})
+    if not all(isinstance(v, kind) for v in value.values()):
+        raise UnrepresentableField(f"fixture field {name!r} has the wrong JSON types: {value!r}")
+    return value
+
+
+def _list(spec: dict, name: str, kind: type, default=_REQUIRED) -> list:
+    """``spec[name]``, a list whose items are each a ``kind``."""
+    value = _field(spec, name, list, default)
+    if value is not None and not all(isinstance(v, kind) for v in value):
+        raise UnrepresentableField(f"fixture field {name!r} has the wrong JSON types: {value!r}")
+    return value
+
+
+def _date(spec: dict, name: str) -> date:
+    value = _field(spec, name, str)
+    try:
+        return date.fromisoformat(value)
+    except ValueError:
+        raise UnrepresentableField(f"fixture field {name!r} is not a date: {value!r}") from None
+
+
+def _named(table: Mapping, name, what: str):
+    """``table[name]``; a name the fixture does not define raises
+    :class:`UnrepresentableField`."""
+    if not isinstance(name, str) or name not in table:
+        raise UnrepresentableField(f"fixture defines no {what} {name!r}")
+    return table[name]
+
+
+def _seed(name: str, seed: str) -> bytes:
+    try:
+        return bytes.fromhex(seed)
+    except ValueError:
+        raise UnrepresentableField(f"fixture key {name!r} is not a hex seed: {seed!r}") from None
+
+
+def _substitute(value: str, keys: Mapping[str, KeyPair]) -> str:
+    out = value
+    while "{onion:" in out:
+        start = out.index("{onion:")
+        end = out.find("}", start)
+        if end < 0:
+            raise UnrepresentableField(f"fixture string has an unclosed '{{onion:': {value!r}")
+        name = out[start + len("{onion:") : end]
+        out = out[:start] + _named(keys, name, "key").address.label + out[end + 1 :]
+    return out
 
 
 def _cert_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> CertDescriptor:
     der = f"cert:{name}".encode("utf-8")
     sans: list[str] = []
-    for entry in spec.get("sans", []):
+    for entry in _list(spec, "sans", str, []):
         entry = _substitute(entry, keys)
         if entry.startswith("{sata_sans:"):
-            _, domain, key_name = entry[1:-1].split(":")
-            sata = Sata(domain=domain, onion=keys[key_name].address)
+            parts = entry[1:-1].split(":")
+            if len(parts) != 3:
+                raise UnrepresentableField(
+                    f"fixture SAN is not {{sata_sans:DOMAIN:KEY}}: {entry!r}"
+                )
+            sata = Sata(domain=parts[1], onion=_named(keys, parts[2], "key").address)
             sans.extend(expected_sans(sata))
         else:
             sans.append(entry)
     return CertDescriptor(
         fingerprint=fingerprint_cert(der),
         san_list=tuple(sans),
-        not_before=date.fromisoformat(spec["not_before"]),
-        not_after=date.fromisoformat(spec["not_after"]),
-        has_sct=spec.get("has_sct", False),
+        not_before=_date(spec, "not_before"),
+        not_after=_date(spec, "not_after"),
+        has_sct=_field(spec, "has_sct", bool, False),
         der=der,
     )
 
@@ -543,42 +600,43 @@ def _credential_from_spec(
     keys: Mapping[str, KeyPair],
     certs: Mapping[str, CertDescriptor],
 ) -> Sattestation:
-    kind = spec["kind"]
-    key = keys[spec["key"]]
+    kind = _field(spec, "kind", str)
+    key = _named(keys, _field(spec, "key", str), "key")
+    rate = _field(spec, "refresh_rate_days", (int, float), 7)
     if kind == "self":
         if "cert" in spec:
-            fingerprints = [certs[spec["cert"]].fingerprint]
+            fingerprints = [_named(certs, spec["cert"], "cert").fingerprint]
         else:
-            fingerprints = list(spec["fingerprints"])
+            fingerprints = _list(spec, "fingerprints", str)
         return make_self_sattestation(
             key=key,
-            domain=spec["domain"],
+            domain=_field(spec, "domain", str),
             cert_fingerprints=fingerprints,
-            issued=date.fromisoformat(spec["issued"]),
-            refreshed_on=date.fromisoformat(spec["refreshed_on"]),
-            refresh_rate_days=spec.get("refresh_rate_days", 7),
-            labels=spec.get("labels"),
+            issued=_date(spec, "issued"),
+            refreshed_on=_date(spec, "refreshed_on"),
+            refresh_rate_days=rate,
+            labels=_list(spec, "labels", str, None),
         )
     if kind == "third_party":
         bindings = []
-        for b in spec["bindings"]:
+        for b in _list(spec, "bindings", dict):
             bindings.append(
                 Binding(
-                    domain=b["domain"],
-                    onion=keys[b["onion_key"]].address,
-                    issued=date.fromisoformat(b["issued"]),
-                    refreshed_on=date.fromisoformat(b["refreshed_on"]),
-                    labels=tuple(b.get("labels", ())),
+                    domain=_field(b, "domain", str),
+                    onion=_named(keys, b.get("onion_key"), "key").address,
+                    issued=_date(b, "issued"),
+                    refreshed_on=_date(b, "refreshed_on"),
+                    labels=tuple(_list(b, "labels", str, [])),
                 )
             )
         body = SattestationBody(
-            sattestor_domain=spec["sattestor_domain"],
+            sattestor_domain=_field(spec, "sattestor_domain", str),
             sattestor_onion=key.address,
-            refresh_rate_days=spec.get("refresh_rate_days", 7),
+            refresh_rate_days=rate,
             sattestees=tuple(bindings),
         )
         return issue(key, body)
-    raise ValueError(f"unknown credential kind {kind!r}")
+    raise UnrepresentableField(f"unknown credential kind {kind!r}")
 
 
 def _site_from_spec(
@@ -589,19 +647,22 @@ def _site_from_spec(
 ) -> SiteRecord:
     alt = None
     if "alt_svc" in spec:
-        raw = spec["alt_svc"]
-        host = raw["host"]
-        host = _substitute(host, keys)
-        alt = AltSvcHeader(host=host, max_age=raw.get("max_age", DEFAULT_ALT_SVC_MAX_AGE))
+        raw = _field(spec, "alt_svc", dict)
+        host = _field(raw, "host", (str, dict))
+        if isinstance(host, dict):  # per user, in tracking fixtures
+            host = {user: _substitute(h, keys) for user, h in _mapping(raw, "host", str).items()}
+        else:
+            host = _substitute(host, keys)
+        alt = AltSvcHeader(host=host, max_age=_field(raw, "max_age", int, DEFAULT_ALT_SVC_MAX_AGE))
     header = None
     if "sata_header" in spec:
-        header = credentials[spec["sata_header"]]
-    onion_location = spec.get("onion_location")
+        header = _named(credentials, spec["sata_header"], "credential")
+    onion_location = _field(spec, "onion_location", str, None)
     if onion_location is not None:
         onion_location = _substitute(onion_location, keys)
     return SiteRecord(
-        endpoint_id=spec["endpoint"],
-        cert=certs[spec["cert"]],
+        endpoint_id=_field(spec, "endpoint", str),
+        cert=_named(certs, spec.get("cert"), "cert"),
         headers=SiteHeaders(
             onion_location=onion_location,
             alt_svc=alt,
@@ -613,28 +674,31 @@ def _site_from_spec(
 def browser_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> BrowserConfig:
     policy = None
     if spec.get("policy"):
-        roots = [
-            {
-                "sattestor_domain": r["domain"],
-                "sattestor_onion": keys[r["key"]].address.label,
-                "trusted_labels": r["trusted_labels"],
-            }
-            for r in spec["policy"].get("roots", [])
-        ]
-        policy = policy_from_json({**spec["policy"], "roots": roots})
+        spec_policy = _field(spec, "policy", dict)
+        roots = []
+        for r in _list(spec_policy, "roots", dict, []):
+            roots.append(
+                {
+                    "sattestor_domain": _field(r, "domain", str),
+                    "sattestor_onion": _named(keys, r.get("key"), "key").address.label,
+                    "trusted_labels": _list(r, "trusted_labels", str),
+                }
+            )
+        policy = policy_from_json({**spec_policy, "roots": roots})
     return BrowserConfig(
         name=name,
-        sata_aware=spec.get("sata_aware", False),
+        sata_aware=_field(spec, "sata_aware", bool, False),
         policy=policy,
-        prioritize_onion=spec.get("prioritize_onion", False),
+        prioritize_onion=_field(spec, "prioritize_onion", bool, False),
     )
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
     """Load a scenario fixture from a JSON file, JSON text, or parsed dict.
 
-    A fixture that is not a JSON object, or whose ``keys`` are not hex
-    seed strings, raises :class:`UnrepresentableField`."""
+    A fixture that is not a JSON object, has a field of the wrong JSON type
+    or a missing required field, or names a key, cert or credential it does
+    not define raises :class:`UnrepresentableField`."""
     if isinstance(source, dict):
         raw = source
     elif isinstance(source, Path):
@@ -643,62 +707,60 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         text = str(source)
         raw = json.loads(text) if text.lstrip().startswith("{") else json.loads(Path(text).read_text())
 
-    seeds = raw.get("keys", {}) if isinstance(raw, dict) else None
-    if not isinstance(seeds, dict) or not all(isinstance(v, str) for v in seeds.values()):
-        raise UnrepresentableField("fixture must be an object whose 'keys' map names to hex seeds")
-    keys = {name: keygen(bytes.fromhex(seed)) for name, seed in seeds.items()}
+    if not isinstance(raw, dict):
+        raise UnrepresentableField(f"fixture must be a JSON object, got {type(raw).__name__}")
+    keys = {name: keygen(_seed(name, seed)) for name, seed in _mapping(raw, "keys", str).items()}
     certs = {
-        name: _cert_from_spec(name, spec, keys)
-        for name, spec in raw.get("certs", {}).items()
+        name: _cert_from_spec(name, spec, keys) for name, spec in _mapping(raw, "certs").items()
     }
     credentials = {
         name: _credential_from_spec(spec, keys, certs)
-        for name, spec in raw.get("credentials", {}).items()
+        for name, spec in _mapping(raw, "credentials").items()
     }
     sites = {
         _substitute(host, keys): _site_from_spec(spec, keys, certs, credentials)
-        for host, spec in raw.get("sites", {}).items()
+        for host, spec in _mapping(raw, "sites").items()
     }
-    attacker_spec = raw.get("attacker", {})
+    attacker_spec = _field(raw, "attacker", dict, {})
     attacker = AttackerCaps(
-        rogue_cert_for=frozenset(_substitute(attacker_spec.get("rogue_cert_for", []), keys)),
-        dns_hijack=frozenset(_substitute(attacker_spec.get("dns_hijack", []), keys)),
-        onion_keys=frozenset(_substitute(attacker_spec.get("onion_keys", []), keys)),
-        compromised_victim_onion_key=attacker_spec.get("compromised_victim_onion_key", False),
+        **{
+            caps: frozenset(_substitute(v, keys) for v in _list(attacker_spec, caps, str, []))
+            for caps in ("rogue_cert_for", "dns_hijack", "onion_keys")
+        },
+        compromised_victim_onion_key=_field(
+            attacker_spec, "compromised_victim_onion_key", bool, False
+        ),
     )
-    he_rules = {
-        _substitute(host, keys): _substitute(label, keys)
-        for host, label in raw.get("he_rules", {}).items()
-    }
+    he_rules = _mapping(raw, "he_rules", str)
     world = World(
         sites=sites,
         attacker=attacker,
-        he_rules=he_rules,
+        he_rules={_substitute(h, keys): _substitute(label, keys) for h, label in he_rules.items()},
         credentials=tuple(credentials[name] for name in sorted(credentials)),
     )
     steps = []
-    for s in raw.get("steps", []):
+    for s in _list(raw, "steps", dict, []):
         patch = None
         if "sites" in s:
             patch = {
                 _substitute(host, keys): (
                     None if spec is None else _site_from_spec(spec, keys, certs, credentials)
                 )
-                for host, spec in s["sites"].items()
+                for host, spec in _mapping(s, "sites", (dict, type(None))).items()
             }
         steps.append(
             Step(
-                url=_substitute(s["url"], keys),
-                now=date.fromisoformat(s["now"]),
+                url=_substitute(_field(s, "url", str), keys),
+                now=_date(s, "now"),
                 sites_patch=patch,
             )
         )
     browsers = {
         name: browser_from_spec(name, spec, keys)
-        for name, spec in raw.get("browsers", {}).items()
+        for name, spec in _mapping(raw, "browsers").items()
     }
     return Scenario(
-        name=raw.get("name", "scenario"),
+        name=_field(raw, "name", str, "scenario"),
         world=world,
         steps=tuple(steps),
         browsers=browsers,

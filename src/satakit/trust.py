@@ -42,21 +42,28 @@ subject and plain label or by delegation label, built once.
 An index is reused while the same list or tuple holds the same credential
 objects in the same order, which every query checks by identity.  The
 indexes of the 16 most recently queried pools are kept in one
-process-wide memo guarded by a lock, and a pool indexed as an edited copy
-of another (as long, most positions holding the same objects) drops the
-other's index.  Any other iterable is read once and indexed afresh on
+process-wide memo guarded by a lock.  A pool changed in place, or indexed
+as an edited copy of another (as long, most positions holding the same
+objects), replaces the other's index.  Where the two differ only by
+credentials replaced with ones of the same issuer, the new index is
+derived from the old: each touched issuer's group is patched at the
+replaced places and verified again when a query next reads it, and every
+other issuer's verified credentials and table are shared.  Any other edit
+is indexed afresh, as is any iterable other than a list or tuple, on
 every call.
 
 Cost: a query that reuses an index pays one identity pass over the
 container, plus for :func:`evaluate` at most states x bindings, whatever
-the depth.  A query whose index is not reused first pays one grouping
-pass.  Either way an issuer is verified, and its table built, only the
-first time a query reads it, so a query verifies only the issuers it
-reaches and a pool published by an adversary cannot force more.  Each
-credential object keeps its structural and signature verdicts (see
-:func:`verify_credential`), so indexing a pool again stays cheap;
-freshness depends on the query date and is checked per query, against
-one window of dates per refresh rate.
+the depth; at its last depth :func:`evaluate` reads only the rows that
+can hit and reaches no new state.  A query whose index is derived pays
+one more identity pass and a scan of each touched issuer's group; one
+whose index is built afresh pays one grouping pass.  Either way an issuer
+is verified, and its table built, only the first time a query reads it,
+so a query verifies only the issuers it reaches and a pool published by
+an adversary cannot force more.  Each credential object keeps its
+structural and signature verdicts (see :func:`verify_credential`), so
+indexing a pool again stays cheap; freshness depends on the query date
+and is checked per query, against one window of dates per refresh rate.
 """
 
 from __future__ import annotations
@@ -65,7 +72,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date
-from operator import is_
+from itertools import compress, count
+from operator import is_, is_not
 from typing import Iterable, Optional, Sequence
 
 from .credential import (
@@ -157,6 +165,11 @@ def _identity(s: Sata) -> tuple[str, str]:
     return (s.domain, s.onion.label)
 
 
+def _issuer(cred: Sattestation) -> tuple[str, str]:
+    """The issuer key of ``cred``: its sattestor's :func:`_identity`."""
+    return (cred.body.sattestor_domain, cred.body.sattestor_onion.label)
+
+
 def _grant(label: str) -> Optional[frozenset[str]]:
     """Labels a link carrying ``label`` lets its subject use at the next
     hop: ``{X, sattestor(X)}`` for ``sattestor(X)``, None for plain labels."""
@@ -191,11 +204,49 @@ class _PoolIndex:
         groups: dict[tuple[str, str], list[Sattestation]] = {}
         for cred in entries:
             if isinstance(cred, Sattestation):
-                issuer = (cred.body.sattestor_domain, cred.body.sattestor_onion.label)
-                groups.setdefault(issuer, []).append(cred)
+                groups.setdefault(_issuer(cred), []).append(cred)
         self._groups = groups
         self._sound: dict[tuple[str, str], list[Sattestation]] = {}
         self._tables: dict[tuple[str, str], tuple[dict, dict]] = {}
+
+    def derived(self, entries: list) -> Optional[_PoolIndex]:
+        """The index of ``entries`` derived from this one, or None unless
+        ``entries`` differs from this index's entries only at positions
+        where a credential was replaced by one of the same issuer, each
+        replaced object held once in its group.
+
+        Each touched group is patched at the replaced object's place, so it
+        equals the group a fresh grouping pass would build, and loses its
+        sound list and table; every other issuer's are shared.
+        """
+        old = self.entries
+        if len(old) != len(entries):
+            return None
+        slots: dict[tuple[str, str], dict[int, Sattestation]] = {}
+        for pos in compress(count(), map(is_not, old, entries)):
+            gone, new = old[pos], entries[pos]
+            if not (isinstance(gone, Sattestation) and isinstance(new, Sattestation)):
+                return None
+            issuer = _issuer(gone)
+            if _issuer(new) != issuer:
+                return None
+            at = [g for g, cred in enumerate(self._groups[issuer]) if cred is gone]
+            if len(at) != 1:
+                return None
+            slots.setdefault(issuer, {})[at[0]] = new
+        index = _PoolIndex.__new__(_PoolIndex)
+        index.entries = entries
+        index._groups = dict(self._groups)
+        # dict() copies in one step, so a thread filling this index's maps
+        # meanwhile cannot break the copy
+        index._sound, index._tables = dict(self._sound), dict(self._tables)
+        for issuer, replaced in slots.items():
+            group = index._groups[issuer] = list(index._groups[issuer])
+            for g, new in replaced.items():
+                group[g] = new
+            index._sound.pop(issuer, None)
+            index._tables.pop(issuer, None)
+        return index
 
     def issuers(self) -> Iterable[tuple[str, str]]:
         """Every issuer that has a credential in the pool, sound or not."""
@@ -265,8 +316,11 @@ def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
     The memo is keyed by the container's id and keeps a copy of its
     entries, not the container, so the indexed credentials stay alive only
     until the index is dropped.  Each call compares the container's
-    entries with that copy by identity, so a container changed in place,
-    or a new one that took a dead one's id, is indexed afresh.  Any other
+    entries with that copy by identity.  A container changed in place, a
+    new one that took a dead one's id, or a new one that is an edited copy
+    of an indexed pool replaces that pool's index: the new index is derived
+    from it when only same-issuer replacements tell them apart (see
+    :meth:`_PoolIndex.derived`), and built afresh otherwise.  Any other
     iterable is read once and indexed afresh on every call.
     """
     if not isinstance(credentials, (list, tuple)):
@@ -282,13 +336,17 @@ def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
         and all(map(is_, index.entries, credentials))
     ):
         return index
-    index = _PoolIndex(list(credentials))
+    entries = list(credentials)
     with _memo_lock:
-        # a pool republished as an edited copy replaces the original, whose
-        # container is then most likely gone: drop its index now rather
-        # than keep it until it ages out
-        for stale in [k for k, old in _memo.items() if _edited_copy(old.entries, index.entries)]:
-            del _memo[stale]
+        # a pool edited in place, or republished as an edited copy, replaces
+        # its last index, whose container is then most likely gone: drop it
+        # now rather than keep it until it ages out, and derive from it
+        stale = [k for k, old in _memo.items() if _edited_copy(old.entries, entries)]
+        base = _memo[stale[-1]] if stale else None
+        for k in stale:
+            del _memo[k]
+    index = base is not None and base.derived(entries) or _PoolIndex(entries)
+    with _memo_lock:
         _memo[key] = index
         _memo.move_to_end(key)
         if len(_memo) > _MEMO_SIZE:
@@ -328,10 +386,11 @@ def evaluate(
     The pool is read through its index; the module docstring states how
     it is kept and what a query costs, and the tie rule.  A reached state
     looks up the subject's rows for a plain query label and walks the rows
-    of each delegation label it may use.  A candidate chain's (step keys,
-    ranks) is built only for a hit or for a state no earlier depth
-    reached, and a link's rank (canonical bytes, input position) only
-    then.
+    of each delegation label it may use; at the last depth it walks only
+    the rows of the query label, which reach nothing further.  A candidate
+    chain's (step keys, ranks) is built only for a hit or for a state no
+    earlier depth reached, and a link's rank (canonical bytes, input
+    position) only then.
     """
     index = _pool_index(credentials)
 
@@ -360,22 +419,29 @@ def evaluate(
     windows: dict[float, tuple[date, date]] = {}  # refresh rate -> fresh_window
     plain_label = delegation_scope(label) is None
     subject_key = (subject_domain, subject_onion, label)
-    for _depth in range(policy.max_chain_depth):
+    last = policy.max_chain_depth - 1
+    for depth in range(policy.max_chain_depth):
         best: Optional[tuple] = None
         reached: dict[tuple, tuple] = {}
         for (domain, onion, allowed), ((keys, ranks), creds) in frontier.items():
+            if depth == last and label not in allowed:
+                continue  # no hit here, and no next depth to reach
             table = index.table((domain, onion))
             if table is None:
                 continue
             plain, delegating = table
             # (label, its grant, rows carrying it): the subject's rows for a
-            # plain query label, and every row of each delegation label
+            # plain query label, and every row of each delegation label; at
+            # the last depth only the rows that can hit, granting nothing
             scans = []
             if plain_label and label in allowed:
                 scans.append((label, None, plain.get(subject_key, ())))
-            for lab in allowed:
-                if lab in delegating:
-                    scans.append((lab, *delegating[lab]))
+            if depth < last:
+                for lab in allowed:
+                    if lab in delegating:
+                        scans.append((lab, *delegating[lab]))
+            elif not plain_label and label in delegating:
+                scans.append((label, None, delegating[label][1]))
             for lab, nxt, rows in scans:
                 for refreshed, rate, sub_domain, sub_onion, idx, pos, cred in rows:
                     window = windows.get(rate)

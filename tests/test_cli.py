@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satakit import expected_sans, to_query_form, to_transport_json
 from satakit.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from satakit.errors import UnrepresentableField
 
 from conftest import DATA_DIR, FIXTURES_DIR, key_for, sata_for, seed_for
 from oracles import FACEBOOK_LABEL, SELFAUTH_LABEL
@@ -726,7 +731,49 @@ def test_bad_version_reachable(capsys):
     assert json.loads(out)["error"]["class"] == "BadVersion"
 
 
-@pytest.mark.parametrize("fixture", [[1, 2], {"keys": {"a": 5}}, {"keys": ["a"]}])
+def _attack1(path: tuple = (), *value) -> dict:
+    """The attack-1 fixture, with the field at ``path`` set to ``value`` or,
+    given no value, deleted."""
+    fixture = json.loads((FIXTURES_DIR / "attack1_onion_alt_svc.json").read_text())
+    node = fixture
+    for step in path[:-1]:
+        node = node[step]
+    if value:
+        node[path[-1]] = value[0]
+    elif path:
+        del node[path[-1]]
+    return fixture
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        [1, 2],
+        {"keys": {"a": 5}},
+        {"keys": ["a"]},
+        {"keys": {"a": "zz"}},
+        {"certs": 5},
+        {"certs": {"c": 5}},
+        {"credentials": {"c": 5}},
+        {"credentials": []},
+        {"sites": {"x": 5}},
+        {"steps": [5]},
+        {"steps": {"url": "https://a.example/"}},
+        {"browsers": {"b": 5}},
+        {"attacker": []},
+        {"attacker": {"dns_hijack": [{}]}},
+        {"he_rules": {"a.example": 5}},
+        {"he_rules": ["a.example"]},
+        {"name": 5},
+        _attack1(("credentials", "victim-self", "key")),
+        _attack1(("credentials", "victim-self", "key"), "nobody"),
+        _attack1(("credentials", "root-about-victim", "bindings", 0, "issued"), "2020-13-01"),
+        _attack1(("certs", "victim-cert", "sans"), ["{sata_sans:victim.example}"]),
+        _attack1(("sites", "victim.example", "alt_svc", "host"), "{onion:attacker.onion"),
+        _attack1(("browsers", "sata-policy", "policy", "roots", 0, "key"), 5),
+        _attack1(("steps", 0, "sites"), {"victim.example": 5}),
+    ],
+)
 @pytest.mark.parametrize("command", ["run", "matrix"])
 def test_bad_fixture_json_exit_65(capsys, tmp_path, fixture, command):
     (tmp_path / "bad.json").write_text(json.dumps(fixture))
@@ -736,8 +783,58 @@ def test_bad_fixture_json_exit_65(capsys, tmp_path, fixture, command):
         argv = ["sim", "matrix", "--fixtures", str(tmp_path)]
     code, _, err = run(capsys, *argv)
     assert code == EXIT_DATA
-    assert err.startswith("error: UnrepresentableField: fixture")
+    assert err.startswith("error: UnrepresentableField: fixture"), err
     assert "Traceback" not in err
     code, out, _ = run(capsys, "--json", *argv)
     assert code == EXIT_DATA
     assert json.loads(out)["error"]["class"] == "UnrepresentableField"
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12)
+    | st.sampled_from(["2020-09-01", "{onion:victim}", "victim-cert", "victim", "news"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _fixtures(draw):
+    """Arbitrary JSON, or the attack-1 fixture with one field at any depth
+    replaced by arbitrary JSON or deleted."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    fixture = _attack1()
+    node = fixture
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        step = draw(st.sampled_from(keys))
+        child = node[step]
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            break
+        node = child
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[step]
+    else:
+        node[step] = draw(_JSON)
+    return fixture
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fixture=_fixtures(), browser=st.sampled_from(["legacy", "sata-aware", "sata-policy"]))
+def test_any_fixture_json_ends_in_an_exit_code_not_a_traceback(tmp_path_factory, fixture, browser):
+    path = tmp_path_factory.mktemp("fixture") / "f.json"
+    path.write_text(json.dumps(fixture))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["sim", "run", "--fixture", str(path), "--browser", browser])
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in {0, 64, 65, 66, 67, 68, 69, 74}, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -457,6 +457,135 @@ def test_a_list_changed_in_place_is_indexed_again(seed, steps):
         _assert_answers_match_the_oracle(policy, pool, queries)
 
 
+EDITS = ("same issuer", "other issuer", "insert", "delete", "duplicate", "junk")
+
+
+def _same_issuer(rng: random.Random, cred: Sattestation) -> Sattestation:
+    """Another credential of ``cred``'s issuer: re-issued with new refresh
+    dates, junk-signed, or an equal-bytes copy."""
+    kind = rng.choice(("reissue", "junk", "copy"))
+    if kind == "copy":
+        return _equal_bytes_copy(cred)
+    refreshed = NOW - timedelta(days=rng.choice((0, 2, 30)))
+    body = dataclasses.replace(
+        cred.body,
+        sattestees=tuple(dataclasses.replace(b, refreshed_on=refreshed) for b in cred.sattestees),
+    )
+    if kind == "junk":
+        return Sattestation(body=body, signature=rng.randbytes(64))
+    return issue(_key_of(cred), body)
+
+
+def _key_of(cred: Sattestation) -> KeyPair:
+    """The key that issued ``cred``."""
+    return next(k for k in _KEYS if k.address == cred.sattestor_onion)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(st.sampled_from(EDITS), st.integers(0, 2**16), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_an_edited_pool_answers_as_the_oracle(seed, steps):
+    """A multi-issuer pool, built up in random order, then edited in place
+    or republished as an edited tuple, answers every query of each version
+    as the oracles do over what it holds then."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    creds = _random_pool(rng, n) + [_rotation_credential(rng) for _ in range(rng.randint(0, 4))]
+    spare = _random_pool(rng, n) + [_rotation_credential(rng) for _ in range(rng.randint(0, 4))]
+    policy = _random_policy(rng, n, rng.randint(1, 3))
+    queries = [
+        (_sata(node), label, when)
+        for node in range(n)
+        for label in LABELS
+        for when in (NOW, NOW + timedelta(days=4))
+    ]
+    pool: list | tuple = []
+    for cred in rng.sample(creds, len(creds)):
+        pool.append(cred)
+        subject, label, when = rng.choice(queries)
+        chain = evaluate(policy, pool, subject, label, when)
+        assert _chain_ids(chain) == _chain_ids(_oracle_chain(policy, pool, subject, label, when))
+    _assert_answers_match_the_oracle(policy, pool, queries)
+    for edit, at, republish in steps:
+        edited = list(pool) if republish or isinstance(pool, tuple) else pool
+        i = at % len(edited)
+        cred = edited[i]
+        if edit == "same issuer" and isinstance(cred, Sattestation):
+            edited[i] = _same_issuer(rng, cred)
+        elif edit == "other issuer":
+            edited[i] = spare[at % len(spare)]
+        elif edit == "insert":
+            edited.insert(i, spare[at % len(spare)])
+        elif edit == "delete" and len(edited) > 1:
+            del edited[i]
+        elif edit == "duplicate":  # an object the pool holds, at a second place
+            edited[i] = edited[rng.randrange(len(edited))]
+        elif edit == "junk":
+            edited[i] = JUNK_ENTRIES[at % len(JUNK_ENTRIES)]
+        pool = tuple(edited) if republish else edited
+        for when in (NOW, NOW + timedelta(days=4)):
+            sound = oracle_sound([c for c in pool if isinstance(c, Sattestation)])
+            assert usable_links(pool, when) == oracle_links(sound, when)
+        _assert_answers_match_the_oracle(policy, pool, queries)
+
+
+def _edge_pool() -> tuple[TrustPolicy, list[Sattestation]]:
+    """Five nodes each delegating news to every other, one credential per
+    edge; node 0 is the root."""
+    pool = [
+        issue(_KEYS[i], _body(i, [_binding(j, [delegation_label(NEWS)], NOW)]))
+        for i in range(5)
+        for j in range(5)
+        if j != i
+    ]
+    root = TrustRoot(sattestor=_sata(0), trusted_labels=frozenset({NEWS, delegation_label(NEWS)}))
+    return TrustPolicy(roots=(root,), max_chain_depth=3), pool
+
+
+@pytest.mark.parametrize("republish", [False, True], ids=["in place", "edited tuple"])
+def test_a_replaced_credential_re_verifies_only_its_issuer(monkeypatch, republish):
+    policy, pool = _edge_pool()
+    calls = []
+    real = trust_module.verify_credential
+
+    def counting(cred):
+        calls.append(cred)
+        return real(cred)
+
+    monkeypatch.setattr(trust_module, "verify_credential", counting)
+    # a miss at depth 3 reads every node
+    assert evaluate(policy, pool, _sata(6), NEWS, NOW) is None
+    assert sorted(map(id, calls)) == sorted(map(id, pool))
+    for k in (6, 13):  # one of node 1's credentials, then one of node 3's
+        calls.clear()
+        edited = list(pool) if republish else pool
+        edited[k] = issue(_key_of(pool[k]), pool[k].body)
+        pool = tuple(edited) if republish else edited
+        assert evaluate(policy, pool, _sata(6), NEWS, NOW) is None
+        issuer = _issuer(pool[k])
+        assert sorted(map(id, calls)) == sorted(id(c) for c in pool if _issuer(c) == issuer)
+        assert len(calls) == 4
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_an_object_held_twice_is_replaced_at_its_own_place(at):
+    """Of two places holding one object, only the edited one changes, so
+    the equal-bytes copy put there ranks by that place."""
+    root = TrustRoot(sattestor=_sata(0), trusted_labels=frozenset({NEWS}))
+    policy = TrustPolicy(roots=(root,), max_chain_depth=1)
+    twice = issue(_KEYS[0], _body(0, [_binding(1, [NEWS], NOW)]))
+    pool = [twice, issue(_KEYS[2], _body(2, [_binding(1, [NEWS], NOW)])), twice]
+    assert evaluate(policy, pool, _sata(1), NEWS, NOW).links[0].credential is twice
+    pool[at] = _equal_bytes_copy(twice)
+    assert evaluate(policy, pool, _sata(1), NEWS, NOW).links[0].credential is pool[0]
+
+
 def _one_binding_pool(size: int) -> tuple[TrustPolicy, list[Sattestation]]:
     """``size`` credentials of one root, each binding one site with news."""
     pool = [
@@ -504,7 +633,7 @@ def test_a_reused_index_verifies_nothing(monkeypatch):
         assert [link.credential for link in chain.links] == [pool[i]]
     assert evaluate(policy, pool, _site(4000), NEWS, NOW) is None
     assert calls == []
-    # a credential swapped in place is noticed, and the pool indexed again
+    # a credential swapped in place is noticed, and its issuer verified again
     pool[7] = issue(_KEYS[0], pool[7].body)
     chain = evaluate(policy, pool, _site(7), NEWS, NOW)
     assert chain.links[0].credential is pool[7]
@@ -547,6 +676,13 @@ def test_the_memo_does_not_keep_the_pool_container_alive():
     assert gone() is None
 
 
+def _chain_bytes(chain):
+    """The chain by its credentials' bytes: equal for an equal-bytes copy."""
+    if chain is None:
+        return None
+    return [(canonical_bytes(l.credential), l.binding_index, l.label) for l in chain.links]
+
+
 def test_threads_sharing_and_churning_pools_agree_with_the_oracle():
     rng = random.Random("threads")
     cases = []
@@ -554,7 +690,7 @@ def test_threads_sharing_and_churning_pools_agree_with_the_oracle():
         n = rng.randint(3, 6)
         pool = _random_pool(rng, n)
         policy, queries = _queries(rng, n)
-        answers = [(q, _chain_ids(_oracle_chain(policy, pool, *q))) for q in queries]
+        answers = [(q, _oracle_chain(policy, pool, *q)) for q in queries]
         hits = [a for a in answers if a[1] is not None][:20]
         if len(hits) < 8:
             continue
@@ -562,33 +698,52 @@ def test_threads_sharing_and_churning_pools_agree_with_the_oracle():
         queries, want = zip(*(hits + misses))
         cases.append((policy, pool, queries, want))
     shared, own = cases[0], cases[1:]
+    # editors swap shared credentials for equal-bytes copies and back, in
+    # place, so the shared pool's answers keep their bytes, not their objects
+    copies = [(i, c, _equal_bytes_copy(c)) for i, c in enumerate(shared[1])]
     failures: list = []
+    done = threading.Event()
 
     def work(mine):
         try:
             for round_ in range(6):
-                for policy, pool, queries, want in (shared, mine):
+                for case, same in ((shared, _chain_bytes), (mine, _chain_ids)):
+                    policy, pool, queries, want = case
                     # every other round a new container: the memo evicts
                     # while other threads read it
                     pool = tuple(pool) if round_ % 2 else pool
-                    for (subject, label, when), chain_ids in zip(queries, want):
+                    for (subject, label, when), chain in zip(queries, want):
                         got = evaluate(policy, pool, subject, label, when)
-                        if _chain_ids(got) != chain_ids:
+                        if same(got) != same(chain):
                             failures.append((subject, label, when))
         except Exception as exc:  # reported below, with the thread's failures
+            failures.append(exc)
+
+    def edit(seed):
+        edits = random.Random(seed)
+        try:
+            while not done.is_set():
+                i, original, copy = edits.choice(copies)
+                shared[1][i] = copy if shared[1][i] is original else original
+        except Exception as exc:
             failures.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        editors = [threading.Thread(target=edit, args=(k,)) for k in range(2)]
         threads = [threading.Thread(target=work, args=(mine,)) for mine in own]
-        for t in threads:
+        for t in editors + threads:
             t.start()
         for t in threads:
             t.join(timeout=120)
+        done.set()
+        for t in editors:
+            t.join(timeout=120)
     finally:
+        done.set()
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    assert not any(t.is_alive() for t in editors + threads)
     assert failures == []
 
 

@@ -30,6 +30,7 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import _json
 from .credential import (
     Sattestation,
     body_from_wire,
@@ -113,13 +114,13 @@ def _read_key(path: str):
 
 
 def _read_credential(path: str) -> Sattestation:
-    return from_transport_json(Path(path).read_text())
+    return from_transport_json(Path(path).read_bytes())
 
 
 def _read_creds_dir(path: str) -> list[Sattestation]:
     creds = []
     for file in sorted(Path(path).glob("*.satt")):
-        creds.append(from_transport_json(file.read_text()))
+        creds.append(from_transport_json(file.read_bytes()))
     return creds
 
 
@@ -128,25 +129,8 @@ def _load_cert(path: str) -> CertDescriptor:
     if not data.strip():
         raise EmptyInput(f"certificate file {path!r} is empty")
     if data.lstrip().startswith(b"{"):
-        return _cert_from_json(json.loads(data))
+        return _cert_from_json(_json.load(data, "certificate"))
     return _cert_from_x509(data)
-
-
-def _cert_field(obj: dict, name: str, kind: type, default=None):
-    value = obj.get(name, default)
-    if not isinstance(value, kind):
-        raise UnrepresentableField(
-            f"certificate {name!r} must be a {kind.__name__}, got {value!r}"
-        )
-    return value
-
-
-def _cert_date(obj: dict, name: str) -> date:
-    text = _cert_field(obj, name, str)
-    try:
-        return date.fromisoformat(text)
-    except ValueError as exc:
-        raise UnrepresentableField(f"certificate {name!r} is not an ISO date: {text!r}") from exc
 
 
 def _cert_from_json(obj: dict) -> CertDescriptor:
@@ -154,15 +138,16 @@ def _cert_from_json(obj: dict) -> CertDescriptor:
     der = None
     if "der_hex" in obj:
         try:
-            der = bytes.fromhex(_cert_field(obj, "der_hex", str))
+            der = bytes.fromhex(_json.field(obj, "der_hex", str, what="certificate"))
         except ValueError as exc:
             raise UnrepresentableField(f"certificate 'der_hex' is not hex: {exc}") from exc
+    fingerprint = _json.field(obj, "fingerprint", str, "", what="certificate")
     return CertDescriptor(
-        fingerprint=_cert_field(obj, "fingerprint", str, "") or fingerprint_cert(der or b""),
-        san_list=_cert_field(obj, "san_list", list, []),
-        not_before=_cert_date(obj, "not_before"),
-        not_after=_cert_date(obj, "not_after"),
-        has_sct=_cert_field(obj, "has_sct", bool, False),
+        fingerprint=fingerprint or fingerprint_cert(der or b""),
+        san_list=_json.field(obj, "san_list", list, [], what="certificate"),
+        not_before=_json.date_field(obj, "not_before", what="certificate"),
+        not_after=_json.date_field(obj, "not_after", what="certificate"),
+        has_sct=_json.field(obj, "has_sct", bool, False, what="certificate"),
         der=der,
     )
 
@@ -312,7 +297,7 @@ def _cmd_sata_rewrite(args) -> int:
 
 def _cmd_satt_issue(args) -> int:
     key = _read_key(args.key)
-    body = body_from_wire(json.loads(Path(args.body).read_text()))
+    body = body_from_wire(_json.load(Path(args.body).read_bytes(), "credential"))
     credential = issue(key, body)
     text = to_transport_json(credential)
     _write_out(args, text)
@@ -382,7 +367,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trust_eval(args) -> int:
-    policy = policy_from_json(json.loads(Path(args.policy).read_text()))
+    policy = policy_from_json(_json.load(Path(args.policy).read_bytes(), "policy"))
     creds = _read_creds_dir(args.creds)
     subject = parse_sata(args.subject)
     chain = evaluate(policy, creds, subject, args.label, _resolve_now(args.now))

@@ -34,6 +34,7 @@ from datetime import date, datetime
 from functools import cached_property
 from typing import Iterable
 
+from . import _json
 from .errors import (
     BadSignature,
     KeyMismatch,
@@ -375,14 +376,7 @@ def to_transport_json(s: Sattestation) -> str:
     return f'{body[:-1]},"signature":"{s.signature.hex()}"}}'
 
 
-def _wire_text(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise UnrepresentableField(f"{field} must be a string, got {value!r}")
-    return value
-
-
-def _wire_onion(value, field: str, decoded: dict[str, OnionAddress]) -> OnionAddress:
-    label = _wire_text(value, field)
+def _wire_onion(label: str, decoded: dict[str, OnionAddress]) -> OnionAddress:
     onion = decoded.get(label)
     if onion is None:
         onion = decoded[label] = parse_onion(label)
@@ -390,34 +384,17 @@ def _wire_onion(value, field: str, decoded: dict[str, OnionAddress]) -> OnionAdd
 
 
 def _parse_binding(obj: dict, decoded: dict[str, OnionAddress]) -> Binding:
-    if not isinstance(obj, dict):
-        raise UnrepresentableField(f"binding must be an object, got {type(obj).__name__}")
-    try:
-        domain = obj["domain"]
-        onion_label = obj["onion"]
-        issued_text = obj["issued"]
-        refreshed_text = obj["refreshed_on"]
-    except KeyError as exc:
-        raise UnrepresentableField(f"binding is missing field {exc.args[0]!r}") from exc
-    labels_field = _wire_text(obj.get("labels", ""), "labels")
-    labels = tuple(part for part in labels_field.split(",") if part) if labels_field else ()
-    fingerprints = obj.get("cert_fingerprint", [])
-    if isinstance(fingerprints, str):
-        fingerprints = [fingerprints]
-    elif not isinstance(fingerprints, list):
-        raise UnrepresentableField(f"cert_fingerprint must be a list, got {fingerprints!r}")
-    try:
-        issued = date.fromisoformat(issued_text)
-        refreshed_on = date.fromisoformat(refreshed_text)
-    except (TypeError, ValueError) as exc:
-        raise UnrepresentableField(f"bad date in binding: {exc}") from exc
+    labels = _json.field(obj, "labels", str, "", what="credential")
+    fingerprints = _json.field(
+        obj, "cert_fingerprint", (list, str), [], items=str, what="credential"
+    )
     return Binding(
-        domain=_wire_text(domain, "binding domain"),
-        onion=_wire_onion(onion_label, "binding onion", decoded),
-        issued=issued,
-        refreshed_on=refreshed_on,
-        labels=labels,
-        cert_fingerprints=tuple(_wire_text(fp, "cert_fingerprint") for fp in fingerprints),
+        domain=_json.field(obj, "domain", str, what="credential"),
+        onion=_wire_onion(_json.field(obj, "onion", str, what="credential"), decoded),
+        issued=_json.date_field(obj, "issued", what="credential"),
+        refreshed_on=_json.date_field(obj, "refreshed_on", what="credential"),
+        labels=tuple(part for part in labels.split(",") if part),
+        cert_fingerprints=(fingerprints,) if isinstance(fingerprints, str) else tuple(fingerprints),
         onion_reachable=obj.get("onion_reachable"),
     )
 
@@ -425,29 +402,27 @@ def _parse_binding(obj: dict, decoded: dict[str, OnionAddress]) -> Binding:
 def body_from_wire(obj: dict) -> SattestationBody:
     """Reconstruct a body from parsed wire JSON (the inner object included).
 
-    A field of the wrong JSON type raises :class:`UnrepresentableField`.
-    Each distinct onion label is decoded once per call: in a
-    self-sattestation the sattestor and its binding carry the same label.
+    A missing field, or a field of the wrong JSON type, raises
+    :class:`UnrepresentableField`.  Each distinct onion label is decoded
+    once per call: in a self-sattestation the sattestor and its binding
+    carry the same label.
     """
-    try:
-        inner = obj["sattestation"]
-        version = inner["sattestation_version"]
-        sattestor_domain = inner["sattestor_domain"]
-        sattestor_onion = inner["sattestor_onion"]
-        rate = inner["sattestor_refresh_rate"]
-        sattestees = inner["sattestees"]
-    except (KeyError, TypeError) as exc:
-        raise UnrepresentableField(f"credential missing field: {exc}") from exc
-    if not isinstance(sattestees, list):
-        raise UnrepresentableField("sattestees must be a list")
+    inner = _json.field(obj, "sattestation", dict, what="credential")
     decoded: dict[str, OnionAddress] = {}
     try:
         return SattestationBody(
-            sattestor_domain=_wire_text(sattestor_domain, "sattestor_domain"),
-            sattestor_onion=_wire_onion(sattestor_onion, "sattestor_onion", decoded),
-            refresh_rate_days=parse_refresh_rate(rate),
-            sattestees=tuple(_parse_binding(b, decoded) for b in sattestees),
-            version=version,
+            sattestor_domain=_json.field(inner, "sattestor_domain", str, what="credential"),
+            sattestor_onion=_wire_onion(
+                _json.field(inner, "sattestor_onion", str, what="credential"), decoded
+            ),
+            refresh_rate_days=parse_refresh_rate(
+                _json.field(inner, "sattestor_refresh_rate", str, what="credential")
+            ),
+            sattestees=tuple(
+                _parse_binding(b, decoded)
+                for b in _json.field(inner, "sattestees", list, items=dict, what="credential")
+            ),
+            version=_json.field(inner, "sattestation_version", int, what="credential"),
         )
     except ValueError as exc:  # only normalize_domain raises it: a malformed domain name
         raise UnrepresentableField(f"bad domain in credential: {exc}") from exc
@@ -456,16 +431,15 @@ def body_from_wire(obj: dict) -> SattestationBody:
 def from_transport_json(text: str | bytes) -> Sattestation:
     """Parse the transport form back into a credential.
 
-    Signature verification is not performed here; call
-    :func:`verify_credential` after parsing.  Onion labels are fully
-    validated during parsing (fail closed).
+    Malformed JSON (nesting too deep, an integer too long to convert and an
+    object that repeats a key included), or a field that is missing or of
+    the wrong JSON type, raises :class:`UnrepresentableField`; a missing or
+    malformed signature raises
+    :class:`MalformedSignature`.  Signature verification is not performed
+    here; call :func:`verify_credential` after parsing.  Onion labels are
+    fully validated during parsing (fail closed).
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UnrepresentableField(f"credential is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise UnrepresentableField("credential must be a JSON object")
+    obj = _json.load(text, "credential")
     body = body_from_wire(obj)
     sig_hex = obj.get("signature")
     if not isinstance(sig_hex, str):

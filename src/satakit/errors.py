@@ -120,3 +120,13 @@ class DomainMismatch(SataError):
 
 class UnknownHost(SataError):
     """Simulated visit to a hostname with no site record."""
+
+
+class InconsistentWorld(SataError, ValueError):
+    """A simulated world that contradicts itself: a certificate that does
+    not fingerprint to its own DER bytes, or an attacker serving what its
+    capabilities do not allow.
+
+    Also a ``ValueError``, which callers that catch a bad world as one
+    still catch.
+    """

@@ -50,12 +50,12 @@ owns its onion address.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import _json
 from .credential import (
     Sattestation,
     is_self_sattestation,
@@ -64,7 +64,13 @@ from .credential import (
     Binding,
     SattestationBody,
 )
-from .errors import InvalidOnionComponent, NotASata, UnknownHost, UnrepresentableField
+from .errors import (
+    InconsistentWorld,
+    InvalidOnionComponent,
+    NotASata,
+    UnknownHost,
+    UnrepresentableField,
+)
 from .onion import KeyPair, keygen
 from .sata import (
     QUERY_PARAM,
@@ -189,21 +195,24 @@ class Scenario:
 def validate_world(world: World) -> None:
     """Check fixture consistency before a run.
 
-    Certificates must fingerprint to their own DER bytes, and the attacker
-    may only serve content at an onion hostname whose key it holds (or any
-    victim onion if the fixture grants the compromised-key capability).
+    Certificates must fingerprint to their own DER bytes, the attacker may
+    only serve content at an onion hostname whose key it holds (or any
+    victim onion if the fixture grants the compromised-key capability), and
+    it may serve a hijacked host under a certificate naming that host only
+    with the rogue-cert capability.  Any other world raises
+    :class:`InconsistentWorld`.
     """
     for host, record in world.sites.items():
         cert = record.cert
         if cert.der is not None and cert.fingerprint != fingerprint_cert(cert.der):
-            raise ValueError(f"site {host!r}: certificate fingerprint does not match DER")
+            raise InconsistentWorld(f"site {host!r}: certificate fingerprint does not match DER")
         if is_attacker_endpoint(record.endpoint_id) and host.endswith(".onion"):
             label = host[: -len(".onion")]
             if (
                 label not in world.attacker.onion_keys
                 and not world.attacker.compromised_victim_onion_key
             ):
-                raise ValueError(
+                raise InconsistentWorld(
                     f"fixture gives the attacker an onion site {host!r} without "
                     "the key capability"
                 )
@@ -213,7 +222,7 @@ def validate_world(world: World) -> None:
             and host.lower() in {n.lower() for n in cert.san_list}
             and host not in world.attacker.rogue_cert_for
         ):
-            raise ValueError(
+            raise InconsistentWorld(
                 f"fixture serves a hijacked {host!r} with a valid-looking cert "
                 "but no rogue-cert capability"
             )
@@ -501,48 +510,6 @@ def track_alt_svc_exposure(
 # JSON fixture loading
 
 
-_REQUIRED = object()
-
-
-def _field(spec: dict, name: str, kind: type | tuple[type, ...], default=_REQUIRED):
-    """``spec[name]``, or ``default`` when it is absent; a missing required
-    field, or a value that is not a ``kind`` (JSON ``true`` is no number),
-    raises :class:`UnrepresentableField`."""
-    value = spec.get(name, default)
-    if value is _REQUIRED:
-        raise UnrepresentableField(f"fixture field {name!r} is missing")
-    if value is not default and (
-        not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
-    ):
-        raise UnrepresentableField(f"fixture field {name!r} has the wrong JSON type: {value!r}")
-    return value
-
-
-def _mapping(spec: dict, name: str, kind: type | tuple[type, ...] = dict) -> dict:
-    """``spec[name]``, an object whose values are each a ``kind`` (empty
-    when absent)."""
-    value = _field(spec, name, dict, {})
-    if not all(isinstance(v, kind) for v in value.values()):
-        raise UnrepresentableField(f"fixture field {name!r} has the wrong JSON types: {value!r}")
-    return value
-
-
-def _list(spec: dict, name: str, kind: type, default=_REQUIRED) -> list:
-    """``spec[name]``, a list whose items are each a ``kind``."""
-    value = _field(spec, name, list, default)
-    if value is not None and not all(isinstance(v, kind) for v in value):
-        raise UnrepresentableField(f"fixture field {name!r} has the wrong JSON types: {value!r}")
-    return value
-
-
-def _date(spec: dict, name: str) -> date:
-    value = _field(spec, name, str)
-    try:
-        return date.fromisoformat(value)
-    except ValueError:
-        raise UnrepresentableField(f"fixture field {name!r} is not a date: {value!r}") from None
-
-
 def _named(table: Mapping, name, what: str):
     """``table[name]``; a name the fixture does not define raises
     :class:`UnrepresentableField`."""
@@ -573,7 +540,7 @@ def _substitute(value: str, keys: Mapping[str, KeyPair]) -> str:
 def _cert_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> CertDescriptor:
     der = f"cert:{name}".encode("utf-8")
     sans: list[str] = []
-    for entry in _list(spec, "sans", str, []):
+    for entry in _json.field(spec, "sans", list, [], items=str, what="fixture"):
         entry = _substitute(entry, keys)
         if entry.startswith("{sata_sans:"):
             parts = entry[1:-1].split(":")
@@ -588,9 +555,9 @@ def _cert_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> CertD
     return CertDescriptor(
         fingerprint=fingerprint_cert(der),
         san_list=tuple(sans),
-        not_before=_date(spec, "not_before"),
-        not_after=_date(spec, "not_after"),
-        has_sct=_field(spec, "has_sct", bool, False),
+        not_before=_json.date_field(spec, "not_before", what="fixture"),
+        not_after=_json.date_field(spec, "not_after", what="fixture"),
+        has_sct=_json.field(spec, "has_sct", bool, False, what="fixture"),
         der=der,
     )
 
@@ -600,37 +567,37 @@ def _credential_from_spec(
     keys: Mapping[str, KeyPair],
     certs: Mapping[str, CertDescriptor],
 ) -> Sattestation:
-    kind = _field(spec, "kind", str)
-    key = _named(keys, _field(spec, "key", str), "key")
-    rate = _field(spec, "refresh_rate_days", (int, float), 7)
+    kind = _json.field(spec, "kind", str, what="fixture")
+    key = _named(keys, _json.field(spec, "key", str, what="fixture"), "key")
+    rate = _json.field(spec, "refresh_rate_days", (int, float), 7, what="fixture")
     if kind == "self":
         if "cert" in spec:
             fingerprints = [_named(certs, spec["cert"], "cert").fingerprint]
         else:
-            fingerprints = _list(spec, "fingerprints", str)
+            fingerprints = _json.field(spec, "fingerprints", list, items=str, what="fixture")
         return make_self_sattestation(
             key=key,
-            domain=_field(spec, "domain", str),
+            domain=_json.field(spec, "domain", str, what="fixture"),
             cert_fingerprints=fingerprints,
-            issued=_date(spec, "issued"),
-            refreshed_on=_date(spec, "refreshed_on"),
+            issued=_json.date_field(spec, "issued", what="fixture"),
+            refreshed_on=_json.date_field(spec, "refreshed_on", what="fixture"),
             refresh_rate_days=rate,
-            labels=_list(spec, "labels", str, None),
+            labels=_json.field(spec, "labels", list, None, items=str, what="fixture"),
         )
     if kind == "third_party":
         bindings = []
-        for b in _list(spec, "bindings", dict):
+        for b in _json.field(spec, "bindings", list, items=dict, what="fixture"):
             bindings.append(
                 Binding(
-                    domain=_field(b, "domain", str),
+                    domain=_json.field(b, "domain", str, what="fixture"),
                     onion=_named(keys, b.get("onion_key"), "key").address,
-                    issued=_date(b, "issued"),
-                    refreshed_on=_date(b, "refreshed_on"),
-                    labels=tuple(_list(b, "labels", str, [])),
+                    issued=_json.date_field(b, "issued", what="fixture"),
+                    refreshed_on=_json.date_field(b, "refreshed_on", what="fixture"),
+                    labels=tuple(_json.field(b, "labels", list, [], items=str, what="fixture")),
                 )
             )
         body = SattestationBody(
-            sattestor_domain=_field(spec, "sattestor_domain", str),
+            sattestor_domain=_json.field(spec, "sattestor_domain", str, what="fixture"),
             sattestor_onion=key.address,
             refresh_rate_days=rate,
             sattestees=tuple(bindings),
@@ -647,21 +614,22 @@ def _site_from_spec(
 ) -> SiteRecord:
     alt = None
     if "alt_svc" in spec:
-        raw = _field(spec, "alt_svc", dict)
-        host = _field(raw, "host", (str, dict))
+        raw = _json.field(spec, "alt_svc", dict, what="fixture")
+        host = _json.field(raw, "host", (str, dict), items=str, what="fixture")
         if isinstance(host, dict):  # per user, in tracking fixtures
-            host = {user: _substitute(h, keys) for user, h in _mapping(raw, "host", str).items()}
+            host = {user: _substitute(h, keys) for user, h in host.items()}
         else:
             host = _substitute(host, keys)
-        alt = AltSvcHeader(host=host, max_age=_field(raw, "max_age", int, DEFAULT_ALT_SVC_MAX_AGE))
+        max_age = _json.field(raw, "max_age", int, DEFAULT_ALT_SVC_MAX_AGE, what="fixture")
+        alt = AltSvcHeader(host=host, max_age=max_age)
     header = None
     if "sata_header" in spec:
         header = _named(credentials, spec["sata_header"], "credential")
-    onion_location = _field(spec, "onion_location", str, None)
+    onion_location = _json.field(spec, "onion_location", str, None, what="fixture")
     if onion_location is not None:
         onion_location = _substitute(onion_location, keys)
     return SiteRecord(
-        endpoint_id=_field(spec, "endpoint", str),
+        endpoint_id=_json.field(spec, "endpoint", str, what="fixture"),
         cert=_named(certs, spec.get("cert"), "cert"),
         headers=SiteHeaders(
             onion_location=onion_location,
@@ -674,64 +642,71 @@ def _site_from_spec(
 def browser_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> BrowserConfig:
     policy = None
     if spec.get("policy"):
-        spec_policy = _field(spec, "policy", dict)
+        spec_policy = _json.field(spec, "policy", dict, what="fixture")
         roots = []
-        for r in _list(spec_policy, "roots", dict, []):
+        for r in _json.field(spec_policy, "roots", list, [], items=dict, what="fixture"):
             roots.append(
                 {
-                    "sattestor_domain": _field(r, "domain", str),
+                    "sattestor_domain": _json.field(r, "domain", str, what="fixture"),
                     "sattestor_onion": _named(keys, r.get("key"), "key").address.label,
-                    "trusted_labels": _list(r, "trusted_labels", str),
+                    "trusted_labels": _json.field(
+                        r, "trusted_labels", list, items=str, what="fixture"
+                    ),
                 }
             )
         policy = policy_from_json({**spec_policy, "roots": roots})
     return BrowserConfig(
         name=name,
-        sata_aware=_field(spec, "sata_aware", bool, False),
+        sata_aware=_json.field(spec, "sata_aware", bool, False, what="fixture"),
         policy=policy,
-        prioritize_onion=_field(spec, "prioritize_onion", bool, False),
+        prioritize_onion=_json.field(spec, "prioritize_onion", bool, False, what="fixture"),
     )
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
     """Load a scenario fixture from a JSON file, JSON text, or parsed dict.
 
-    A fixture that is not a JSON object, has a field of the wrong JSON type
-    or a missing required field, or names a key, cert or credential it does
-    not define raises :class:`UnrepresentableField`."""
+    Malformed JSON, a fixture that is not a JSON object, a field of the
+    wrong JSON type or a missing required field, or a key, cert or
+    credential the fixture names but does not define raises
+    :class:`UnrepresentableField`."""
     if isinstance(source, dict):
         raw = source
-    elif isinstance(source, Path):
-        raw = json.loads(source.read_text())
+    elif isinstance(source, str) and source.lstrip().startswith("{"):
+        raw = _json.load(source, "fixture")
     else:
-        text = str(source)
-        raw = json.loads(text) if text.lstrip().startswith("{") else json.loads(Path(text).read_text())
+        raw = _json.load(Path(source).read_bytes(), "fixture")
 
-    if not isinstance(raw, dict):
-        raise UnrepresentableField(f"fixture must be a JSON object, got {type(raw).__name__}")
-    keys = {name: keygen(_seed(name, seed)) for name, seed in _mapping(raw, "keys", str).items()}
-    certs = {
-        name: _cert_from_spec(name, spec, keys) for name, spec in _mapping(raw, "certs").items()
+    keys = {
+        name: keygen(_seed(name, seed))
+        for name, seed in _json.field(raw, "keys", dict, {}, items=str, what="fixture").items()
     }
+    certs = {
+        name: _cert_from_spec(name, spec, keys)
+        for name, spec in _json.field(raw, "certs", dict, {}, items=dict, what="fixture").items()
+    }
+    credential_specs = _json.field(raw, "credentials", dict, {}, items=dict, what="fixture")
     credentials = {
-        name: _credential_from_spec(spec, keys, certs)
-        for name, spec in _mapping(raw, "credentials").items()
+        name: _credential_from_spec(spec, keys, certs) for name, spec in credential_specs.items()
     }
     sites = {
         _substitute(host, keys): _site_from_spec(spec, keys, certs, credentials)
-        for host, spec in _mapping(raw, "sites").items()
+        for host, spec in _json.field(raw, "sites", dict, {}, items=dict, what="fixture").items()
     }
-    attacker_spec = _field(raw, "attacker", dict, {})
+    attacker_spec = _json.field(raw, "attacker", dict, {}, what="fixture")
     attacker = AttackerCaps(
         **{
-            caps: frozenset(_substitute(v, keys) for v in _list(attacker_spec, caps, str, []))
+            caps: frozenset(
+                _substitute(v, keys)
+                for v in _json.field(attacker_spec, caps, list, [], items=str, what="fixture")
+            )
             for caps in ("rogue_cert_for", "dns_hijack", "onion_keys")
         },
-        compromised_victim_onion_key=_field(
-            attacker_spec, "compromised_victim_onion_key", bool, False
+        compromised_victim_onion_key=_json.field(
+            attacker_spec, "compromised_victim_onion_key", bool, False, what="fixture"
         ),
     )
-    he_rules = _mapping(raw, "he_rules", str)
+    he_rules = _json.field(raw, "he_rules", dict, {}, items=str, what="fixture")
     world = World(
         sites=sites,
         attacker=attacker,
@@ -739,28 +714,30 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         credentials=tuple(credentials[name] for name in sorted(credentials)),
     )
     steps = []
-    for s in _list(raw, "steps", dict, []):
+    for s in _json.field(raw, "steps", list, [], items=dict, what="fixture"):
         patch = None
         if "sites" in s:
             patch = {
                 _substitute(host, keys): (
                     None if spec is None else _site_from_spec(spec, keys, certs, credentials)
                 )
-                for host, spec in _mapping(s, "sites", (dict, type(None))).items()
+                for host, spec in _json.field(
+                    s, "sites", dict, items=(dict, type(None)), what="fixture"
+                ).items()
             }
         steps.append(
             Step(
-                url=_substitute(_field(s, "url", str), keys),
-                now=_date(s, "now"),
+                url=_substitute(_json.field(s, "url", str, what="fixture"), keys),
+                now=_json.date_field(s, "now", what="fixture"),
                 sites_patch=patch,
             )
         )
     browsers = {
         name: browser_from_spec(name, spec, keys)
-        for name, spec in _mapping(raw, "browsers").items()
+        for name, spec in _json.field(raw, "browsers", dict, {}, items=dict, what="fixture").items()
     }
     return Scenario(
-        name=_field(raw, "name", str, "scenario"),
+        name=_json.field(raw, "name", str, "scenario", what="fixture"),
         world=world,
         steps=tuple(steps),
         browsers=browsers,

@@ -55,12 +55,13 @@ every call.
 Cost: a query that reuses an index pays one identity pass over the
 container, plus for :func:`evaluate` at most states x bindings, whatever
 the depth; at its last depth :func:`evaluate` reads only the rows that
-can hit and reaches no new state.  A query whose index is derived pays
-one more identity pass and a scan of each touched issuer's group; one
-whose index is built afresh pays one grouping pass.  Either way an issuer
-is verified, and its table built, only the first time a query reads it,
-so a query verifies only the issuers it reaches and a pool published by
-an adversary cannot force more.  Each credential object keeps its
+can hit and reaches no new state, and it stops at the first depth that
+reaches none.  A query whose index is derived pays one more identity
+pass and a scan of each touched issuer's group; one whose index is built
+afresh pays one grouping pass.  Either way an issuer is verified, and
+its table built, only the first time a query reads it, so a query
+verifies only the issuers it reaches and a pool published by an
+adversary cannot force more.  Each credential object keeps its
 structural and signature verdicts (see :func:`verify_credential`), so
 indexing a pool again stays cheap; freshness depends on the query date
 and is checked per query, against one window of dates per refresh rate.
@@ -76,6 +77,7 @@ from itertools import compress, count
 from operator import is_, is_not
 from typing import Iterable, Optional, Sequence
 
+from . import _json
 from .credential import (
     Sattestation,
     canonical_bytes,
@@ -479,6 +481,8 @@ def evaluate(
                 for cred, (_domain, _onion, idx, lab) in zip(creds, keys)
             )
             return TrustChain(links=links, subject=subject, label=label)
+        if not reached:
+            return None  # no state left to expand: deeper chains cannot exist
         seen.update(reached)
         frontier = reached
     return None
@@ -541,46 +545,38 @@ def expired_rotation_form(
     )
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-# JSON key -> type test; a key left out of the file takes TrustPolicy's
-# default.  type() is exact, so true is no integer.
-_POLICY_TYPES = {
-    "roots": lambda v: isinstance(v, list) and all(
-        isinstance(r, dict)
-        and isinstance(r.get("sattestor_domain"), str)
-        and isinstance(r.get("sattestor_onion"), str)
-        and _is_strings(r.get("trusted_labels", []))
-        for r in v
-    ),
-    "max_chain_depth": lambda v: type(v) is int,
-    "require_sattestation_for": _is_strings,
-    "allow_credentialed_alt_services": lambda v: type(v) is bool,
-}
-
-
 def policy_from_json(obj: dict) -> TrustPolicy:
     """Build a policy from its JSON file form.
 
     Roots are given as ``{"sattestor_domain": ..., "sattestor_onion":
-    "<56-char label>", "trusted_labels": [...]}``.  A value of the wrong
-    JSON type raises :class:`UnrepresentableField`.
+    "<56-char label>", "trusted_labels": [...]}``.  A key left out of the
+    file takes :class:`TrustPolicy`'s default.  A value that is not a JSON
+    object where one is wanted, a field that is missing or of the wrong
+    JSON type, or a ``max_chain_depth`` below 1 raises
+    :class:`UnrepresentableField`.  ``satakit trust eval`` reads the file
+    with the loader every JSON input shares, so malformed JSON there is an
+    :class:`UnrepresentableField` too.
     """
-    if not isinstance(obj, dict):
-        raise UnrepresentableField(f"policy must be a JSON object, got {obj!r}")
-    fields = {key: obj[key] for key in _POLICY_TYPES if key in obj}
-    for key, value in fields.items():
-        if not _POLICY_TYPES[key](value):
-            raise UnrepresentableField(f"policy field {key!r} has the wrong JSON type: {value!r}")
     roots = tuple(
         TrustRoot(
             sattestor=Sata(
-                domain=r["sattestor_domain"], onion=parse_onion(r["sattestor_onion"])
+                domain=_json.field(r, "sattestor_domain", str, what="policy"),
+                onion=parse_onion(_json.field(r, "sattestor_onion", str, what="policy")),
             ),
-            trusted_labels=r.get("trusted_labels", ()),
+            trusted_labels=_json.field(r, "trusted_labels", list, [], items=str, what="policy"),
         )
-        for r in fields.pop("roots", ())
+        for r in _json.field(obj, "roots", list, [], items=dict, what="policy")
     )
-    return TrustPolicy(roots=roots, **fields)
+    fields = {
+        name: _json.field(obj, name, kind, items=items, what="policy")
+        for name, kind, items in (
+            ("max_chain_depth", int, None),
+            ("require_sattestation_for", list, str),
+            ("allow_credentialed_alt_services", bool, None),
+        )
+        if name in obj
+    }
+    try:
+        return TrustPolicy(roots=roots, **fields)
+    except ValueError as exc:  # the one rule TrustPolicy checks: the depth bound
+        raise UnrepresentableField(f"policy field 'max_chain_depth': {exc}") from None

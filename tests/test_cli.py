@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satakit import expected_sans, to_query_form, to_transport_json
+from satakit import expected_sans, make_self_sattestation, to_query_form, to_transport_json
 from satakit.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from satakit.errors import UnrepresentableField
 
-from conftest import DATA_DIR, FIXTURES_DIR, key_for, sata_for, seed_for
+from conftest import DATA_DIR, FIXTURES_DIR, cert_for, key_for, sata_for, seed_for, third_party
 from oracles import FACEBOOK_LABEL, SELFAUTH_LABEL
 from test_credential import fig1_body, paper_shaped_self_sattestation
 
@@ -656,6 +656,8 @@ def test_every_error_class_reachable(capsys, tmp_path, bank_files):
         {"require_sattestation_for": 5},
         {"require_sattestation_for": [5]},
         {"allow_credentialed_alt_services": "no"},
+        {"max_chain_depth": 0},
+        {"max_chain_depth": -1},
     ],
 )
 def test_bad_policy_json_exit_65(capsys, tmp_path, policy):
@@ -803,14 +805,10 @@ _JSON = st.recursive(
 )
 
 
-@st.composite
-def _fixtures(draw):
-    """Arbitrary JSON, or the attack-1 fixture with one field at any depth
-    replaced by arbitrary JSON or deleted."""
-    if draw(st.booleans()):
-        return draw(_JSON)
-    fixture = _attack1()
-    node = fixture
+def _edit_one_field(draw, document):
+    """``document`` with one field at any depth replaced by arbitrary JSON
+    or deleted."""
+    node = document
     while True:
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
         step = draw(st.sampled_from(keys))
@@ -822,7 +820,16 @@ def _fixtures(draw):
         del node[step]
     else:
         node[step] = draw(_JSON)
-    return fixture
+    return document
+
+
+@st.composite
+def _fixtures(draw):
+    """Arbitrary JSON, or the attack-1 fixture with one field at any depth
+    replaced by arbitrary JSON or deleted."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    return _edit_one_field(draw, _attack1())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -838,3 +845,171 @@ def test_any_fixture_json_ends_in_an_exit_code_not_a_traceback(tmp_path_factory,
             code = exc.code
     assert code in {0, 64, 65, 66, 67, 68, 69, 74}, (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# -- every JSON file the CLI reads ------------------------------------------------
+
+BANK = sata_for("bank.example")
+BANK_CERT = cert_for("bank-primary", expected_sans(BANK), has_sct=True)
+
+
+def _valid_inputs() -> dict[str, str]:
+    """A well-formed file for each option that names a JSON file."""
+    from satakit.credential import _body_wire  # wire form without signature
+
+    header = make_self_sattestation(
+        key=key_for("bank.example"),
+        domain="bank.example",
+        cert_fingerprints=[BANK_CERT.fingerprint],
+        issued=date(2020, 8, 25),
+        refreshed_on=date(2020, 8, 31),
+        refresh_rate_days=7,
+        labels=["bank"],
+    )
+    root = {
+        "sattestor_domain": "root.example",
+        "sattestor_onion": key_for("root").address.label,
+        "trusted_labels": ["news"],
+    }
+    return {
+        "--cert": json.dumps(
+            {
+                "fingerprint": BANK_CERT.fingerprint,
+                "san_list": list(BANK_CERT.san_list),
+                "not_before": "2020-01-01",
+                "not_after": "2021-01-01",
+                "has_sct": True,
+            }
+        ),
+        "--header": to_transport_json(header),
+        "--policy": json.dumps({"roots": [root], "max_chain_depth": 3}),
+        "--creds": to_transport_json(
+            third_party("root.example", "root", [("paper.example", "paper", ["news"])])
+        ),
+        "--body": json.dumps(_body_wire(fig1_body())),
+    }
+
+
+VALID_INPUTS = _valid_inputs()
+
+
+def _boundary_argv(directory, option: str, contents: bytes) -> list[str]:
+    """A command reading the file of ``option``, which holds ``contents``;
+    every other file it reads is well formed.  ``--creds`` names a
+    directory holding the one ``.satt`` file."""
+    (directory / "creds").mkdir(exist_ok=True)
+    names = {
+        "--cert": "cert.json",
+        "--header": "header.satt",
+        "--policy": "policy.json",
+        "--creds": "creds/one.satt",
+        "--body": "body.json",
+    }
+    paths = {opt: str(directory / name) for opt, name in names.items()}
+    for opt, text in VALID_INPUTS.items():
+        (directory / names[opt]).write_bytes(contents if opt == option else text.encode())
+    if option in ("--cert", "--header"):
+        return ["verify", "--url", to_query_form(BANK), "--cert", paths["--cert"],
+                "--header", paths["--header"], "--now", "2020-09-01"]
+    if option in ("--policy", "--creds"):
+        return ["trust", "eval", "--policy", paths["--policy"], "--creds", str(directory / "creds"),
+                "--subject", to_query_form(sata_for("paper.example", "paper")),
+                "--label", "news", "--now", "2020-09-01"]
+    key_file = directory / "sattestor.key"
+    key_file.write_text(key_for("sattestora.info").secret.hex())
+    return ["satt", "issue", "--key", str(key_file), "--body", paths["--body"]]
+
+
+def _main_in_process(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    return code, err.getvalue()
+
+
+def test_each_well_formed_input_is_accepted(tmp_path):
+    """The base every generated file is edited from runs clean."""
+    for option, text in VALID_INPUTS.items():
+        assert _main_in_process(_boundary_argv(tmp_path, option, text.encode())) == (EXIT_OK, "")
+
+
+@st.composite
+def _file_contents(draw, valid: str) -> bytes:
+    """Arbitrary bytes, text or JSON, or ``valid`` with one character
+    edited or one JSON field at any depth replaced or deleted."""
+    kind = draw(st.sampled_from(["bytes", "text", "json", "character", "field"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "text":
+        return draw(st.text(max_size=64)).encode()
+    if kind == "json":
+        return json.dumps(draw(_JSON)).encode()
+    if kind == "character":
+        at = draw(st.integers(0, len(valid)))
+        cut = at + draw(st.integers(0, 1))
+        return (valid[:at] + draw(st.text(max_size=2)) + valid[cut:]).encode()
+    return json.dumps(_edit_one_field(draw, json.loads(valid))).encode()
+
+
+@st.composite
+def _boundary_inputs(draw):
+    option = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    return option, draw(_file_contents(VALID_INPUTS[option]))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=_boundary_inputs())
+def test_any_json_file_contents_end_in_an_exit_code_not_a_traceback(tmp_path_factory, case):
+    option, contents = case
+    argv = _boundary_argv(tmp_path_factory.mktemp("boundary"), option, contents)
+    code, err = _main_in_process(argv)
+    assert code in {0, 64, 65, 66, 67, 68, 69, 74}, (code, err)
+    assert "Traceback" not in err
+
+
+DEEP = "[" * 100_000
+HUGE_NUMBER = "1" * 5000
+
+
+@pytest.mark.parametrize("option", sorted(VALID_INPUTS))
+@pytest.mark.parametrize(
+    "contents", ["{not json", DEEP, HUGE_NUMBER], ids=["malformed", "deep", "huge-number"]
+)
+def test_unparseable_json_file_exit_65(capsys, tmp_path, option, contents):
+    if option == "--cert":  # a certificate file is JSON only when it starts with "{"
+        contents = '{"not_before": ' + contents + "}"
+    argv = _boundary_argv(tmp_path, option, contents.encode())
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: UnrepresentableField: "), err
+    assert "is not valid JSON" in err
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EXIT_DATA
+    assert json.loads(out)["error"]["class"] == "UnrepresentableField"
+
+
+@pytest.mark.parametrize(
+    "edit,detail",
+    [
+        # both verified while the signature covered only the parser's re-encoding
+        (lambda text: text[:-1] + text[text.index(',"signature"'):], "repeated key 'signature'"),
+        (lambda text: text.replace('"issued":"2020-08-25"', '"issued":"20200825"'), "'issued'"),
+    ],
+    ids=["repeated-signature-key", "compact-date"],
+)
+def test_repeated_key_or_compact_date_exit_65(capsys, tmp_path, edit, detail):
+    text = VALID_INPUTS["--header"]
+    edited = edit(text)
+    assert edited != text
+    (tmp_path / "header.satt").write_text(edited)
+    argv = ["satt", "verify", "--file", str(tmp_path / "header.satt")]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: UnrepresentableField: credential"), err
+    assert detail in err
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EXIT_DATA
+    assert json.loads(out)["error"]["class"] == "UnrepresentableField"

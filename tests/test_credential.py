@@ -638,6 +638,17 @@ def test_wire_domain_and_onion_of_wrong_type_or_form_rejected(path, value):
         from_transport_json(json.dumps(wire))
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1", None, [1]])
+def test_wire_version_must_be_an_integer(value):
+    """``true == 1.0 == 1`` in Python, so only the JSON type tells them apart."""
+    wire = json.loads(json.dumps(WIRE_CREDENTIALS[0]))
+    wire["sattestation"]["sattestation_version"] = value
+    with pytest.raises(UnrepresentableField, match="'sattestation_version'"):
+        from_transport_json(json.dumps(wire))
+    wire["sattestation"]["sattestation_version"] = 1
+    verify_credential(from_transport_json(json.dumps(wire)))
+
+
 def test_transport_decodes_each_onion_label_once(monkeypatch):
     """A self-sattestation's sattestor and binding share one label."""
     import satakit.credential as credential_module

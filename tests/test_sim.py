@@ -20,7 +20,7 @@ from satakit import (
     track_alt_svc_exposure,
 )
 from satakit.credential import make_self_sattestation
-from satakit.errors import UnknownHost
+from satakit.errors import InconsistentWorld, SataError, UnknownHost
 from satakit.sim import is_attacker_endpoint, validate_world
 from satakit.trust import TrustPolicy
 from satakit.validation import VerdictOutcome
@@ -416,6 +416,39 @@ def test_validate_world_rejects_attacker_onion_without_key():
     )
     with pytest.raises(ValueError, match="key capability"):
         validate_world(world)
+
+
+def _inconsistent_worlds() -> dict[str, World]:
+    label = key_for("victim-onion").address.label
+    good = cert_for("site", ["site.example"])
+    return {
+        "fingerprint": World(
+            sites={
+                "site.example": SiteRecord(
+                    endpoint_id="origin", cert=dataclasses.replace(good, fingerprint="0" * 64)
+                )
+            }
+        ),
+        "key capability": World(
+            sites={
+                f"{label}.onion": SiteRecord(
+                    endpoint_id="attacker-x", cert=cert_for("attacker", [f"{label}.onion"])
+                )
+            }
+        ),
+        "rogue-cert capability": World(
+            sites={"site.example": SiteRecord(endpoint_id="attacker-x", cert=good)},
+            attacker=AttackerCaps(dns_hijack=frozenset({"site.example"})),
+        ),
+    }
+
+
+@pytest.mark.parametrize("fault", ["fingerprint", "key capability", "rogue-cert capability"])
+def test_an_inconsistent_world_is_a_sata_error(fault):
+    with pytest.raises(InconsistentWorld, match=fault) as caught:
+        validate_world(_inconsistent_worlds()[fault])
+    assert isinstance(caught.value, SataError)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_validate_world_allows_it_with_compromised_key():

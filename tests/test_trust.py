@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from datetime import date
 
 import pytest
@@ -450,3 +451,23 @@ def test_policy_from_json_leaves_defaults_to_the_policy():
 def test_policy_depth_must_be_positive():
     with pytest.raises(ValueError):
         TrustPolicy(roots=(), max_chain_depth=0)
+
+
+@pytest.mark.parametrize("pool", ["empty", "frontier empty at depth 2"])
+def test_evaluate_stops_when_no_state_is_left(pool):
+    """A depth budget far beyond the pool costs nothing: the search ends at
+    the first depth that reaches no new state.  Looping on over empty
+    frontiers to this depth takes about 37 s, 37 times the 1 s allowed
+    here; the search itself needs a few milliseconds."""
+    news = delegation_label("news")
+    root = TrustRoot(sattestor=sata_for("root.example", "root"), trusted_labels={"news", news})
+    policy = TrustPolicy(roots=(root,), max_chain_depth=100_000_000)
+    creds = []
+    if pool != "empty":
+        creds = [
+            third_party("root.example", "root", [("mid.example", "mid", [news])]),
+            third_party("mid.example", "mid", [("other.example", "other", ["news"])]),
+        ]
+    start = time.perf_counter()
+    assert evaluate(policy, creds, sata_for("subject.example", "subject"), "news", TODAY) is None
+    assert time.perf_counter() - start < 1.0

@@ -64,6 +64,8 @@ def field(obj, name: str, kind, default=REQUIRED, *, items=None, what: str):
     if not isinstance(obj, dict):
         raise UnrepresentableField(f"{what} has no field {name!r}: {obj!r} is not a JSON object")
     value = obj.get(name, default)
+    if type(value) is kind and items is None:  # an int field still rejects true: bool is its type
+        return value
     if value is REQUIRED:
         raise UnrepresentableField(f"{what} field {name!r} is missing")
     if value is default:

@@ -108,9 +108,17 @@ def _resolve_now(value: date | None) -> date:
     return value if value is not None else date.today()
 
 
+def _hex(text: str, what: str) -> bytes:
+    """The bytes ``text`` spells in hex; other text is an :class:`UnrepresentableField`."""
+    try:
+        return bytes.fromhex(text)
+    except ValueError as exc:
+        raise UnrepresentableField(f"{what} is not hex: {exc}") from exc
+
+
 def _read_key(path: str):
-    text = Path(path).read_text().strip()
-    return keygen(bytes.fromhex(text))
+    text = Path(path).read_bytes().decode("ascii", "replace")  # non-ASCII is not hex either
+    return keygen(_hex(text.strip(), f"key file {path!r}"))
 
 
 def _read_credential(path: str) -> Sattestation:
@@ -137,10 +145,7 @@ def _cert_from_json(obj: dict) -> CertDescriptor:
     """A certificate descriptor from its JSON form, each field type-checked."""
     der = None
     if "der_hex" in obj:
-        try:
-            der = bytes.fromhex(_json.field(obj, "der_hex", str, what="certificate"))
-        except ValueError as exc:
-            raise UnrepresentableField(f"certificate 'der_hex' is not hex: {exc}") from exc
+        der = _hex(_json.field(obj, "der_hex", str, what="certificate"), "certificate 'der_hex'")
     fingerprint = _json.field(obj, "fingerprint", str, "", what="certificate")
     return CertDescriptor(
         fingerprint=fingerprint or fingerprint_cert(der or b""),
@@ -156,19 +161,24 @@ def _cert_from_x509(data: bytes) -> CertDescriptor:
     from cryptography import x509
     from cryptography.hazmat.primitives import serialization
 
-    if b"-----BEGIN" in data:
-        cert = x509.load_pem_x509_certificate(data)
-    else:
-        cert = x509.load_der_x509_certificate(data)
-    der = cert.public_bytes(serialization.Encoding.DER)
-    try:
-        ext = cert.extensions.get_extension_for_class(x509.SubjectAlternativeName)
-        sans = tuple(ext.value.get_values_for_type(x509.DNSName))
-    except x509.ExtensionNotFound:
-        sans = ()
-    has_sct = any(
-        ext.oid.dotted_string == "1.3.6.1.4.1.11129.2.4.2" for ext in cert.extensions
-    )
+    try:  # cryptography reads extensions lazily: a repeated one raises on first use
+        if b"-----BEGIN" in data:
+            cert = x509.load_pem_x509_certificate(data)
+        else:
+            cert = x509.load_der_x509_certificate(data)
+        der = cert.public_bytes(serialization.Encoding.DER)
+        try:
+            ext = cert.extensions.get_extension_for_class(x509.SubjectAlternativeName)
+            sans = tuple(ext.value.get_values_for_type(x509.DNSName))
+        except x509.ExtensionNotFound:
+            sans = ()
+        has_sct = any(
+            ext.oid.dotted_string == "1.3.6.1.4.1.11129.2.4.2" for ext in cert.extensions
+        )
+    except (ValueError, x509.DuplicateExtension) as exc:
+        raise UnrepresentableField(
+            f"certificate is not a well-formed PEM or DER file: {exc}"
+        ) from exc
     not_before = getattr(cert, "not_valid_before_utc", None) or cert.not_valid_before
     not_after = getattr(cert, "not_valid_after_utc", None) or cert.not_valid_after
     return CertDescriptor(
@@ -242,13 +252,13 @@ def _cmd_onion_parse(args) -> int:
 
 
 def _cmd_onion_encode(args) -> int:
-    label = encode_onion(bytes.fromhex(args.pubkey_hex))
+    label = encode_onion(_hex(args.pubkey_hex, "public key"))
     _emit(args, {"label": label}, label)
     return EXIT_OK
 
 
 def _cmd_onion_keygen(args) -> int:
-    seed = bytes.fromhex(args.seed) if args.seed else None
+    seed = _hex(args.seed, "seed") if args.seed else None
     pair = keygen(seed)
     if args.out:
         Path(args.out).write_text(pair.secret.hex() + "\n")

@@ -376,21 +376,14 @@ def to_transport_json(s: Sattestation) -> str:
     return f'{body[:-1]},"signature":"{s.signature.hex()}"}}'
 
 
-def _wire_onion(label: str, decoded: dict[str, OnionAddress]) -> OnionAddress:
-    onion = decoded.get(label)
-    if onion is None:
-        onion = decoded[label] = parse_onion(label)
-    return onion
-
-
-def _parse_binding(obj: dict, decoded: dict[str, OnionAddress]) -> Binding:
+def _parse_binding(obj: dict) -> Binding:
     labels = _json.field(obj, "labels", str, "", what="credential")
     fingerprints = _json.field(
         obj, "cert_fingerprint", (list, str), [], items=str, what="credential"
     )
     return Binding(
         domain=_json.field(obj, "domain", str, what="credential"),
-        onion=_wire_onion(_json.field(obj, "onion", str, what="credential"), decoded),
+        onion=parse_onion(_json.field(obj, "onion", str, what="credential")),
         issued=_json.date_field(obj, "issued", what="credential"),
         refreshed_on=_json.date_field(obj, "refreshed_on", what="credential"),
         labels=tuple(part for part in labels.split(",") if part),
@@ -403,23 +396,23 @@ def body_from_wire(obj: dict) -> SattestationBody:
     """Reconstruct a body from parsed wire JSON (the inner object included).
 
     A missing field, or a field of the wrong JSON type, raises
-    :class:`UnrepresentableField`.  Each distinct onion label is decoded
-    once per call: in a self-sattestation the sattestor and its binding
-    carry the same label.
+    :class:`UnrepresentableField`.  An onion label is decoded once per
+    process while :func:`parse_onion`'s bounded memo holds it: the
+    sattestor and the binding of a self-sattestation share one decode, as
+    do the headers a site serves again and again.
     """
     inner = _json.field(obj, "sattestation", dict, what="credential")
-    decoded: dict[str, OnionAddress] = {}
     try:
         return SattestationBody(
             sattestor_domain=_json.field(inner, "sattestor_domain", str, what="credential"),
-            sattestor_onion=_wire_onion(
-                _json.field(inner, "sattestor_onion", str, what="credential"), decoded
+            sattestor_onion=parse_onion(
+                _json.field(inner, "sattestor_onion", str, what="credential")
             ),
             refresh_rate_days=parse_refresh_rate(
                 _json.field(inner, "sattestor_refresh_rate", str, what="credential")
             ),
             sattestees=tuple(
-                _parse_binding(b, decoded)
+                _parse_binding(b)
                 for b in _json.field(inner, "sattestees", list, items=dict, what="credential")
             ),
             version=_json.field(inner, "sattestation_version", int, what="credential"),

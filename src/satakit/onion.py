@@ -8,8 +8,17 @@ An onion address label is::
 where PUBKEY is a 32-byte ed25519 public key and VERSION is the single
 byte 0x03.  A label authenticates its address because it re-encodes from
 its own public key; :class:`OnionAddress` construction is the one place
-that is checked.  All values are immutable after construction and every
-operation here is a pure function, so concurrent use needs no locking.
+that is checked.  All values are immutable after construction.
+
+A process decodes each label once: :func:`parse_onion` keeps the
+addresses it returns in a memo keyed by the input string, bounded at
+:data:`PARSE_MEMO_SIZE` entries with the least recently used dropped
+first.  Sharing one :class:`OnionAddress` between callers is safe because
+it is frozen; an invalid label is never kept, so it raises afresh on every
+call.  The memo is :func:`functools.lru_cache`, whose bookkeeping is
+thread-safe; two threads that miss on one label at once at worst decode
+it twice, to equal values.  Every other operation here is a pure
+function, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import base64
 import hashlib
 import os
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -39,6 +49,7 @@ LABEL_LENGTH = 56
 ONION_VERSION = 3
 CHECKSUM_PREFIX = b".onion checksum"
 BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
+PARSE_MEMO_SIZE = 4096  # labels parse_onion keeps decoded, about 400 bytes each
 
 _ALPHABET_SET = frozenset(BASE32_ALPHABET)
 
@@ -114,9 +125,10 @@ class KeyPair:
             raise KeyMismatch("public key is not derivable from the secret seed")
         object.__setattr__(self, "private", private)
 
-    @property
+    @cached_property
     def address(self) -> OnionAddress:
-        """Onion address owned by this keypair."""
+        """Onion address owned by this keypair, derived on first use and
+        then kept: a key that never needs its address never pays for it."""
         return address_for(self.public)
 
 
@@ -147,6 +159,7 @@ def parse_onion(label: str) -> OnionAddress:
     Accepts the bare 56-character label or the label with a ``.onion``
     suffix; uppercase input is normalized.  Raises, in check order:
 
+    * :class:`BadAlphabet` the input is not a string,
     * :class:`BadLength`   wrong label length,
     * :class:`BadAlphabet` character outside RFC 4648 lowercase base32
       (position reported),
@@ -157,7 +170,21 @@ def parse_onion(label: str) -> OnionAddress:
     The checksum is verified over the *decoded* version byte, so a flip
     inside the version characters surfaces as :class:`BadChecksum`.  These
     last two are :class:`OnionAddress`'s own checks.
+
+    A valid input string is decoded once per process: its address is kept
+    in a bounded memo (see the module docstring), and a repeat call
+    returns the same frozen instance while the memo holds it.  Errors are
+    never kept: an invalid input raises the same class and text on every
+    call.
     """
+    if not isinstance(label, str):
+        raise BadAlphabet(f"onion label must be a string, got {type(label).__name__}")
+    return _decode(label)
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _decode(label: str) -> OnionAddress:
+    """:func:`parse_onion` for a string, memoized by that string."""
     text = label.strip().lower()
     if text.endswith(ONION_SUFFIX):
         text = text[: -len(ONION_SUFFIX)]

@@ -733,6 +733,85 @@ def test_bad_version_reachable(capsys):
     assert json.loads(out)["error"]["class"] == "BadVersion"
 
 
+def _der_with_repeated_san() -> bytes:
+    """A DER certificate that loads but carries the SAN extension twice."""
+    from datetime import datetime, timezone
+
+    from cryptography import x509
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+    from cryptography.x509.oid import NameOID
+
+    signer = Ed25519PrivateKey.from_private_bytes(seed_for("ca"))
+    names = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "bank.example")])
+    san = x509.SubjectAlternativeName([x509.DNSName("bank.example")])
+    placeholder = x509.ObjectIdentifier("2.5.29.99")  # DER 06 03 55 1d 63; SAN is ...1d 11
+    der = (
+        x509.CertificateBuilder()
+        .subject_name(names)
+        .issuer_name(names)
+        .public_key(signer.public_key())
+        .serial_number(1)
+        .not_valid_before(datetime(2020, 1, 1, tzinfo=timezone.utc))
+        .not_valid_after(datetime(2021, 1, 1, tzinfo=timezone.utc))
+        .add_extension(san, critical=False)
+        .add_extension(x509.UnrecognizedExtension(placeholder, san.public_bytes()), critical=False)
+        .sign(signer, None)
+        .public_bytes(serialization.Encoding.DER)
+    )
+    assert der.count(b"\x06\x03\x55\x1d\x63") == 1
+    return der.replace(b"\x06\x03\x55\x1d\x63", b"\x06\x03\x55\x1d\x11")
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [
+        b"[[[",
+        b"-----BEGIN CERTIFICATE-----\nnot base64 at all!\n-----END CERTIFICATE-----\n",
+        _der_with_repeated_san(),
+    ],
+    ids=["not-a-certificate", "pem-over-garbage", "repeated-extension"],
+)
+def test_unreadable_x509_cert_exit_65(capsys, tmp_path, bank_files, contents):
+    cert_file = tmp_path / "cert.pem"
+    cert_file.write_bytes(contents)
+    argv = ["verify", "--url", bank_files["url"], "--cert", str(cert_file),
+            "--header", str(bank_files["header"]), "--now", "2020-09-01"]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: UnrepresentableField: certificate is not a well-formed"), err
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EXIT_DATA
+    assert json.loads(out)["error"]["class"] == "UnrepresentableField"
+
+
+@pytest.mark.parametrize(
+    "contents", [b"not hex\n", b"\xff\xfe" * 32], ids=["not-hex", "not-ascii"]
+)
+def test_unreadable_key_file_exit_65(capsys, tmp_path, contents):
+    key_file = tmp_path / "site.key"
+    key_file.write_bytes(contents)
+    argv = ["satt", "self", "--key", str(key_file), "--domain", "bank.example",
+            "--fingerprint", "AB" * 32, "--issued", "2020-08-25", "--refreshed", "2020-08-31"]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith(f"error: UnrepresentableField: key file {str(key_file)!r} is not hex")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EXIT_DATA
+    assert json.loads(out)["error"]["class"] == "UnrepresentableField"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["onion", "encode", "zz"], ["onion", "keygen", "--seed", "zz"]],
+    ids=["encode", "keygen"],
+)
+def test_non_hex_argument_exit_65(capsys, argv):
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EXIT_DATA
+    assert json.loads(out)["error"]["class"] == "UnrepresentableField"
+
+
 def _attack1(path: tuple = (), *value) -> dict:
     """The attack-1 fixture, with the field at ``path`` set to ``value`` or,
     given no value, deleted."""

@@ -21,7 +21,6 @@ from satakit import (
     issue,
     keygen,
     make_self_sattestation,
-    parse_onion,
     to_transport_json,
     verify_credential,
 )
@@ -649,22 +648,21 @@ def test_wire_version_must_be_an_integer(value):
     verify_credential(from_transport_json(json.dumps(wire)))
 
 
-def test_transport_decodes_each_onion_label_once(monkeypatch):
-    """A self-sattestation's sattestor and binding share one label."""
-    import satakit.credential as credential_module
+def test_transport_decodes_each_onion_label_once():
+    """A self-sattestation's sattestor and binding share one decode, and a
+    header parsed again decodes nothing: decodes are misses of
+    ``parse_onion``'s memo."""
+    from satakit.onion import _decode
 
-    labels = []
-
-    def counting(label):
-        labels.append(label)
-        return parse_onion(label)
-
-    monkeypatch.setattr(credential_module, "parse_onion", counting)
-    from_transport_json(to_transport_json(paper_shaped_self_sattestation()))
-    assert len(labels) == 1
-    labels.clear()
+    header = to_transport_json(paper_shaped_self_sattestation())
+    _decode.cache_clear()
+    from_transport_json(header)
+    assert _decode.cache_info().misses == 1
+    from_transport_json(header)
+    assert _decode.cache_info().misses == 1
+    _decode.cache_clear()
     from_transport_json(to_transport_json(issue(key_for("sattestora.info"), fig1_body())))
-    assert len(labels) == 3
+    assert _decode.cache_info().misses == 3
 
 
 def test_no_revocation_fields_anywhere():

@@ -73,12 +73,20 @@ class Sata:
 def split_url(url_or_host: str) -> tuple[str, str]:
     """(lowercased hostname, query) of a URL or bare hostname; a
     scheme-less input is treated as https.  The hostname is empty when
-    there is none: each caller raises its own error for that."""
+    there is none: each caller raises its own error for that.  A value
+    that is not a string, or text that is no URL (a malformed bracketed
+    host, say), raises :class:`BadDomain`."""
+    if not isinstance(url_or_host, str):
+        raise BadDomain(f"URL or hostname must be a string, got {url_or_host!r}")
     text = url_or_host.strip()
     if "://" not in text:
         text = "https://" + text
-    parts = urlsplit(text)
-    return (parts.hostname or "").lower(), parts.query
+    try:
+        parts = urlsplit(text)
+        host = parts.hostname or ""
+    except ValueError as exc:
+        raise BadDomain(f"malformed URL {url_or_host!r}: {exc}") from None
+    return host.lower(), parts.query
 
 
 def query_values(query: str, name: str) -> list[str]:
@@ -95,8 +103,10 @@ def parse_sata(url_or_host: str) -> Sata:
     label.  If both forms are present they must agree.
 
     Raises :class:`NotASata` when no onion component is found (callers
-    treat the address as legacy) and :class:`InvalidOnionComponent` when
-    a component is present but invalid (hard failure).
+    treat the address as legacy), :class:`InvalidOnionComponent` when
+    a component is present but invalid (hard failure), and
+    :class:`BadDomain` when the input is not a string or not a URL (see
+    :func:`split_url`).
     """
     host, query = split_url(url_or_host)
     if not host:

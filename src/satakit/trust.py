@@ -15,12 +15,12 @@ chain wins.  Among chains of that length the one with the smallest tuple
 of step keys ``(sattestor domain, sattestor onion, binding index, label)``
 wins, then the one with the smallest tuple of link ranks, so evaluation is
 deterministic.  A link's rank is (canonical bytes, input position) of its
-credential, the position counted among its issuer's credentials in the
-order the pool gives them.  Ranks are compared only when the step keys are
-equal, which means the same issuer at every step, so this picks the chain
-that positions in pool order would: sorted by (sattestor domain,
-sattestor onion, canonical bytes), stably, the order of
-:func:`usable_links`.
+credential, the position counted among all of its issuer's credentials,
+sound or not, in the order the pool gives them.  Ranks are compared only
+when the step keys are equal, which means the same issuer at every step,
+so this picks the chain that positions in pool order would: sorted by
+(sattestor domain, sattestor onion, canonical bytes), stably, the order
+of :func:`usable_links`.
 
 The search is breadth-first over states (issuer identity, allowed-label
 set), in the manner of Clarke et al., "Certificate chain discovery in
@@ -40,31 +40,39 @@ each issuer it reaches also gets a table of its bindings, keyed by
 subject and plain label or by delegation label, built once.
 
 An index is reused while the same list or tuple holds the same credential
-objects in the same order, which every query checks by identity.  The
-indexes of the 16 most recently queried pools are kept in one
-process-wide memo guarded by a lock.  A pool changed in place, or indexed
-as an edited copy of another (as long, most positions holding the same
-objects), replaces the other's index.  Where the two differ only by
-credentials replaced with ones of the same issuer, the new index is
-derived from the old: each touched issuer's group is patched at the
-replaced places and verified again when a query next reads it, and every
-other issuer's verified credentials and table are shared.  Any other edit
-is indexed afresh, as is any iterable other than a list or tuple, on
-every call.
+objects in the same order.  The indexes of the 16 most recently queried
+pools are kept in one process-wide memo guarded by a lock.  The memo
+holds a plain tuple itself, so a query on a tuple it holds is known by
+identity; a list is compared with a copy of its entries, object by
+object.  A pool changed in place, or indexed as an edited copy of another
+(as long, most positions holding the same objects), replaces the other's
+index.  Where the two differ only by credentials replaced with ones of
+the same issuer, the new index is derived from the old, and every
+issuer's verdicts and table are shared.  A touched issuer that a query
+had read keeps each replacement as a pending edit, and edits compose
+over successive republications.  The first query that reads that issuer
+again verifies only the replacing credentials, and patches copies of its
+sound list and table: the replaced credentials' rows come out and the
+replacing ones' go in, at their places in the issuer's group, so no other
+row moves.  Any other edit is indexed afresh, as is any iterable other
+than a list or tuple, on every call.
 
-Cost: a query that reuses an index pays one identity pass over the
-container, plus for :func:`evaluate` at most states x bindings, whatever
-the depth; at its last depth :func:`evaluate` reads only the rows that
-can hit and reaches no new state, and it stops at the first depth that
-reaches none.  A query whose index is derived pays one more identity
-pass and a scan of each touched issuer's group; one whose index is built
-afresh pays one grouping pass.  Either way an issuer is verified, and
-its table built, only the first time a query reads it, so a query
-verifies only the issuers it reaches and a pool published by an
-adversary cannot force more.  Each credential object keeps its
-structural and signature verdicts (see :func:`verify_credential`), so
-indexing a pool again stays cheap; freshness depends on the query date
-and is checked per query, against one window of dates per refresh rate.
+Cost: a query that reuses an index pays nothing for a tuple the memo
+holds and one identity pass over any other container, plus for
+:func:`evaluate` at most states x bindings, whatever the depth; at its
+last depth :func:`evaluate` reads only the rows that can hit and reaches
+no new state, and it stops at the first depth that reaches none.  A
+query whose index is derived pays one more identity pass and a scan of
+each touched issuer's group; it and the first query to read a touched
+issuer pay, for each replaced credential, the new one's verification and
+its rows.  A query whose index is built afresh pays one grouping pass.
+Either way an issuer is verified, and its table built, only the first
+time a query reads it, so a query verifies only the issuers it reaches
+and a pool published by an adversary cannot force more.  Each credential
+object keeps its structural and signature verdicts (see
+:func:`verify_credential`), so indexing a pool again stays cheap;
+freshness depends on the query date and is checked per query, against
+one window of dates per refresh rate.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import is_, is_not
 from typing import Iterable, Optional, Sequence
 
@@ -191,40 +199,48 @@ def _verifies(cred: Sattestation) -> bool:
 
 
 class _PoolIndex:
-    """One pool's credentials grouped by issuer; each issuer's sound
-    credentials and search table, kept from the first query that reads
-    that issuer (see the module docstring).
+    """One pool's credentials grouped by issuer; each issuer's verdicts,
+    sound credentials and search table, kept from the first query that
+    reads that issuer (see the module docstring).
 
     ``entries`` is the pool as it was indexed, kept to tell whether the
-    pool has changed since.
+    pool has changed since.  ``_verified`` maps a read issuer to (verdicts,
+    sound credentials, table or None, pending edits): the verdicts are one
+    per credential of its group, and the pending edits map a place in the
+    group to the credential the verdicts, sound list and table still
+    describe there (see :meth:`derived`).  Those three are never changed in
+    place, so indexes and threads may share them.
     """
 
-    __slots__ = ("entries", "_groups", "_sound", "_tables")
+    __slots__ = ("entries", "_groups", "_verified")
 
-    def __init__(self, entries: list) -> None:
+    def __init__(self, entries: Sequence) -> None:
         self.entries = entries
         groups: dict[tuple[str, str], list[Sattestation]] = {}
         for cred in entries:
             if isinstance(cred, Sattestation):
                 groups.setdefault(_issuer(cred), []).append(cred)
         self._groups = groups
-        self._sound: dict[tuple[str, str], list[Sattestation]] = {}
-        self._tables: dict[tuple[str, str], tuple[dict, dict]] = {}
+        self._verified: dict[tuple[str, str], tuple] = {}
 
-    def derived(self, entries: list) -> Optional[_PoolIndex]:
+    def derived(self, entries: Sequence) -> Optional[_PoolIndex]:
         """The index of ``entries`` derived from this one, or None unless
         ``entries`` differs from this index's entries only at positions
         where a credential was replaced by one of the same issuer, each
         replaced object held once in its group.
 
         Each touched group is patched at the replaced object's place, so it
-        equals the group a fresh grouping pass would build, and loses its
-        sound list and table; every other issuer's are shared.
+        equals the group a fresh grouping pass would build.  A touched
+        issuer that a query has read keeps its verdicts, sound list and
+        table, with the replaced credential recorded as a pending edit at
+        its place; edits compose over successive derivations, and the
+        first query that reads the issuer applies them (see
+        :meth:`_patched`).  Every other issuer's state is shared.
         """
         old = self.entries
         if len(old) != len(entries):
             return None
-        slots: dict[tuple[str, str], dict[int, Sattestation]] = {}
+        replaced: dict[tuple[str, str], dict[int, Sattestation]] = {}
         for pos in compress(count(), map(is_not, old, entries)):
             gone, new = old[pos], entries[pos]
             if not (isinstance(gone, Sattestation) and isinstance(new, Sattestation)):
@@ -232,36 +248,100 @@ class _PoolIndex:
             issuer = _issuer(gone)
             if _issuer(new) != issuer:
                 return None
-            at = [g for g, cred in enumerate(self._groups[issuer]) if cred is gone]
+            at = list(compress(count(), map(is_, self._groups[issuer], repeat(gone))))
             if len(at) != 1:
                 return None
-            slots.setdefault(issuer, {})[at[0]] = new
-        index = _PoolIndex.__new__(_PoolIndex)
+            replaced.setdefault(issuer, {})[at[0]] = new
+        index = object.__new__(type(self))
         index.entries = entries
         index._groups = dict(self._groups)
-        # dict() copies in one step, so a thread filling this index's maps
+        # dict() copies in one step, so a thread filling this index's map
         # meanwhile cannot break the copy
-        index._sound, index._tables = dict(self._sound), dict(self._tables)
-        for issuer, replaced in slots.items():
-            group = index._groups[issuer] = list(index._groups[issuer])
-            for g, new in replaced.items():
+        index._verified = dict(self._verified)
+        for issuer, news in replaced.items():
+            was = self._groups[issuer]
+            group = index._groups[issuer] = list(was)
+            for g, new in news.items():
                 group[g] = new
-            index._sound.pop(issuer, None)
-            index._tables.pop(issuer, None)
+            state = index._verified.get(issuer)
+            if state is not None:
+                # a place edited before keeps the credential its state
+                # still describes, unless that one is put back
+                edits = dict(state[3])
+                for g, new in news.items():
+                    if edits.setdefault(g, was[g]) is new:
+                        del edits[g]
+                index._verified[issuer] = (*state[:3], edits)
         return index
 
     def issuers(self) -> Iterable[tuple[str, str]]:
         """Every issuer that has a credential in the pool, sound or not."""
         return self._groups.keys()
 
+    def _state(self, issuer: tuple[str, str]) -> Optional[tuple]:
+        """``issuer``'s (verdicts, sound, table or None, {}), its group
+        verified on the first read and pending edits applied; None when the
+        pool holds no credential of it."""
+        state = self._verified.get(issuer)
+        if state is None:
+            group = self._groups.get(issuer)
+            if group is None:
+                return None
+            verdicts = [_verifies(cred) for cred in group]
+            state = (verdicts, list(compress(group, verdicts)), None, {})
+        elif state[3]:
+            state = self._patched(issuer, state)
+        else:
+            return state
+        # a racing thread may do the same; either state serves
+        self._verified[issuer] = state
+        return state
+
+    def _patched(self, issuer: tuple[str, str], state: tuple) -> tuple:
+        """``issuer``'s ``state`` with its pending edits applied: only the
+        replacing credentials are verified, and the table, if built, is
+        copied with the replaced credentials' rows taken out and the
+        replacing ones' put in."""
+        was, _sound, table, edits = state
+        group = self._groups[issuer]
+        verdicts = list(was)
+        for g in edits:
+            verdicts[g] = _verifies(group[g])
+        if table is not None:
+            plain, delegating = dict(table[0]), dict(table[1])
+            out = [cred for g, cred in edits.items() if was[g]]
+            into = [(g, group[g]) for g in edits if verdicts[g]]
+            # every list that holds a row at an edited place, or will, is
+            # copied without those rows before any row goes in
+            keys, labels = set(), set()
+            for cred in out + [cred for _g, cred in into]:
+                for binding in cred.body.sattestees:
+                    for lab in binding.labels:
+                        if delegation_scope(lab) is None:
+                            keys.add((binding.domain, binding.onion.label, lab))
+                        else:
+                            labels.add(lab)
+            for key in keys:
+                plain[key] = [r for r in plain.get(key, ()) if r[5] not in edits]
+            for lab in labels:
+                grant, rows = delegating.get(lab) or (_grant(lab), ())
+                delegating[lab] = (grant, [r for r in rows if r[5] not in edits])
+            for g, cred in into:
+                _add_rows(plain, delegating, g, cred)
+            for key in keys:
+                if not plain[key]:
+                    del plain[key]
+            for lab in labels:
+                if not delegating[lab][1]:
+                    del delegating[lab]
+            table = (plain, delegating)
+        return (verdicts, list(compress(group, verdicts)), table, {})
+
     def issued(self, issuer: tuple[str, str]) -> Sequence[Sattestation]:
         """``issuer``'s credentials that verify, in pool order; the rest
         are dropped on any ``SataError``."""
-        sound = self._sound.get(issuer)
-        if sound is None and issuer in self._groups:
-            # a racing thread may verify the same group; either list serves
-            sound = self._sound[issuer] = [c for c in self._groups[issuer] if _verifies(c)]
-        return sound or ()
+        state = self._state(issuer)
+        return state[1] if state is not None else ()
 
     def table(self, issuer: tuple[str, str]) -> Optional[tuple[dict, dict]]:
         """(plain, delegating) rows of ``issuer``'s bindings, or None when
@@ -271,33 +351,38 @@ class _PoolIndex:
         carrying that plain label; ``delegating`` maps each ``sattestor(X)``
         label to its grant (see :func:`_grant`) and the rows carrying it.
         A row is (refreshed_on, refresh rate, subject domain, subject onion,
-        binding index, position among the issuer's credentials, credential).
+        binding index, place in the issuer's group, credential).
         """
-        table = self._tables.get(issuer)
+        state = self._state(issuer)
+        if state is None or not state[1]:
+            return None
+        verdicts, sound, table, _edits = state
         if table is None:
-            group = self.issued(issuer)
-            if not group:
-                return None
-            plain: dict[tuple[str, str, str], list[tuple]] = {}
-            delegating: dict[str, tuple[frozenset[str], list[tuple]]] = {}
-            for pos, cred in enumerate(group):
-                body = cred.body
-                rate = body.refresh_rate_days
-                for idx, binding in enumerate(body.sattestees):
-                    domain, onion = binding.domain, binding.onion.label
-                    row = (binding.refreshed_on, rate, domain, onion, idx, pos, cred)
-                    for lab in binding.labels:
-                        if lab in delegating:
-                            delegating[lab][1].append(row)
-                            continue
-                        grant = _grant(lab)
-                        if grant is None:
-                            plain.setdefault((domain, onion, lab), []).append(row)
-                        else:
-                            delegating[lab] = (grant, [row])
+            table, group = ({}, {}), self._groups[issuer]
+            for g in compress(count(), verdicts):
+                _add_rows(*table, g, group[g])
             # a racing thread may build the same table; either copy serves
-            table = self._tables[issuer] = (plain, delegating)
+            self._verified[issuer] = (verdicts, sound, table, {})
         return table
+
+
+def _add_rows(plain: dict, delegating: dict, place: int, cred: Sattestation) -> None:
+    """Append the rows of ``cred``, at ``place`` in its issuer's group, to
+    a table's maps (see :meth:`_PoolIndex.table`)."""
+    body = cred.body
+    rate = body.refresh_rate_days
+    for idx, binding in enumerate(body.sattestees):
+        domain, onion = binding.domain, binding.onion.label
+        row = (binding.refreshed_on, rate, domain, onion, idx, place, cred)
+        for lab in binding.labels:
+            if lab in delegating:
+                delegating[lab][1].append(row)
+                continue
+            grant = _grant(lab)
+            if grant is None:
+                plain.setdefault((domain, onion, lab), []).append(row)
+            else:
+                delegating[lab] = (grant, [row])
 
 
 _MEMO_SIZE = 16  # pools whose index is kept, least recently used dropped first
@@ -315,13 +400,16 @@ def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
     """The index of ``credentials``, reused while the same list or tuple
     holds the same objects in the same order.
 
-    The memo is keyed by the container's id and keeps a copy of its
-    entries, not the container, so the indexed credentials stay alive only
-    until the index is dropped.  Each call compares the container's
-    entries with that copy by identity.  A container changed in place, a
-    new one that took a dead one's id, or a new one that is an edited copy
-    of an indexed pool replaces that pool's index: the new index is derived
-    from it when only same-issuer replacements tell them apart (see
+    The memo is keyed by the container's id.  It keeps a plain tuple
+    itself: the tuple cannot change, and its id cannot be taken by another
+    container while it is held, so a query on it is recognised by identity
+    alone.  Of any other list or tuple it keeps a copy of the entries, not
+    the container, so the indexed credentials stay alive only until the
+    index is dropped, and each call compares the container's entries with
+    that copy by identity.  A container changed in place, a new one that
+    took a dead one's id, or a new one that is an edited copy of an indexed
+    pool replaces that pool's index: the new index is derived from it when
+    only same-issuer replacements tell them apart (see
     :meth:`_PoolIndex.derived`), and built afresh otherwise.  Any other
     iterable is read once and indexed afresh on every call.
     """
@@ -332,13 +420,15 @@ def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
         index = _memo.get(key)
         if index is not None:
             _memo.move_to_end(key)
-    if (
-        index is not None
-        and len(index.entries) == len(credentials)
-        and all(map(is_, index.entries, credentials))
+    if index is not None and (
+        index.entries is credentials
+        or (
+            len(index.entries) == len(credentials)
+            and all(map(is_, index.entries, credentials))
+        )
     ):
         return index
-    entries = list(credentials)
+    entries = credentials if type(credentials) is tuple else list(credentials)
     with _memo_lock:
         # a pool edited in place, or republished as an edited copy, replaces
         # its last index, whose container is then most likely gone: drop it

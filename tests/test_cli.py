@@ -575,6 +575,8 @@ def test_every_error_class_reachable(capsys, tmp_path, bank_files):
         ("BadAlphabet", ["onion", "parse", bad_alo]),
         ("BadChecksum", ["onion", "parse", "a" * 56]),
         ("NotASata", ["sata", "parse", "https://example.com/"]),
+        ("BadDomain", ["sata", "parse", "https://[zz]/?onion=" + "a" * 56]),
+        ("BadDomain", ["sata", "parse", "https://[::1/"]),
         (
             "InvalidOnionComponent",
             ["sata", "parse", "https://x.example/?onion=" + "a" * 56],

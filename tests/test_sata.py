@@ -4,6 +4,8 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satakit import (
     Binding,
@@ -225,3 +227,33 @@ def test_bad_domains_keep_their_translations():
         parse_sata(f"https://{label}onion.a..example/")
     with pytest.raises(NotSecureDropName):
         securedrop_rewrite("a..b.securedrop.tor.onion")
+
+
+@pytest.mark.parametrize(
+    "value", ["https://[zz]/?onion=abc", "https://[::1/", "[zz]", 5, None, b"https://x.example/"]
+)
+def test_text_that_is_no_url_raises_bad_domain(value):
+    """A malformed bracketed host, or a value that is not a string, is a
+    :class:`BadDomain`, which is a ``SataError`` and a ``ValueError``."""
+    with pytest.raises(BadDomain) as raised:
+        parse_sata(value)
+    assert isinstance(raised.value, SataError) and isinstance(raised.value, ValueError)
+
+
+_URL_PARTS = st.sampled_from(
+    [
+        "https://", "http://", "://", "[", "]", "::1", "zz", "/", "?", "#", "@", ":", ":99",
+        "&", "=", "onion=", "onion", ".", "..", "-", "%", "%41", " ", "\t", "\n", "\x00",
+        "site.example", "\uff0f", "\u2100", "\u0130", SELFAUTH_LABEL, "a" * 56,
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), st.lists(st.one_of(_URL_PARTS, st.text(max_size=3))).map("".join)))
+def test_any_text_ends_in_a_sata_or_a_sata_error(text):
+    try:
+        got = parse_sata(text)
+    except SataError:
+        return
+    assert isinstance(got, Sata)

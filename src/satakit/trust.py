@@ -30,7 +30,7 @@ the first depth that reaches it, and keeps one chain.
 Every query reads a pool through its index, the one owner of which
 published credentials count: :func:`evaluate`, :func:`usable_links`,
 :func:`rotation_check` and :func:`satakit.validation.validate_alt_svc`.
-The index groups the pool's credentials by issuer in one pass, in input
+The index places the pool's credentials by issuer in one pass, in input
 order, without sorting or verifying them; entries that are not
 credentials are skipped.  The first query that reads an issuer verifies
 that issuer's credentials and keeps the sound ones with the index, in
@@ -44,28 +44,33 @@ objects in the same order.  The indexes of the 16 most recently queried
 pools are kept in one process-wide memo guarded by a lock.  The memo
 holds a plain tuple itself, so a query on a tuple it holds is known by
 identity; a list is compared with a copy of its entries, object by
-object.  A pool changed in place, or indexed as an edited copy of another
-(as long, most positions holding the same objects), replaces the other's
-index.  Where the two differ only by credentials replaced with ones of
-the same issuer, the new index is derived from the old, and every
-issuer's verdicts and table are shared.  A touched issuer that a query
-had read keeps each replacement as a pending edit, and edits compose
-over successive republications.  The first query that reads that issuer
-again verifies only the replacing credentials, and patches copies of its
-sound list and table: the replaced credentials' rows come out and the
-replacing ones' go in, at their places in the issuer's group, so no other
-row moves.  Any other edit is indexed afresh, as is any iterable other
-than a list or tuple, on every call.
+object.  A pool changed in place replaces its own index, and a pool
+indexed as an edited copy of another (as long, most positions holding
+the same objects) replaces the other's.  Where the two differ only by
+credentials replaced with ones of the same issuer, however many, the new
+index is derived from the old: no issuer's positions move, so they are
+shared, as is the state of every issuer no replacement touched.
+
+One rule reuses an issuer's work: its state is (credentials, verdicts,
+sound credentials, table) and describes exactly the credentials it
+names.  The first query that reads an issuer touched since its last read
+fits that last state to the credentials the pool holds now.  The state is
+reused if they are the same objects.  If they are as many, only the
+credentials at places holding other objects are verified, and copies of
+the table lose those places' rows and gain the new sound credentials'
+rows, so no other row moves.  Otherwise all are verified.  Any other edit
+is indexed afresh, as is any iterable other than a list or tuple, on
+every call.
 
 Cost: a query that reuses an index pays nothing for a tuple the memo
 holds and one identity pass over any other container, plus for
 :func:`evaluate` at most states x bindings, whatever the depth; at its
 last depth :func:`evaluate` reads only the rows that can hit and reaches
 no new state, and it stops at the first depth that reaches none.  A
-query whose index is derived pays one more identity pass and a scan of
-each touched issuer's group; it and the first query to read a touched
-issuer pay, for each replaced credential, the new one's verification and
-its rows.  A query whose index is built afresh pays one grouping pass.
+query whose index is derived pays one more identity pass.  The first
+query to read a touched issuer pays an identity pass over that issuer's
+credentials and, for each replaced one, the new one's verification and
+its rows.  A query whose index is built afresh pays one placing pass.
 Either way an issuer is verified, and its table built, only the first
 time a query reads it, so a query verifies only the issuers it reaches
 and a pool published by an adversary cannot force more.  Each credential
@@ -81,7 +86,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import is_, is_not
 from typing import Iterable, Optional, Sequence
 
@@ -199,48 +204,47 @@ def _verifies(cred: Sattestation) -> bool:
 
 
 class _PoolIndex:
-    """One pool's credentials grouped by issuer; each issuer's verdicts,
-    sound credentials and search table, kept from the first query that
-    reads that issuer (see the module docstring).
+    """One pool's credentials placed by issuer, and each issuer's state,
+    fitted by the first query that reads that issuer (see the module
+    docstring).
 
     ``entries`` is the pool as it was indexed, kept to tell whether the
-    pool has changed since.  ``_verified`` maps a read issuer to (verdicts,
-    sound credentials, table or None, pending edits): the verdicts are one
-    per credential of its group, and the pending edits map a place in the
-    group to the credential the verdicts, sound list and table still
-    describe there (see :meth:`derived`).  Those three are never changed in
-    place, so indexes and threads may share them.
+    pool has changed since.  ``_places`` maps each issuer to the positions
+    of its credentials in ``entries``.  A state is (credentials, verdicts,
+    sound credentials, table or None): it describes exactly the
+    credentials it names, the issuer's in pool order, with one verdict
+    each.  ``_states`` maps each issuer read here to its state; ``_kept``
+    maps an issuer to the state an earlier index of the pool last fitted,
+    which :func:`_fit` starts from.  Neither the states nor ``_places`` and
+    ``_kept`` are changed in place, so indexes and threads may share them.
     """
 
-    __slots__ = ("entries", "_groups", "_verified")
+    __slots__ = ("entries", "_places", "_kept", "_states")
 
     def __init__(self, entries: Sequence) -> None:
         self.entries = entries
-        groups: dict[tuple[str, str], list[Sattestation]] = {}
-        for cred in entries:
+        places: dict[tuple[str, str], list[int]] = {}
+        for pos, cred in enumerate(entries):
             if isinstance(cred, Sattestation):
-                groups.setdefault(_issuer(cred), []).append(cred)
-        self._groups = groups
-        self._verified: dict[tuple[str, str], tuple] = {}
+                places.setdefault(_issuer(cred), []).append(pos)
+        self._places = places
+        self._kept: dict[tuple[str, str], tuple] = {}
+        self._states: dict[tuple[str, str], tuple] = {}
 
     def derived(self, entries: Sequence) -> Optional[_PoolIndex]:
         """The index of ``entries`` derived from this one, or None unless
         ``entries`` differs from this index's entries only at positions
-        where a credential was replaced by one of the same issuer, each
-        replaced object held once in its group.
+        where a credential was replaced by one of the same issuer.
 
-        Each touched group is patched at the replaced object's place, so it
-        equals the group a fresh grouping pass would build.  A touched
-        issuer that a query has read keeps its verdicts, sound list and
-        table, with the replaced credential recorded as a pending edit at
-        its place; edits compose over successive derivations, and the
-        first query that reads the issuer applies them (see
-        :meth:`_patched`).  Every other issuer's state is shared.
+        Such an edit moves no issuer's positions, so ``_places`` is shared
+        whole.  Every state read here is kept for :func:`_fit`; an issuer
+        no replacement touched keeps its state as read, and a touched one
+        is fitted again on its next read.
         """
         old = self.entries
         if len(old) != len(entries):
             return None
-        replaced: dict[tuple[str, str], dict[int, Sattestation]] = {}
+        touched = set()
         for pos in compress(count(), map(is_not, old, entries)):
             gone, new = old[pos], entries[pos]
             if not (isinstance(gone, Sattestation) and isinstance(new, Sattestation)):
@@ -248,100 +252,39 @@ class _PoolIndex:
             issuer = _issuer(gone)
             if _issuer(new) != issuer:
                 return None
-            at = list(compress(count(), map(is_, self._groups[issuer], repeat(gone))))
-            if len(at) != 1:
-                return None
-            replaced.setdefault(issuer, {})[at[0]] = new
+            touched.add(issuer)
         index = object.__new__(type(self))
         index.entries = entries
-        index._groups = dict(self._groups)
+        index._places = self._places
         # dict() copies in one step, so a thread filling this index's map
         # meanwhile cannot break the copy
-        index._verified = dict(self._verified)
-        for issuer, news in replaced.items():
-            was = self._groups[issuer]
-            group = index._groups[issuer] = list(was)
-            for g, new in news.items():
-                group[g] = new
-            state = index._verified.get(issuer)
-            if state is not None:
-                # a place edited before keeps the credential its state
-                # still describes, unless that one is put back
-                edits = dict(state[3])
-                for g, new in news.items():
-                    if edits.setdefault(g, was[g]) is new:
-                        del edits[g]
-                index._verified[issuer] = (*state[:3], edits)
+        states = dict(self._states)
+        index._kept = {**self._kept, **states}
+        index._states = {i: s for i, s in states.items() if i not in touched}
         return index
 
     def issuers(self) -> Iterable[tuple[str, str]]:
         """Every issuer that has a credential in the pool, sound or not."""
-        return self._groups.keys()
+        return self._places.keys()
 
     def _state(self, issuer: tuple[str, str]) -> Optional[tuple]:
-        """``issuer``'s (verdicts, sound, table or None, {}), its group
-        verified on the first read and pending edits applied; None when the
-        pool holds no credential of it."""
-        state = self._verified.get(issuer)
+        """``issuer``'s state, fitted on its first read here (see
+        :func:`_fit`); None when the pool holds no credential of it."""
+        state = self._states.get(issuer)
         if state is None:
-            group = self._groups.get(issuer)
-            if group is None:
+            places = self._places.get(issuer)
+            if places is None:
                 return None
-            verdicts = [_verifies(cred) for cred in group]
-            state = (verdicts, list(compress(group, verdicts)), None, {})
-        elif state[3]:
-            state = self._patched(issuer, state)
-        else:
-            return state
-        # a racing thread may do the same; either state serves
-        self._verified[issuer] = state
+            creds = tuple(map(self.entries.__getitem__, places))
+            # a racing thread may do the same; either state serves
+            state = self._states[issuer] = _fit(self._kept.get(issuer), creds)
         return state
-
-    def _patched(self, issuer: tuple[str, str], state: tuple) -> tuple:
-        """``issuer``'s ``state`` with its pending edits applied: only the
-        replacing credentials are verified, and the table, if built, is
-        copied with the replaced credentials' rows taken out and the
-        replacing ones' put in."""
-        was, _sound, table, edits = state
-        group = self._groups[issuer]
-        verdicts = list(was)
-        for g in edits:
-            verdicts[g] = _verifies(group[g])
-        if table is not None:
-            plain, delegating = dict(table[0]), dict(table[1])
-            out = [cred for g, cred in edits.items() if was[g]]
-            into = [(g, group[g]) for g in edits if verdicts[g]]
-            # every list that holds a row at an edited place, or will, is
-            # copied without those rows before any row goes in
-            keys, labels = set(), set()
-            for cred in out + [cred for _g, cred in into]:
-                for binding in cred.body.sattestees:
-                    for lab in binding.labels:
-                        if delegation_scope(lab) is None:
-                            keys.add((binding.domain, binding.onion.label, lab))
-                        else:
-                            labels.add(lab)
-            for key in keys:
-                plain[key] = [r for r in plain.get(key, ()) if r[5] not in edits]
-            for lab in labels:
-                grant, rows = delegating.get(lab) or (_grant(lab), ())
-                delegating[lab] = (grant, [r for r in rows if r[5] not in edits])
-            for g, cred in into:
-                _add_rows(plain, delegating, g, cred)
-            for key in keys:
-                if not plain[key]:
-                    del plain[key]
-            for lab in labels:
-                if not delegating[lab][1]:
-                    del delegating[lab]
-            table = (plain, delegating)
-        return (verdicts, list(compress(group, verdicts)), table, {})
 
     def issued(self, issuer: tuple[str, str]) -> Sequence[Sattestation]:
         """``issuer``'s credentials that verify, in pool order; the rest
         are dropped on any ``SataError``."""
         state = self._state(issuer)
-        return state[1] if state is not None else ()
+        return state[2] if state is not None else ()
 
     def table(self, issuer: tuple[str, str]) -> Optional[tuple[dict, dict]]:
         """(plain, delegating) rows of ``issuer``'s bindings, or None when
@@ -351,19 +294,70 @@ class _PoolIndex:
         carrying that plain label; ``delegating`` maps each ``sattestor(X)``
         label to its grant (see :func:`_grant`) and the rows carrying it.
         A row is (refreshed_on, refresh rate, subject domain, subject onion,
-        binding index, place in the issuer's group, credential).
+        binding index, place in the issuer's credentials, credential).
         """
         state = self._state(issuer)
-        if state is None or not state[1]:
+        if state is None or not state[2]:
             return None
-        verdicts, sound, table, _edits = state
+        creds, verdicts, sound, table = state
         if table is None:
-            table, group = ({}, {}), self._groups[issuer]
+            table = ({}, {})
             for g in compress(count(), verdicts):
-                _add_rows(*table, g, group[g])
+                _add_rows(*table, g, creds[g])
             # a racing thread may build the same table; either copy serves
-            self._verified[issuer] = (verdicts, sound, table, {})
+            self._states[issuer] = (creds, verdicts, sound, table)
         return table
+
+
+def _fit(kept: Optional[tuple], creds: tuple[Sattestation, ...]) -> tuple:
+    """The state of an issuer whose credentials are ``creds``, in pool
+    order, fitted from ``kept``, a state of that issuer or None.
+
+    ``kept`` is reused when it names the same objects.  When it names as
+    many, only the credentials at places where the objects differ are
+    verified, and the table, if built, is copied with the rows at those
+    places taken out and the new sound credentials' put in, so no other
+    row moves.  Otherwise every credential is verified, and the table is
+    left for :meth:`_PoolIndex.table` to build.
+    """
+    if kept is None or len(kept[0]) != len(creds):
+        verdicts = [_verifies(cred) for cred in creds]
+        return (creds, verdicts, list(compress(creds, verdicts)), None)
+    was, was_verdicts, _sound, table = kept
+    edits = set(compress(count(), map(is_not, was, creds)))
+    if not edits:
+        return kept
+    verdicts = list(was_verdicts)
+    for g in edits:
+        verdicts[g] = _verifies(creds[g])
+    if table is not None:
+        plain, delegating = dict(table[0]), dict(table[1])
+        into = [g for g in edits if verdicts[g]]
+        # every list that holds a row at an edited place, or will, is
+        # copied without those rows before any row goes in
+        keys, labels = set(), set()
+        for cred in [was[g] for g in edits if was_verdicts[g]] + [creds[g] for g in into]:
+            for binding in cred.body.sattestees:
+                for lab in binding.labels:
+                    if delegation_scope(lab) is None:
+                        keys.add((binding.domain, binding.onion.label, lab))
+                    else:
+                        labels.add(lab)
+        for key in keys:
+            plain[key] = [r for r in plain.get(key, ()) if r[5] not in edits]
+        for lab in labels:
+            grant, rows = delegating.get(lab) or (_grant(lab), ())
+            delegating[lab] = (grant, [r for r in rows if r[5] not in edits])
+        for g in into:
+            _add_rows(plain, delegating, g, creds[g])
+        for key in keys:
+            if not plain[key]:
+                del plain[key]
+        for lab in labels:
+            if not delegating[lab][1]:
+                del delegating[lab]
+        table = (plain, delegating)
+    return (creds, verdicts, list(compress(creds, verdicts)), table)
 
 
 def _add_rows(plain: dict, delegating: dict, place: int, cred: Sattestation) -> None:
@@ -406,12 +400,14 @@ def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
     alone.  Of any other list or tuple it keeps a copy of the entries, not
     the container, so the indexed credentials stay alive only until the
     index is dropped, and each call compares the container's entries with
-    that copy by identity.  A container changed in place, a new one that
-    took a dead one's id, or a new one that is an edited copy of an indexed
-    pool replaces that pool's index: the new index is derived from it when
-    only same-issuer replacements tell them apart (see
-    :meth:`_PoolIndex.derived`), and built afresh otherwise.  Any other
-    iterable is read once and indexed afresh on every call.
+    that copy by identity.  A container changed in place, or a new one that
+    took a dead one's id, replaces its own last index; a new one that is an
+    edited copy of an indexed pool replaces that pool's.  The last of these
+    indexes, the container's own when it has one, is the base: the new
+    index is derived from it when only same-issuer replacements tell them
+    apart (see :meth:`_PoolIndex.derived`), however many, and built afresh
+    otherwise.  Any other iterable is read once and indexed afresh on every
+    call.
     """
     if not isinstance(credentials, (list, tuple)):
         return _PoolIndex(list(credentials))
@@ -432,8 +428,11 @@ def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
     with _memo_lock:
         # a pool edited in place, or republished as an edited copy, replaces
         # its last index, whose container is then most likely gone: drop it
-        # now rather than keep it until it ages out, and derive from it
-        stale = [k for k, old in _memo.items() if _edited_copy(old.entries, entries)]
+        # now rather than keep it until it ages out, and derive from it.  The
+        # container's own last index, moved to the end above, comes last
+        stale = [
+            k for k, old in _memo.items() if k == key or _edited_copy(old.entries, entries)
+        ]
         base = _memo[stale[-1]] if stale else None
         for k in stale:
             del _memo[k]

@@ -202,8 +202,9 @@ def validate_onion_location(
     Accepted only when the target is a SATA for the origin's own
     registered domain whose expected SANs are already covered by the
     origin certificate, so the redirected connection can reuse the same
-    HTTPS certificate.  Bare .onion targets and foreign-domain SATAs are
-    rejected.
+    HTTPS certificate.  Bare .onion targets, foreign-domain SATAs and
+    targets that are not URLs (the site serves the header, so any input
+    may arrive) are rejected.
     """
     origin_domain = _origin_domain(origin)
     try:
@@ -217,6 +218,11 @@ def validate_onion_location(
         return Verdict(
             VerdictOutcome.REJECT_NOT_SATA,
             f"redirect target onion component invalid: {exc}",
+        )
+    except SataError as exc:
+        return Verdict(
+            VerdictOutcome.REJECT_NOT_SATA,
+            f"redirect target {redirect_target!r} is not a SATA: {exc}",
         )
     if target.domain != origin_domain:
         return Verdict(
@@ -248,12 +254,15 @@ def validate_alt_svc(
     Only credentials issued by that (origin domain, alternative onion) pair
     are checked: any other sattestor fails the check's binding step.  The
     published ones are those the pool's index keeps for that issuer (see
-    :mod:`satakit.trust`).  Everything else, an empty pool and a pool of
-    ``None`` entries included, blocks: fail closed.
+    :mod:`satakit.trust`).  Everything else, an empty pool, a pool of
+    ``None`` entries and an ``alt_host`` that is not a string included,
+    blocks: fail closed.
     """
     if policy is not None and not policy.allow_credentialed_alt_services:
         return AltSvcDecision.BLOCK
     origin_domain = _origin_domain(origin)
+    if not isinstance(alt_host, str):
+        return AltSvcDecision.BLOCK
     host = alt_host.strip().lower()
     if not host.endswith(".onion"):
         return AltSvcDecision.BLOCK

@@ -548,9 +548,34 @@ def _edge_pool() -> tuple[TrustPolicy, list[Sattestation]]:
     return TrustPolicy(roots=(root,), max_chain_depth=3), pool
 
 
-@pytest.mark.parametrize("republish", [False, True], ids=["in place", "edited tuple"])
-def test_a_replaced_credential_re_verifies_only_its_issuer(monkeypatch, republish):
-    policy, pool = _edge_pool()
+def _two_roots_pool() -> tuple[TrustPolicy, list[Sattestation]]:
+    """Six credentials of node 0 and one of node 2, both roots for news;
+    no credential binds node 6."""
+    pool = [
+        issue(_KEYS[0], _body(0, [_binding(1 + j % 5, [NEWS], NOW - timedelta(days=j // 5))]))
+        for j in range(6)
+    ]
+    pool.append(issue(_KEYS[2], _body(2, [_binding(1, [NEWS], NOW)])))
+    roots = tuple(TrustRoot(sattestor=_sata(i), trusted_labels=frozenset({NEWS})) for i in (0, 2))
+    return TrustPolicy(roots=roots), pool
+
+
+@pytest.mark.parametrize(
+    "pool_of, rounds, republish",
+    [
+        # one of node 1's credentials, then one of node 3's
+        (_edge_pool, [(6,), (13,)], False),
+        (_edge_pool, [(6,), (13,)], True),
+        # four of seven places at once: the list is no longer an edited copy
+        # of its last version, but its own last index is still the base
+        (_two_roots_pool, [(0, 1, 3, 5)], False),
+    ],
+    ids=["in place", "edited tuple", "most of a list in place"],
+)
+def test_a_replaced_credential_re_verifies_only_its_issuer(
+    monkeypatch, pool_of, rounds, republish
+):
+    policy, pool = pool_of()
     calls = []
     real = trust_module.verify_credential
 
@@ -559,18 +584,19 @@ def test_a_replaced_credential_re_verifies_only_its_issuer(monkeypatch, republis
         return real(cred)
 
     monkeypatch.setattr(trust_module, "verify_credential", counting)
-    # a miss at depth 3 reads every node
+    # a miss reads every issuer of the pool
     assert evaluate(policy, pool, _sata(6), NEWS, NOW) is None
     assert sorted(map(id, calls)) == sorted(map(id, pool))
-    for k in (6, 13):  # one of node 1's credentials, then one of node 3's
+    for ks in rounds:
         calls.clear()
         edited = list(pool) if republish else pool
-        edited[k] = issue(_key_of(pool[k]), pool[k].body)
+        for k in ks:
+            edited[k] = issue(_key_of(pool[k]), pool[k].body)
         pool = tuple(edited) if republish else edited
         assert evaluate(policy, pool, _sata(6), NEWS, NOW) is None
-        # the replacing credential alone is verified; its issuer's other
+        # the replacing credentials alone are verified; their issuer's other
         # verdicts and rows are kept
-        assert calls == [pool[k]] and calls[0] is pool[k]
+        assert sorted(map(id, calls)) == sorted(id(pool[k]) for k in ks)
 
 
 @pytest.mark.parametrize("at", [0, 2])

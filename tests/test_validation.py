@@ -187,6 +187,14 @@ def test_onion_location_invalid_component_rejected(bank_cert):
     assert verdict.outcome is VerdictOutcome.REJECT_NOT_SATA
 
 
+@pytest.mark.parametrize("target", ["http://[::1", 5], ids=["unclosed bracket", "not a str"])
+def test_onion_location_target_that_is_not_a_url_rejected(bank_cert, target):
+    """The site serves the header, so a malformed target is a verdict, not an error."""
+    verdict = validate_onion_location("bank.example", target, bank_cert)
+    assert verdict.outcome is VerdictOutcome.REJECT_NOT_SATA
+    assert repr(target) in verdict.detail
+
+
 # -- alternative services --------------------------------------------------------
 
 
@@ -254,8 +262,9 @@ def test_alt_svc_stale_credential_blocked():
 
 def test_alt_svc_non_onion_host_blocked():
     cred = _alt_self_satt("bank.example", "bank-alt", FP_A)
-    decision = validate_alt_svc("bank.example", "cdn.example", [cred], None, now=TODAY)
-    assert decision is AltSvcDecision.BLOCK
+    for alt_host in ("cdn.example", None, 5):  # the header is the site's: any value may come
+        decision = validate_alt_svc("bank.example", alt_host, [cred], None, now=TODAY)
+        assert decision is AltSvcDecision.BLOCK
 
 
 def test_alt_svc_policy_can_forbid_all():

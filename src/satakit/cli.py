@@ -11,13 +11,23 @@ Exit codes form the contract test harnesses rely on:
 67    verdict reject-stale          (``verify`` command)
 68    verdict reject-fingerprint    (``verify`` command)
 69    verdict reject-san-missing    (``verify`` command)
-74    I/O error (unreadable or missing files)
+74    I/O error (unreadable or missing files or directories)
 ====  =======================================================
 
 Data goes to stdout (single-line JSON with ``--json``), diagnostics to
 stderr.  Every time-sensitive command takes an explicit ``--now`` date;
 when the ``SATAKIT_TEST_MODE`` environment variable is set the flag is
 mandatory so runs stay deterministic.
+
+Every call is a new process, so each command loads only the modules it
+runs: the handlers import their satakit modules when they run, and
+:func:`main` fills in only the subcommand parsers of the group it was
+given.  ``onion parse`` thus loads no SATA, credential, validation, trust
+or simulator code, ``verify`` loads neither the trust engine nor the
+simulator, and only the ``sim`` commands load the simulator.  The module
+``__getattr__`` serves the package's public names, such as
+``parse_onion``, as ``satakit.cli.<name>`` on first read, for code that
+reads or patches them here, as the benchmark's span tracer does.
 """
 
 from __future__ import annotations
@@ -30,58 +40,40 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import _json
-from .credential import (
-    Sattestation,
-    body_from_wire,
-    check_freshness,
-    from_transport_json,
-    is_self_sattestation,
-    issue,
-    make_self_sattestation,
-    to_transport_json,
-    verify_credential,
-)
 from .errors import EmptyInput, SataError, UnrepresentableField
-from .onion import encode_onion, keygen, parse_onion
-from .sata import (
-    Sata,
-    SataForm,
-    parse_sata,
-    securedrop_rewrite,
-    to_query_form,
-    to_subdomain_form,
-)
-from .trust import (
-    TrustChain,
-    evaluate,
-    expired_rotation_form,
-    policy_from_json,
-    rotation_check,
-)
-from .validation import (
-    CertDescriptor,
-    VerdictOutcome,
-    fingerprint_cert,
-    validate_connection,
-)
 
-if TYPE_CHECKING:  # the simulator is imported only by the ``sim`` commands
+if TYPE_CHECKING:  # each handler imports what it runs when it runs
+    from .credential import Sattestation
     from .sim import Outcome
+    from .trust import TrustChain
+    from .validation import CertDescriptor
 
 EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_IO = 74
 
+# keyed by ``VerdictOutcome`` value, so this table loads no validation code
 VERDICT_EXIT_CODES = {
-    VerdictOutcome.ACCEPT: EXIT_OK,
-    VerdictOutcome.REJECT_NOT_SATA: 65,
-    VerdictOutcome.REJECT_SIGNATURE: 66,
-    VerdictOutcome.REJECT_STALE: 67,
-    VerdictOutcome.REJECT_FINGERPRINT: 68,
-    VerdictOutcome.REJECT_SAN_MISSING: 69,
+    "accept": EXIT_OK,
+    "reject-not-sata": 65,
+    "reject-signature": 66,
+    "reject-stale": 67,
+    "reject-fingerprint": 68,
+    "reject-san-missing": 69,
 }
+
+
+def __getattr__(name: str):
+    """A public satakit name read as ``satakit.cli.<name>``, such as
+    ``parse_onion``, from its home module; the value is kept here, so a
+    later read, or a patch of this module, finds it as a plain global."""
+    from . import _HOME
+
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,22 +109,31 @@ def _hex(text: str, what: str) -> bytes:
 
 
 def _read_key(path: str):
+    from .onion import keygen
+
     text = Path(path).read_bytes().decode("ascii", "replace")  # non-ASCII is not hex either
     return keygen(_hex(text.strip(), f"key file {path!r}"))
 
 
 def _read_credential(path: str) -> Sattestation:
+    from .credential import from_transport_json
+
     return from_transport_json(Path(path).read_bytes())
 
 
 def _read_creds_dir(path: str) -> list[Sattestation]:
-    creds = []
-    for file in sorted(Path(path).glob("*.satt")):
-        creds.append(from_transport_json(file.read_bytes()))
-    return creds
+    """The credentials in ``path``'s ``*.satt`` files, in name order.  A path
+    that is not a directory raises :class:`OSError` (``glob`` would find
+    nothing there and so answer with an empty pool)."""
+    from .credential import from_transport_json
+
+    files = sorted(f for f in Path(path).iterdir() if f.name.endswith(".satt"))
+    return [from_transport_json(file.read_bytes()) for file in files]
 
 
 def _load_cert(path: str) -> CertDescriptor:
+    from . import _json
+
     data = Path(path).read_bytes()
     if not data.strip():
         raise EmptyInput(f"certificate file {path!r} is empty")
@@ -143,6 +144,9 @@ def _load_cert(path: str) -> CertDescriptor:
 
 def _cert_from_json(obj: dict) -> CertDescriptor:
     """A certificate descriptor from its JSON form, each field type-checked."""
+    from . import _json
+    from .validation import CertDescriptor, fingerprint_cert
+
     der = None
     if "der_hex" in obj:
         der = _hex(_json.field(obj, "der_hex", str, what="certificate"), "certificate 'der_hex'")
@@ -160,6 +164,8 @@ def _cert_from_json(obj: dict) -> CertDescriptor:
 def _cert_from_x509(data: bytes) -> CertDescriptor:
     from cryptography import x509
     from cryptography.hazmat.primitives import serialization
+
+    from .validation import CertDescriptor, fingerprint_cert
 
     try:  # cryptography reads extensions lazily: a repeated one raises on first use
         if b"-----BEGIN" in data:
@@ -237,6 +243,8 @@ def _write_out(args, text: str) -> None:
 
 
 def _cmd_onion_parse(args) -> int:
+    from .onion import parse_onion
+
     addr = parse_onion(args.label)
     _emit(
         args,
@@ -252,12 +260,16 @@ def _cmd_onion_parse(args) -> int:
 
 
 def _cmd_onion_encode(args) -> int:
+    from .onion import encode_onion
+
     label = encode_onion(_hex(args.pubkey_hex, "public key"))
     _emit(args, {"label": label}, label)
     return EXIT_OK
 
 
 def _cmd_onion_keygen(args) -> int:
+    from .onion import keygen
+
     seed = _hex(args.seed, "seed") if args.seed else None
     pair = keygen(seed)
     if args.out:
@@ -275,6 +287,8 @@ def _cmd_onion_keygen(args) -> int:
 
 
 def _cmd_sata_parse(args) -> int:
+    from .sata import parse_sata
+
     s = parse_sata(args.url)
     _emit(
         args,
@@ -285,6 +299,9 @@ def _cmd_sata_parse(args) -> int:
 
 
 def _cmd_sata_render(args) -> int:
+    from .onion import parse_onion
+    from .sata import Sata, SataForm, to_query_form, to_subdomain_form
+
     s = Sata(
         domain=args.domain,
         onion=parse_onion(args.onion),
@@ -296,6 +313,8 @@ def _cmd_sata_render(args) -> int:
 
 
 def _cmd_sata_rewrite(args) -> int:
+    from .sata import securedrop_rewrite
+
     base, onion = securedrop_rewrite(args.hostname, args.onion)
     _emit(
         args,
@@ -306,6 +325,9 @@ def _cmd_sata_rewrite(args) -> int:
 
 
 def _cmd_satt_issue(args) -> int:
+    from . import _json
+    from .credential import body_from_wire, issue, to_transport_json
+
     key = _read_key(args.key)
     body = body_from_wire(_json.load(Path(args.body).read_bytes(), "credential"))
     credential = issue(key, body)
@@ -316,6 +338,8 @@ def _cmd_satt_issue(args) -> int:
 
 
 def _cmd_satt_self(args) -> int:
+    from .credential import make_self_sattestation, to_transport_json
+
     key = _read_key(args.key)
     credential = make_self_sattestation(
         key=key,
@@ -333,6 +357,8 @@ def _cmd_satt_self(args) -> int:
 
 
 def _cmd_satt_verify(args) -> int:
+    from .credential import is_self_sattestation, verify_credential
+
     credential = _read_credential(args.file)
     verify_credential(credential)
     _emit(
@@ -350,6 +376,8 @@ def _cmd_satt_verify(args) -> int:
 
 
 def _cmd_satt_fresh(args) -> int:
+    from .credential import check_freshness
+
     credential = _read_credential(args.file)
     now = _resolve_now(args.now)
     check_freshness(credential, args.binding, now)
@@ -364,6 +392,9 @@ def _cmd_satt_fresh(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .sata import parse_sata
+    from .validation import validate_connection
+
     s = parse_sata(args.url)
     cert = _load_cert(args.cert)
     header = _read_credential(args.header)
@@ -373,10 +404,14 @@ def _cmd_verify(args) -> int:
         {"outcome": verdict.outcome.value, "detail": verdict.detail},
         f"{verdict.outcome.value}: {verdict.detail}",
     )
-    return VERDICT_EXIT_CODES[verdict.outcome]
+    return VERDICT_EXIT_CODES[verdict.outcome.value]
 
 
 def _cmd_trust_eval(args) -> int:
+    from . import _json
+    from .sata import parse_sata
+    from .trust import evaluate, policy_from_json
+
     policy = policy_from_json(_json.load(Path(args.policy).read_bytes(), "policy"))
     creds = _read_creds_dir(args.creds)
     subject = parse_sata(args.subject)
@@ -389,6 +424,9 @@ def _cmd_trust_eval(args) -> int:
 
 
 def _cmd_rotate_check(args) -> int:
+    from .sata import parse_sata
+    from .trust import rotation_check
+
     old, new = parse_sata(args.old), parse_sata(args.new)
     creds = _read_creds_dir(args.creds)
     result = rotation_check(old, new, creds, _resolve_now(args.now))
@@ -401,6 +439,10 @@ def _cmd_rotate_check(args) -> int:
 
 
 def _cmd_rotate_pointer(args) -> int:
+    from .credential import to_transport_json
+    from .sata import parse_sata
+    from .trust import expired_rotation_form
+
     old, new = parse_sata(args.old), parse_sata(args.new)
     key = _read_key(args.key)
     credential = expired_rotation_form(
@@ -461,14 +503,11 @@ def _cmd_sim_matrix(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="satakit", description=__doc__.splitlines()[0])
-    parser.add_argument("--json", action="store_true", help="machine-readable JSON on stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the parser; each group's subcommands are added by one function ----------
 
-    onion = sub.add_parser("onion", help="onion address operations").add_subparsers(
-        dest="sub", required=True
-    )
+
+def _onion_commands(group: argparse.ArgumentParser) -> None:
+    onion = group.add_subparsers(dest="sub", required=True)
     p = onion.add_parser("parse", help="validate and decode a label")
     p.add_argument("label")
     p.set_defaults(func=_cmd_onion_parse)
@@ -480,9 +519,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the secret seed hex to this file")
     p.set_defaults(func=_cmd_onion_keygen)
 
-    sata = sub.add_parser("sata", help="SATA parsing and rendering").add_subparsers(
-        dest="sub", required=True
-    )
+
+def _sata_commands(group: argparse.ArgumentParser) -> None:
+    sata = group.add_subparsers(dest="sub", required=True)
     p = sata.add_parser("parse", help="detect a SATA in a URL or hostname")
     p.add_argument("url")
     p.set_defaults(func=_cmd_sata_parse)
@@ -496,9 +535,9 @@ def build_parser() -> _Parser:
     p.add_argument("--onion", help="expected onion label from the query string")
     p.set_defaults(func=_cmd_sata_rewrite)
 
-    satt = sub.add_parser("satt", help="sattestation credentials").add_subparsers(
-        dest="sub", required=True
-    )
+
+def _satt_commands(group: argparse.ArgumentParser) -> None:
+    satt = group.add_subparsers(dest="sub", required=True)
     p = satt.add_parser("issue", help="sign a credential body")
     p.add_argument("--key", required=True, help="file holding the 32-byte seed hex")
     p.add_argument("--body", required=True, help="JSON body file (unsigned wire form)")
@@ -523,16 +562,17 @@ def build_parser() -> _Parser:
     _add_now(p)
     p.set_defaults(func=_cmd_satt_fresh)
 
-    p = sub.add_parser("verify", help="validate a SATA connection")
+
+def _verify_command(p: argparse.ArgumentParser) -> None:
     p.add_argument("--url", required=True, help="the SATA being connected to")
     p.add_argument("--cert", required=True, help="PEM/DER certificate or JSON descriptor")
     p.add_argument("--header", required=True, help=".satt file with the served header")
     _add_now(p)
     p.set_defaults(func=_cmd_verify)
 
-    trust = sub.add_parser("trust", help="contextual trust").add_subparsers(
-        dest="sub", required=True
-    )
+
+def _trust_commands(group: argparse.ArgumentParser) -> None:
+    trust = group.add_subparsers(dest="sub", required=True)
     p = trust.add_parser("eval", help="search for a trust chain")
     p.add_argument("--policy", required=True, help="policy JSON file")
     p.add_argument("--creds", required=True, help="directory of .satt files")
@@ -541,9 +581,9 @@ def build_parser() -> _Parser:
     _add_now(p)
     p.set_defaults(func=_cmd_trust_eval)
 
-    rotate = sub.add_parser("rotate", help="key rotation").add_subparsers(
-        dest="sub", required=True
-    )
+
+def _rotate_commands(group: argparse.ArgumentParser) -> None:
+    rotate = group.add_subparsers(dest="sub", required=True)
     p = rotate.add_parser("check", help="verify mutual rotation sattestations")
     p.add_argument("--old", required=True)
     p.add_argument("--new", required=True)
@@ -561,9 +601,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_rotate_pointer)
 
-    sim = sub.add_parser("sim", help="attack scenario simulator").add_subparsers(
-        dest="sub", required=True
-    )
+
+def _sim_commands(group: argparse.ArgumentParser) -> None:
+    sim = group.add_subparsers(dest="sub", required=True)
     p = sim.add_parser("run", help="replay one fixture under one browser")
     p.add_argument("--fixture", required=True)
     p.add_argument("--browser", required=True, help="browser name defined in the fixture")
@@ -573,12 +613,39 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the table JSON here")
     p.set_defaults(func=_cmd_sim_matrix)
 
+
+# group -> (help, the function that fills in its parser), in help order
+_GROUPS = {
+    "onion": ("onion address operations", _onion_commands),
+    "sata": ("SATA parsing and rendering", _sata_commands),
+    "satt": ("sattestation credentials", _satt_commands),
+    "verify": ("validate a SATA connection", _verify_command),
+    "trust": ("contextual trust", _trust_commands),
+    "rotate": ("key rotation", _rotate_commands),
+    "sim": ("attack scenario simulator", _sim_commands),
+}
+
+
+def build_parser(group: str | None = None) -> _Parser:
+    """The ``satakit`` parser.  Every group is added, but only ``group``'s
+    subcommands are filled in, or every group's when ``group`` is None; a
+    call parses one group, so the others' parsers would go unused."""
+    parser = _Parser(prog="satakit", description=__doc__.splitlines()[0])
+    parser.add_argument("--json", action="store_true", help="machine-readable JSON on stdout")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fill) in _GROUPS.items():
+        p = sub.add_parser(name, help=help_text)
+        if group in (None, name):
+            fill(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # ``--json`` is the only top-level option and takes no value, so the
+    # first word that is not an option names the group
+    group = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(group).parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .credential import (
     Sattestation,
@@ -30,7 +30,9 @@ from .errors import (
 )
 from .sata import Sata, expected_sans, normalize_domain, parse_sata
 from .onion import OnionAddress, parse_onion
-from .trust import TrustPolicy, _pool_index
+
+if TYPE_CHECKING:  # ``satakit verify`` never loads the trust engine
+    from .trust import TrustPolicy
 
 
 class VerdictOutcome(Enum):
@@ -270,6 +272,8 @@ def validate_alt_svc(
         alt_onion = parse_onion(host)
     except OnionAddressError:
         return AltSvcDecision.BLOCK
+    from .trust import _pool_index
+
     issuer = (origin_domain, alt_onion.label)
     candidates = _pool_index(credentials).issued(issuer)
     if header is not None and (header.sattestor_domain, header.sattestor_onion.label) == issuer:

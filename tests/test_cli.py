@@ -521,6 +521,34 @@ def test_io_error_exit_74(capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("creds", ["missing", "file"])
+@pytest.mark.parametrize("command", ["trust eval", "rotate check"])
+def test_creds_that_is_not_a_directory_exit_74(capsys, tmp_path, command, creds):
+    """A ``--creds`` path that does not exist or names a file is an I/O
+    error, not an empty pool; an empty directory is an empty pool."""
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(json.dumps({"roots": []}))
+    subject = "https://a.example/?onion=" + key_for("a").address.label
+    args = {
+        "trust eval": ["trust", "eval", "--policy", str(policy_file), "--subject", subject,
+                       "--label", "news"],
+        "rotate check": ["rotate", "check", "--old", subject,
+                         "--new", "https://a.example/?onion=" + key_for("b").address.label],
+    }[command]
+    paths = {"missing": tmp_path / "nonexistent", "file": policy_file}
+    code, out, err = run(capsys, "--json", *args, "--creds", str(paths[creds]),
+                         "--now", "2020-09-01")
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith("i/o error: ")
+    (tmp_path / "empty").mkdir()
+    code, out, _ = run(capsys, "--json", *args, "--creds", str(tmp_path / "empty"),
+                       "--now", "2020-09-01")
+    assert code == EXIT_DATA
+    assert json.loads(out) in (
+        {"trusted": False}, {"ok": False, "missing": ["old-to-new", "new-to-old"]}
+    )
+
+
 def test_every_error_class_reachable(capsys, tmp_path, bank_files):
     """One CLI invocation per library error class; class name must be printed."""
     from satakit.credential import _body_wire

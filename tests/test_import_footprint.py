@@ -1,10 +1,12 @@
-"""What a fresh interpreter loads for ``satakit``, ``satakit.cli`` and a
-traced ``sim matrix``.
+"""What a fresh interpreter loads for ``satakit``, ``satakit.cli``, each CLI
+command and a traced ``sim matrix``.
 
 Every CLI call is a new process and pays for each module it imports.
 ``satakit.cli`` must load the simulator only for the ``sim`` commands and
-the cryptography serialization stack never; importing the package loads no
-submodule until a name is used.  The traced run mirrors the benchmark's
+the cryptography serialization stack never; each command loads only the
+satakit modules it runs (``FOOTPRINTS``); importing the package loads no
+submodule until a name is used.  Module counts, unlike timings, are the
+same on any host.  The traced run mirrors the benchmark's
 ``perfbench/cli_probe.py``: it imports only ``satakit.cli``, installs the
 span tracer, and still sees the simulator's boundaries once ``sim matrix``
 loads it.
@@ -16,7 +18,10 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -75,3 +80,79 @@ sys.exit(code)
     scenarios = len(list(FIXTURES.glob("*.json")))
     assert per["sim.load_scenario"]["calls"] == scenarios
     assert per["sim.run_matrix"]["calls"] == scenarios
+
+
+SATAKIT = {f"satakit.{m}" for m in ("sata", "credential", "validation", "trust", "sim")}
+SERIALIZATION = "cryptography.hazmat.primitives.serialization"
+# command -> the modules its process must not load
+FOOTPRINTS = {
+    "onion parse": SATAKIT,
+    "onion keygen": SATAKIT,
+    "sata parse": SATAKIT - {"satakit.sata"},
+    "satt verify": {"satakit.validation", "satakit.trust", "satakit.sim"},
+    "satt self": {"satakit.validation", "satakit.trust", "satakit.sim"},
+    "verify": {"satakit.trust", "satakit.sim", SERIALIZATION},
+    "trust eval": {"satakit.validation", "satakit.sim"},
+    "rotate pointer": {"satakit.validation", "satakit.sim"},
+}
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory) -> dict[str, list[str]]:
+    """A succeeding argument list for each command in ``FOOTPRINTS``."""
+    from satakit import expected_sans, to_query_form, to_transport_json
+
+    from conftest import cert_for, key_for, make_self_sattestation, sata_for, third_party
+    from oracles import FACEBOOK_LABEL
+
+    d = tmp_path_factory.mktemp("footprint")
+    key = key_for("bank.example")
+    bank = to_query_form(sata_for("bank.example"))
+    cert = cert_for("bank", expected_sans(sata_for("bank.example")))
+    header = make_self_sattestation(
+        key=key, domain="bank.example", cert_fingerprints=[cert.fingerprint],
+        issued=date(2020, 8, 25), refreshed_on=date(2020, 8, 31), refresh_rate_days=7,
+    )
+    (d / "bank.key").write_text(key.secret.hex())
+    (d / "bank.satt").write_text(to_transport_json(header))
+    (d / "cert.json").write_text(json.dumps({
+        "fingerprint": cert.fingerprint, "san_list": list(cert.san_list),
+        "not_before": "2020-01-01", "not_after": "2021-01-01",
+    }))
+    root = key_for("root")
+    (d / "policy.json").write_text(json.dumps({"roots": [{
+        "sattestor_domain": "root.example", "sattestor_onion": root.address.label,
+        "trusted_labels": ["news"],
+    }]}))
+    (d / "creds").mkdir()
+    cred = third_party("root.example", "root", [("bank.example", "bank.example", ["news"])])
+    (d / "creds" / "root.satt").write_text(to_transport_json(cred))
+    new = to_query_form(sata_for("bank.example", "bank-next"))
+    signed = ["--fingerprint", cert.fingerprint, "--issued", "2020-08-31",
+              "--refreshed", "2020-08-31"]
+    return {
+        "onion parse": ["onion", "parse", FACEBOOK_LABEL],
+        "onion keygen": ["onion", "keygen", "--seed", "00" * 32],
+        "sata parse": ["sata", "parse", bank],
+        "satt verify": ["satt", "verify", "--file", str(d / "bank.satt")],
+        "satt self": ["satt", "self", "--key", str(d / "bank.key"), "--domain", "bank.example",
+                      *signed],
+        "verify": ["verify", "--url", bank, "--cert", str(d / "cert.json"),
+                   "--header", str(d / "bank.satt"), "--now", "2020-09-01"],
+        "trust eval": ["trust", "eval", "--policy", str(d / "policy.json"), "--creds",
+                       str(d / "creds"), "--subject", bank, "--label", "news",
+                       "--now", "2020-09-01"],
+        "rotate pointer": ["rotate", "pointer", "--old", bank, "--new", new,
+                           "--key", str(d / "bank.key"), *signed],
+    }
+
+
+@pytest.mark.parametrize("command", FOOTPRINTS)
+def test_each_command_loads_only_what_it_runs(command_files, command):
+    argv = ["--json", *command_files[command]]
+    loaded = _loaded_after(
+        "import contextlib, io, satakit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert satakit.cli.main({argv!r}) == 0, 'command failed'"
+    )
+    assert FOOTPRINTS[command] & loaded == set()

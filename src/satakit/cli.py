@@ -121,14 +121,19 @@ def _read_credential(path: str) -> Sattestation:
     return from_transport_json(Path(path).read_bytes())
 
 
+def _files_in(path: str, suffix: str) -> list[Path]:
+    """The files in directory ``path`` whose names end in ``suffix``, in
+    name order.  A path that is not a directory raises :class:`OSError`
+    (``glob`` would find nothing there and so answer with no files)."""
+    return sorted(f for f in Path(path).iterdir() if f.name.endswith(suffix))
+
+
 def _read_creds_dir(path: str) -> list[Sattestation]:
-    """The credentials in ``path``'s ``*.satt`` files, in name order.  A path
-    that is not a directory raises :class:`OSError` (``glob`` would find
-    nothing there and so answer with an empty pool)."""
+    """The credentials in ``path``'s ``*.satt`` files, in name order; a
+    path that is not a directory is an :class:`OSError`, not an empty pool."""
     from .credential import from_transport_json
 
-    files = sorted(f for f in Path(path).iterdir() if f.name.endswith(".satt"))
-    return [from_transport_json(file.read_bytes()) for file in files]
+    return [from_transport_json(file.read_bytes()) for file in _files_in(path, ".satt")]
 
 
 def _load_cert(path: str) -> CertDescriptor:
@@ -487,7 +492,7 @@ def _cmd_sim_matrix(args) -> int:
     from . import sim as simmod
 
     rows: list[dict] = []
-    for path in sorted(Path(args.fixtures).glob("*.json")):
+    for path in _files_in(args.fixtures, ".json"):
         scenario = simmod.load_scenario(path)
         browsers = list(scenario.browsers.values())
         rows.extend(simmod.run_matrix([scenario], browsers))

@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from datetime import date, datetime
 from functools import cached_property
 from typing import Iterable
 
 from . import _json
+from ._value import Value, set_field
 from .errors import (
     BadSignature,
     KeyMismatch,
@@ -86,8 +86,7 @@ def _require_date(value, field: str) -> date:
     return value
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Value):
     """One sattestee entry: a (domain, onion) pair with its dates.
 
     ``cert_fingerprints`` may only be set when the enclosing credential is
@@ -100,38 +99,50 @@ class Binding:
     onion: OnionAddress
     issued: date
     refreshed_on: date
-    labels: tuple[str, ...] = ()
-    cert_fingerprints: tuple[str, ...] = ()
-    onion_reachable: bool | None = None
+    labels: tuple[str, ...]
+    cert_fingerprints: tuple[str, ...]
+    onion_reachable: bool | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain", normalize_domain(self.domain))
-        _require_date(self.issued, "issued")
-        _require_date(self.refreshed_on, "refreshed_on")
-        if self.refreshed_on < self.issued:
-            raise StructuralViolation(
-                f"refreshed_on {self.refreshed_on} precedes issued {self.issued}"
-            )
-        for label in self.labels:
+    def __init__(
+        self,
+        domain: str,
+        onion: OnionAddress,
+        issued: date,
+        refreshed_on: date,
+        labels: Iterable[str] = (),
+        cert_fingerprints: Iterable[str] = (),
+        onion_reachable: bool | None = None,
+    ) -> None:
+        domain = normalize_domain(domain)
+        _require_date(issued, "issued")
+        _require_date(refreshed_on, "refreshed_on")
+        if refreshed_on < issued:
+            raise StructuralViolation(f"refreshed_on {refreshed_on} precedes issued {issued}")
+        labels = tuple(labels)
+        for label in labels:
             if not label or "," in label or _SURROGATE_RE.search(label):
                 raise StructuralViolation(
                     f"label {label!r} must be nonempty, comma-free and encodable as UTF-8"
                 )
-        if self.onion_reachable is not None and type(self.onion_reachable) is not bool:
-            raise StructuralViolation(f"onion_reachable {self.onion_reachable!r} is not a boolean")
-        normalized = tuple(fp.upper() for fp in self.cert_fingerprints)
+        if onion_reachable is not None and type(onion_reachable) is not bool:
+            raise StructuralViolation(f"onion_reachable {onion_reachable!r} is not a boolean")
+        normalized = tuple(fp.upper() for fp in cert_fingerprints)
         for fp in normalized:
             if not _FINGERPRINT_RE.match(fp):
                 raise StructuralViolation(f"certificate fingerprint {fp!r} is not hex")
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "cert_fingerprints", normalized)
+        set_field(self, "domain", domain)
+        set_field(self, "onion", onion)
+        set_field(self, "issued", issued)
+        set_field(self, "refreshed_on", refreshed_on)
+        set_field(self, "labels", labels)
+        set_field(self, "cert_fingerprints", normalized)
+        set_field(self, "onion_reachable", onion_reachable)
 
     def binds(self, domain: str, onion: OnionAddress) -> bool:
         return self.domain == domain.lower() and self.onion.label == onion.label
 
 
-@dataclass(frozen=True)
-class SattestationBody:
+class SattestationBody(Value):
     """Everything the sattestor signs; a Sattestation is body + signature.
 
     Immutable, so its canonical bytes are encoded once, on first use.  A
@@ -143,14 +154,26 @@ class SattestationBody:
     sattestor_onion: OnionAddress
     refresh_rate_days: float
     sattestees: tuple[Binding, ...]
-    version: int = CREDENTIAL_VERSION
+    version: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sattestor_domain", normalize_domain(self.sattestor_domain))
-        object.__setattr__(self, "sattestees", tuple(self.sattestees))
-        if not self.sattestees:
+    def __init__(
+        self,
+        sattestor_domain: str,
+        sattestor_onion: OnionAddress,
+        refresh_rate_days: float,
+        sattestees: Iterable[Binding],
+        version: int = CREDENTIAL_VERSION,
+    ) -> None:
+        sattestor_domain = normalize_domain(sattestor_domain)
+        sattestees = tuple(sattestees)
+        if not sattestees:
             raise StructuralViolation("credential must carry at least one binding")
-        format_refresh_rate(self.refresh_rate_days)
+        format_refresh_rate(refresh_rate_days)
+        set_field(self, "sattestor_domain", sattestor_domain)
+        set_field(self, "sattestor_onion", sattestor_onion)
+        set_field(self, "refresh_rate_days", refresh_rate_days)
+        set_field(self, "sattestees", sattestees)
+        set_field(self, "version", version)
 
     @cached_property
     def _canonical(self) -> bytes:
@@ -158,19 +181,18 @@ class SattestationBody:
         return json.dumps(wire, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-@dataclass(frozen=True)
-class Sattestation:
+class Sattestation(Value):
     """A signed body.  Immutable, so its structure and its signature are
     each checked once, on first use."""
 
     body: SattestationBody
     signature: bytes
 
-    def __post_init__(self) -> None:
-        if len(self.signature) != 64:
-            raise MalformedSignature(
-                f"signature must be 64 bytes, got {len(self.signature)}"
-            )
+    def __init__(self, body: SattestationBody, signature: bytes) -> None:
+        if len(signature) != 64:
+            raise MalformedSignature(f"signature must be 64 bytes, got {len(signature)}")
+        set_field(self, "body", body)
+        set_field(self, "signature", signature)
 
     @cached_property
     def _structural_fault(self) -> str | None:

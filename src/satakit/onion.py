@@ -14,7 +14,7 @@ A process decodes each label once: :func:`parse_onion` keeps the
 addresses it returns in a memo keyed by the input string, bounded at
 :data:`PARSE_MEMO_SIZE` entries with the least recently used dropped
 first.  Sharing one :class:`OnionAddress` between callers is safe because
-it is frozen; an invalid label is never kept, so it raises afresh on every
+it is immutable; an invalid label is never kept, so it raises afresh on every
 call.  The memo is :func:`functools.lru_cache`, whose bookkeeping is
 thread-safe; two threads that miss on one label at once at worst decode
 it twice, to equal values.  Every other operation here is a pure
@@ -26,7 +26,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import os
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from cryptography.exceptions import InvalidSignature
@@ -35,6 +34,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from ._value import Value, set_field
 from .errors import (
     BadAlphabet,
     BadChecksum,
@@ -62,8 +62,7 @@ def _label(pubkey: bytes, checksum: bytes, version: int) -> str:
     return base64.b32encode(pubkey + checksum + bytes([version])).decode("ascii").lower()
 
 
-@dataclass(frozen=True)
-class OnionAddress:
+class OnionAddress(Value):
     """Decoded v3 onion identity.
 
     ``label`` is the bare 56-character lowercase form; the ``.onion``
@@ -78,19 +77,21 @@ class OnionAddress:
     version: int
     label: str
 
-    def __post_init__(self) -> None:
-        if len(self.pubkey) != 32:
-            raise BadLength(f"pubkey must be 32 bytes, got {len(self.pubkey)}", len(self.pubkey))
-        expected = _checksum(self.pubkey, self.version)
-        if self.checksum != expected:
-            raise BadChecksum(
-                f"checksum {self.checksum.hex()} does not match derived {expected.hex()}"
-            )
-        if self.version != ONION_VERSION:
-            raise BadVersion(f"unsupported onion address version {self.version}", self.version)
-        object.__setattr__(self, "label", self.label.lower())
-        if self.label != _label(self.pubkey, self.checksum, self.version):
+    def __init__(self, pubkey: bytes, checksum: bytes, version: int, label: str) -> None:
+        if len(pubkey) != 32:
+            raise BadLength(f"pubkey must be 32 bytes, got {len(pubkey)}", len(pubkey))
+        expected = _checksum(pubkey, version)
+        if checksum != expected:
+            raise BadChecksum(f"checksum {checksum.hex()} does not match derived {expected.hex()}")
+        if version != ONION_VERSION:
+            raise BadVersion(f"unsupported onion address version {version}", version)
+        label = label.lower()
+        if label != _label(pubkey, checksum, version):
             raise BadChecksum("label does not re-encode from its own public key")
+        set_field(self, "pubkey", pubkey)
+        set_field(self, "checksum", checksum)
+        set_field(self, "version", version)
+        set_field(self, "label", label)
 
     @property
     def onion_name(self) -> str:
@@ -101,29 +102,33 @@ class OnionAddress:
         return self.label
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Value):
     """ed25519 keypair; ``secret`` is the 32-byte seed.
 
     The private key is built from the seed once, here: it derives
-    ``public`` when that is omitted, checks it when given, and is kept for
-    :func:`sign`, so signing never re-derives it.
+    ``public`` when that is omitted, checks it when given, and is kept as
+    ``private`` for :func:`sign`, so signing never re-derives it.
+    ``private`` is not part of the value, and the repr shows only
+    ``public``, so a key pair that reaches a log or a traceback does not
+    leak its key.
     """
 
     secret: bytes
-    public: bytes | None = None
-    private: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
+    public: bytes
 
-    def __post_init__(self) -> None:
-        if len(self.secret) != 32:
-            raise BadLength(f"secret seed must be 32 bytes, got {len(self.secret)}")
-        private = Ed25519PrivateKey.from_private_bytes(self.secret)
-        public = private.public_key().public_bytes_raw()
-        if self.public is None:
-            object.__setattr__(self, "public", public)
-        elif self.public != public:
+    def __init__(self, secret: bytes, public: bytes | None = None) -> None:
+        if len(secret) != 32:
+            raise BadLength(f"secret seed must be 32 bytes, got {len(secret)}")
+        private = Ed25519PrivateKey.from_private_bytes(secret)
+        derived = private.public_key().public_bytes_raw()
+        if public is not None and public != derived:
             raise KeyMismatch("public key is not derivable from the secret seed")
-        object.__setattr__(self, "private", private)
+        set_field(self, "secret", secret)
+        set_field(self, "public", derived)
+        set_field(self, "private", private)
+
+    def __repr__(self) -> str:
+        return f"KeyPair(public={self.public!r})"
 
     @cached_property
     def address(self) -> OnionAddress:
@@ -173,7 +178,7 @@ def parse_onion(label: str) -> OnionAddress:
 
     A valid input string is decoded once per process: its address is kept
     in a bounded memo (see the module docstring), and a repeat call
-    returns the same frozen instance while the memo holds it.  Errors are
+    returns the same immutable instance while the memo holds it.  Errors are
     never kept: an invalid input raises the same class and text on every
     call.
     """

@@ -15,10 +15,10 @@ address.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from urllib.parse import parse_qsl, urlsplit
 
+from ._value import Value, set_field
 from .errors import (
     BadDomain,
     InvalidOnionComponent,
@@ -55,16 +55,19 @@ def normalize_domain(domain: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Sata:
+class Sata(Value):
     """Binding of a registered domain name to an onion address."""
 
     domain: str
     onion: OnionAddress
-    form: SataForm = SataForm.QUERY_STRING
+    form: SataForm
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain", normalize_domain(self.domain))
+    def __init__(
+        self, domain: str, onion: OnionAddress, form: SataForm = SataForm.QUERY_STRING
+    ) -> None:
+        set_field(self, "domain", normalize_domain(domain))
+        set_field(self, "onion", onion)
+        set_field(self, "form", form)
 
     def __str__(self) -> str:
         return f"{self.domain}[{self.onion.label[:8]}...]"

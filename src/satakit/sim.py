@@ -238,7 +238,7 @@ def _host_of(url: str) -> tuple[str, str]:
 
 def _alt_host_str(alt: AltSvcHeader) -> str:
     if not isinstance(alt.host, str):
-        raise ValueError(
+        raise InconsistentWorld(
             "per-user alt-svc hosts must be resolved before a visit runs"
         )
     return alt.host

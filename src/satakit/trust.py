@@ -84,13 +84,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from datetime import date
 from itertools import compress, count
 from operator import is_, is_not
 from typing import Iterable, Optional, Sequence
 
 from . import _json
+from ._value import Value, set_field
 from .credential import (
     Sattestation,
     canonical_bytes,
@@ -128,51 +128,67 @@ def rotation_pointer_label(new: Sata) -> str:
     return delegation_label("{" + to_subdomain_form(new) + "}")
 
 
-@dataclass(frozen=True)
-class TrustRoot:
+class TrustRoot(Value):
     sattestor: Sata
     trusted_labels: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trusted_labels", frozenset(self.trusted_labels))
+    def __init__(self, sattestor: Sata, trusted_labels: Iterable[str]) -> None:
+        set_field(self, "sattestor", sattestor)
+        set_field(self, "trusted_labels", frozenset(trusted_labels))
 
 
-@dataclass(frozen=True)
-class TrustPolicy:
+class TrustPolicy(Value):
     roots: tuple[TrustRoot, ...]
-    max_chain_depth: int = 3
-    require_sattestation_for: frozenset[str] = frozenset()
-    allow_credentialed_alt_services: bool = True
+    max_chain_depth: int
+    require_sattestation_for: frozenset[str]
+    allow_credentialed_alt_services: bool
 
-    def __post_init__(self) -> None:
-        if self.max_chain_depth < 1:
+    def __init__(
+        self,
+        roots: Iterable[TrustRoot],
+        max_chain_depth: int = 3,
+        require_sattestation_for: Iterable[str] = frozenset(),
+        allow_credentialed_alt_services: bool = True,
+    ) -> None:
+        if max_chain_depth < 1:
             raise ValueError("max_chain_depth must be at least 1")
-        object.__setattr__(self, "roots", tuple(self.roots))
-        object.__setattr__(
-            self, "require_sattestation_for", frozenset(self.require_sattestation_for)
-        )
+        set_field(self, "roots", tuple(roots))
+        set_field(self, "max_chain_depth", max_chain_depth)
+        set_field(self, "require_sattestation_for", frozenset(require_sattestation_for))
+        set_field(self, "allow_credentialed_alt_services", allow_credentialed_alt_services)
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(Value):
     credential: Sattestation
     binding_index: int
     label: str  # the label relied upon at this hop
 
+    def __init__(self, credential: Sattestation, binding_index: int, label: str) -> None:
+        set_field(self, "credential", credential)
+        set_field(self, "binding_index", binding_index)
+        set_field(self, "label", label)
 
-@dataclass(frozen=True)
-class TrustChain:
+
+class TrustChain(Value):
     links: tuple[ChainLink, ...]
     subject: Sata
     label: str
 
+    def __init__(self, links: tuple[ChainLink, ...], subject: Sata, label: str) -> None:
+        set_field(self, "links", links)
+        set_field(self, "subject", subject)
+        set_field(self, "label", label)
 
-@dataclass(frozen=True)
-class RotationResult:
+
+class RotationResult(Value):
     """Outcome of a key-rotation check; ``missing`` names absent directions."""
 
     ok: bool
-    missing: tuple[str, ...] = ()
+    missing: tuple[str, ...]
+
+    def __init__(self, ok: bool, missing: tuple[str, ...] = ()) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "missing", missing)
 
 
 def _identity(s: Sata) -> tuple[str, str]:

@@ -9,11 +9,11 @@ first failing check determines the verdict.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Union
 
+from ._value import Value, set_field
 from .credential import (
     Sattestation,
     check_freshness,
@@ -44,10 +44,13 @@ class VerdictOutcome(Enum):
     REJECT_NOT_SATA = "reject-not-sata"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     outcome: VerdictOutcome
     detail: str
+
+    def __init__(self, outcome: VerdictOutcome, detail: str) -> None:
+        set_field(self, "outcome", outcome)
+        set_field(self, "detail", detail)
 
     def accepted(self) -> bool:
         return self.outcome is VerdictOutcome.ACCEPT
@@ -58,8 +61,7 @@ class AltSvcDecision(Enum):
     BLOCK = "block"
 
 
-@dataclass(frozen=True)
-class CertDescriptor:
+class CertDescriptor(Value):
     """Abstract view of a TLS certificate, enough for SATA validation.
 
     ``fingerprint`` is the uppercase SHA-256 hex of the DER bytes; when
@@ -73,25 +75,39 @@ class CertDescriptor:
     san_list: tuple[str, ...]
     not_before: date
     not_after: date
-    has_sct: bool = False
-    der: bytes | None = None
+    has_sct: bool
+    der: bytes | None
 
-    def __post_init__(self) -> None:
-        fp = self.fingerprint
+    def __init__(
+        self,
+        fingerprint: str,
+        san_list: Iterable[str],
+        not_before: date,
+        not_after: date,
+        has_sct: bool = False,
+        der: bytes | None = None,
+    ) -> None:
         if (
-            not isinstance(fp, str)
-            or len(fp) != 64
-            or any(c not in "0123456789ABCDEF" for c in fp.upper())
+            not isinstance(fingerprint, str)
+            or len(fingerprint) != 64
+            or any(c not in "0123456789ABCDEF" for c in fingerprint.upper())
         ):
-            raise UnrepresentableField(f"certificate fingerprint must be 64 hex chars, got {fp!r}")
-        object.__setattr__(self, "fingerprint", fp.upper())
-        sans = self.san_list
-        if isinstance(sans, str) or not isinstance(sans, Iterable):
-            raise UnrepresentableField(f"certificate SANs must be a list of names, got {sans!r}")
-        sans = tuple(sans)
+            raise UnrepresentableField(
+                f"certificate fingerprint must be 64 hex chars, got {fingerprint!r}"
+            )
+        if isinstance(san_list, str) or not isinstance(san_list, Iterable):
+            raise UnrepresentableField(
+                f"certificate SANs must be a list of names, got {san_list!r}"
+            )
+        sans = tuple(san_list)
         if not all(isinstance(name, str) for name in sans):
             raise UnrepresentableField(f"certificate SANs must be strings, got {sans!r}")
-        object.__setattr__(self, "san_list", tuple(name.lower() for name in sans))
+        set_field(self, "fingerprint", fingerprint.upper())
+        set_field(self, "san_list", tuple(name.lower() for name in sans))
+        set_field(self, "not_before", not_before)
+        set_field(self, "not_after", not_after)
+        set_field(self, "has_sct", has_sct)
+        set_field(self, "der", der)
 
 
 def fingerprint_cert(der: bytes) -> str:

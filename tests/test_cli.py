@@ -516,9 +516,15 @@ def test_now_required_in_test_mode(capsys, monkeypatch, tmp_path, bank_files):
     assert err.value.code == EXIT_USAGE
 
 
-def test_io_error_exit_74(capsys):
+def test_io_error_exit_74(capsys, tmp_path):
     code, _, err = run(capsys, "satt", "verify", "--file", "/nonexistent/cred.satt")
     assert code == EXIT_IO
+    # a --fixtures path that does not exist or names a file is no empty matrix
+    (tmp_path / "fixture.json").write_text("{}")
+    for fixtures in (tmp_path / "nonexistent", tmp_path / "fixture.json"):
+        code, out, err = run(capsys, "--json", "sim", "matrix", "--fixtures", str(fixtures))
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("i/o error: ")
 
 
 @pytest.mark.parametrize("creds", ["missing", "file"])

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -128,7 +127,7 @@ def test_canonical_bytes_deterministic():
 
 def test_canonical_bytes_binding_order_significant():
     body = fig1_body()
-    reordered = dataclasses.replace(body, sattestees=tuple(reversed(body.sattestees)))
+    reordered = body.replace(sattestees=tuple(reversed(body.sattestees)))
     assert canonical_bytes(body) != canonical_bytes(reordered)
 
 
@@ -138,7 +137,7 @@ def test_binding_rejects_non_date():
     for field in ("issued", "refreshed_on"):
         for value in ("2020-06-01", datetime(2020, 6, 1, 12, 0)):
             with pytest.raises(UnrepresentableField, match=field):
-                dataclasses.replace(binding, **{field: value})
+                binding.replace(**{field: value})
 
 
 def test_refresh_rate_wire_forms():
@@ -167,10 +166,10 @@ def test_issue_key_mismatch():
 
 def test_tampered_binding_fails_verification():
     cred = issue(key_for("sattestora.info"), fig1_body())
-    tampered_binding = dataclasses.replace(cred.sattestees[0], domain="evil.info")
+    tampered_binding = cred.sattestees[0].replace(domain="evil.info")
     tampered = Sattestation(
-        body=dataclasses.replace(
-            cred.body, sattestees=(tampered_binding, cred.sattestees[1])
+        body=cred.body.replace(
+            sattestees=(tampered_binding, cred.sattestees[1])
         ),
         signature=cred.signature,
     )
@@ -183,7 +182,7 @@ def test_signature_from_wrong_key_rejected():
     cred = issue(key_for("sattestora.info"), body)
     other = issue(
         key_for("other-sattestor"),
-        dataclasses.replace(body, sattestor_onion=key_for("other-sattestor").address),
+        body.replace(sattestor_onion=key_for("other-sattestor").address),
     )
     forged = Sattestation(body=body, signature=other.signature)
     with pytest.raises(BadSignature):
@@ -307,10 +306,10 @@ ANY_CHARACTER = st.characters(exclude_categories=()) | st.characters(categories=
 def test_binding_label_builds_only_with_canonical_bytes(label):
     body = fig1_body()
     try:
-        binding = dataclasses.replace(body.sattestees[0], labels=(label,))
+        binding = body.sattestees[0].replace(labels=(label,))
     except SataError:
         return
-    canonical_bytes(dataclasses.replace(body, sattestees=(binding,)))
+    canonical_bytes(body.replace(sattestees=(binding,)))
 
 
 # -- self-sattestations ---------------------------------------------------------

@@ -4,8 +4,9 @@ command and a traced ``sim matrix``.
 Every CLI call is a new process and pays for each module it imports.
 ``satakit.cli`` must load the simulator only for the ``sim`` commands and
 the cryptography serialization stack never; each command loads only the
-satakit modules it runs (``FOOTPRINTS``); importing the package loads no
-submodule until a name is used.  Module counts, unlike timings, are the
+satakit modules it runs (``FOOTPRINTS``), and none loads ``dataclasses``
+or the ``inspect`` it imports; importing the package loads no submodule
+until a name is used.  Module counts, unlike timings, are the
 same on any host.  The traced run mirrors the benchmark's
 ``perfbench/cli_probe.py``: it imports only ``satakit.cli``, installs the
 span tracer, and still sees the simulator's boundaries once ``sim matrix``
@@ -52,7 +53,10 @@ def test_cli_import_leaves_simulator_and_serialization_out():
 def test_package_and_submodule_imports_load_only_what_they_use():
     assert {m for m in _loaded_after("import satakit") if m.startswith("satakit.")} == set()
     loaded = _loaded_after("import satakit.onion")
-    assert {m for m in loaded if m.startswith("satakit.")} == {"satakit.errors", "satakit.onion"}
+    assert {m for m in loaded if m.startswith("satakit.")} == {
+        "satakit._value", "satakit.errors", "satakit.onion"
+    }
+    assert DATACLASSES & _loaded_after("import satakit.trust") == set()
 
 
 def test_traced_sim_matrix_from_cli_import_alone(tmp_path):
@@ -84,16 +88,17 @@ sys.exit(code)
 
 SATAKIT = {f"satakit.{m}" for m in ("sata", "credential", "validation", "trust", "sim")}
 SERIALIZATION = "cryptography.hazmat.primitives.serialization"
+DATACLASSES = {"dataclasses", "inspect"}  # only the simulator's records are dataclasses
 # command -> the modules its process must not load
 FOOTPRINTS = {
-    "onion parse": SATAKIT,
-    "onion keygen": SATAKIT,
-    "sata parse": SATAKIT - {"satakit.sata"},
-    "satt verify": {"satakit.validation", "satakit.trust", "satakit.sim"},
-    "satt self": {"satakit.validation", "satakit.trust", "satakit.sim"},
-    "verify": {"satakit.trust", "satakit.sim", SERIALIZATION},
-    "trust eval": {"satakit.validation", "satakit.sim"},
-    "rotate pointer": {"satakit.validation", "satakit.sim"},
+    "onion parse": SATAKIT | DATACLASSES,
+    "onion keygen": SATAKIT | DATACLASSES,
+    "sata parse": SATAKIT - {"satakit.sata"} | DATACLASSES,
+    "satt verify": {"satakit.validation", "satakit.trust", "satakit.sim"} | DATACLASSES,
+    "satt self": {"satakit.validation", "satakit.trust", "satakit.sim"} | DATACLASSES,
+    "verify": {"satakit.trust", "satakit.sim", SERIALIZATION} | DATACLASSES,
+    "trust eval": {"satakit.validation", "satakit.sim"} | DATACLASSES,
+    "rotate pointer": {"satakit.validation", "satakit.sim"} | DATACLASSES,
 }
 
 

@@ -399,7 +399,7 @@ def test_compromised_key_rotation_validates_but_gains_no_trust():
 
 def test_validate_world_rejects_inconsistent_fingerprint():
     cert = cert_for("site", ["site.example"])
-    broken = dataclasses.replace(cert, fingerprint="0" * 64)
+    broken = cert.replace(fingerprint="0" * 64)
     world = World(sites={"site.example": SiteRecord(endpoint_id="origin", cert=broken)})
     with pytest.raises(ValueError, match="fingerprint"):
         validate_world(world)
@@ -425,7 +425,7 @@ def _inconsistent_worlds() -> dict[str, World]:
         "fingerprint": World(
             sites={
                 "site.example": SiteRecord(
-                    endpoint_id="origin", cert=dataclasses.replace(good, fingerprint="0" * 64)
+                    endpoint_id="origin", cert=good.replace(fingerprint="0" * 64)
                 )
             }
         ),

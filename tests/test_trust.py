@@ -412,12 +412,10 @@ def test_credentials_naming_old_never_change_trust_in_new(seed, target, label, r
 
 def test_usable_links_filters_tampered_and_stale():
     policy, creds, live = consortium_setup()
-    import dataclasses
-
     from satakit import Sattestation
 
     tampered = Sattestation(
-        body=dataclasses.replace(creds[0].body, sattestor_domain="evil.example"),
+        body=creds[0].body.replace(sattestor_domain="evil.example"),
         signature=creds[0].signature,
     )
     links = usable_links([tampered, creds[1]], TODAY)

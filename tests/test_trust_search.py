@@ -4,7 +4,6 @@ search it replaced, polynomial cost, and credential work done once.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import operator
@@ -119,14 +118,14 @@ def _random_pool(rng: random.Random, n: int) -> list[Sattestation]:
         for k, b in enumerate(bindings):
             loop = len(bindings) == 1 and b.domain == _DOMAINS[i]
             if rng.random() < (0.6 if loop else 0.1):
-                bindings[k] = dataclasses.replace(b, cert_fingerprints=(FINGERPRINT,))
+                bindings[k] = b.replace(cert_fingerprints=(FINGERPRINT,))
         body = _body(i, bindings)
         if rng.random() < 0.1:
             pool.append(Sattestation(body=body, signature=rng.randbytes(64)))
             continue
         if rng.random() < 0.05:  # a zero rate has no canonical bytes
             with pytest.raises(UnrepresentableField):
-                dataclasses.replace(body, refresh_rate_days=0)
+                body.replace(refresh_rate_days=0)
             # junk of another kind takes its place, so every pool keeps its
             # size and the random draws that follow it
             pool.append(Sattestation(body=body, signature=rng.randbytes(64)))
@@ -134,7 +133,7 @@ def _random_pool(rng: random.Random, n: int) -> list[Sattestation]:
         pool.append(issue(_KEYS[i], body))
         if rng.random() < 0.3:
             refreshed = NOW - timedelta(days=rng.randint(0, 3))
-            reissued = [dataclasses.replace(b, refreshed_on=refreshed) for b in bindings]
+            reissued = [b.replace(refreshed_on=refreshed) for b in bindings]
             pool.append(issue(_KEYS[i], _body(i, reissued)))
         if rng.random() < 0.1:
             pool.append(issue(_KEYS[i], body))
@@ -292,7 +291,7 @@ def test_junk_and_stale_credentials_at_random_positions_change_nothing():
                 stale = [_binding(j, b.labels, NOW - timedelta(days=30)) for b in bindings]
                 noise = issue(_KEYS[i], _body(i, stale))
             else:  # fingerprints on a binding of a credential about another node
-                pinned = [dataclasses.replace(b, cert_fingerprints=(FINGERPRINT,)) for b in bindings]
+                pinned = [b.replace(cert_fingerprints=(FINGERPRINT,)) for b in bindings]
                 noise = issue(_KEYS[i], _body(i, pinned + [_binding((j + 1) % n, [NEWS], NOW)]))
             noisy.insert(rng.randrange(len(noisy) + 1), noise)
         policy, queries = _queries(rng, n)
@@ -467,9 +466,8 @@ def _same_issuer(rng: random.Random, cred: Sattestation) -> Sattestation:
     if kind == "copy":
         return _equal_bytes_copy(cred)
     refreshed = NOW - timedelta(days=rng.choice((0, 2, 30)))
-    body = dataclasses.replace(
-        cred.body,
-        sattestees=tuple(dataclasses.replace(b, refreshed_on=refreshed) for b in cred.sattestees),
+    body = cred.body.replace(
+        sattestees=tuple(b.replace(refreshed_on=refreshed) for b in cred.sattestees),
     )
     if kind == "junk":
         return Sattestation(body=body, signature=rng.randbytes(64))
@@ -694,9 +692,8 @@ def _replacement(rng: random.Random, kind: str, pool) -> tuple[int, Sattestation
     at = rng.choice(places)
     old = pool[at]
     refreshed = NOW - timedelta(days=30 if kind == "fresh to stale" else rng.randint(0, 3))
-    body = dataclasses.replace(
-        old.body,
-        sattestees=tuple(dataclasses.replace(b, refreshed_on=refreshed) for b in old.sattestees),
+    body = old.body.replace(
+        sattestees=tuple(b.replace(refreshed_on=refreshed) for b in old.sattestees),
     )
     if kind == "sound to junk":
         return at, Sattestation(body=body, signature=rng.randbytes(64))
@@ -975,13 +972,13 @@ def test_tampered_or_reissued_objects_are_checked_again(verify_calls):
     assert verify_calls == {original.signature: 1}
 
     flipped = bytes([original.signature[0] ^ 1]) + original.signature[1:]
-    tampered_signature = dataclasses.replace(original, signature=flipped)
+    tampered_signature = original.replace(signature=flipped)
     with pytest.raises(BadSignature):
         verify_credential(tampered_signature)
     assert verify_calls[flipped] == 1
 
     tampered_body = Sattestation(
-        body=dataclasses.replace(body, sattestor_domain="evil.example"),
+        body=body.replace(sattestor_domain="evil.example"),
         signature=original.signature,
     )
     with pytest.raises(BadSignature):
@@ -1180,3 +1177,7 @@ def test_keypair_private_key_is_not_part_of_its_value():
     a, b = keygen(b"\x05" * 32), keygen(b"\x05" * 32)
     assert a == b and hash(a) == hash(b)
     assert "private" not in repr(a)
+    # nor is the secret seed in its repr, so a logged key pair leaks no key
+    for pair in (a, keygen(bytes(range(32)))):
+        assert pair.secret.hex() not in repr(pair)
+        assert repr(pair.secret) not in repr(pair)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from datetime import date
 
 import pytest
@@ -53,7 +52,7 @@ def test_missing_base_domain_san_rejected(bank_sata, bank_header):
 
 def test_onion_san_alone_satisfies_the_alternative(bank_sata, bank_header, bank_cert):
     sans = expected_sans(bank_sata)
-    cert = dataclasses.replace(bank_cert, san_list=(sans[1], sans[2]))
+    cert = bank_cert.replace(san_list=(sans[1], sans[2]))
     verdict = validate_connection(bank_sata, cert, bank_header, TODAY)
     assert verdict.outcome is VerdictOutcome.ACCEPT
 
@@ -108,7 +107,7 @@ def test_fingerprint_mismatch_rejected(bank_sata, bank_cert, bank_key):
         refreshed_on=date(2020, 8, 31),
         refresh_rate_days=7,
     )
-    cert = dataclasses.replace(bank_cert, fingerprint=FP_B)
+    cert = bank_cert.replace(fingerprint=FP_B)
     verdict = validate_connection(bank_sata, cert, header, TODAY)
     assert verdict.outcome is VerdictOutcome.REJECT_FINGERPRINT
 
@@ -126,7 +125,7 @@ def test_any_listed_fingerprint_matches(bank_sata, bank_cert, bank_key):
 
 
 def test_cert_outside_validity_window_rejected(bank_sata, bank_cert, bank_header):
-    expired = dataclasses.replace(bank_cert, not_after=date(2020, 8, 1))
+    expired = bank_cert.replace(not_after=date(2020, 8, 1))
     verdict = validate_connection(bank_sata, expired, bank_header, TODAY)
     assert verdict.outcome is VerdictOutcome.REJECT_STALE
     assert "certificate" in verdict.detail
@@ -281,13 +280,12 @@ def test_alt_svc_blocks_on_each_sata_error():
     alt_key = key_for("bank-alt")
     host = f"{alt_key.address.label}.onion"
     cred = _alt_self_satt("bank.example", "bank-alt", FP_A)
-    flipped = dataclasses.replace(
-        cred, signature=bytes([cred.signature[0] ^ 1]) + cred.signature[1:]
+    flipped = cred.replace(
+        signature=bytes([cred.signature[0] ^ 1]) + cred.signature[1:]
     )
     unpinned = Sattestation(  # a self-sattestation binding no certificate
-        body=dataclasses.replace(
-            cred.body,
-            sattestees=(dataclasses.replace(cred.sattestees[0], cert_fingerprints=()),),
+        body=cred.body.replace(
+            sattestees=(cred.sattestees[0].replace(cert_fingerprints=()),),
         ),
         signature=cred.signature,
     )
@@ -345,8 +343,8 @@ def test_alt_svc_parses_the_alt_host_once_per_pool(monkeypatch):
 def test_alt_svc_junk_before_a_good_credential_allows():
     alt_key = key_for("bank-alt")
     good = _alt_self_satt("bank.example", "bank-alt", FP_A)
-    flipped = dataclasses.replace(
-        good, signature=bytes([good.signature[0] ^ 1]) + good.signature[1:]
+    flipped = good.replace(
+        signature=bytes([good.signature[0] ^ 1]) + good.signature[1:]
     )
     host = f"{alt_key.address.label}.onion"
     for junk in (None, flipped):
@@ -402,14 +400,14 @@ def _mutated_header(mutations: frozenset, age_days: int, cert: CertDescriptor):
             refresh_rate_days=7,
         )
         if "no_fingerprints" in mutations:  # signed over the pinned body
-            unpinned = dataclasses.replace(header.sattestees[0], cert_fingerprints=())
+            unpinned = header.sattestees[0].replace(cert_fingerprints=())
             header = Sattestation(
-                body=dataclasses.replace(header.body, sattestees=(unpinned,)),
+                body=header.body.replace(sattestees=(unpinned,)),
                 signature=header.signature,
             )
     if "flip_signature" in mutations:
-        header = dataclasses.replace(
-            header, signature=bytes([header.signature[0] ^ 1]) + header.signature[1:]
+        header = header.replace(
+            signature=bytes([header.signature[0] ^ 1]) + header.signature[1:]
         )
     return header
 
@@ -446,8 +444,8 @@ def _pool_entries() -> list:
                 key=key_for(key_name), domain=domain, cert_fingerprints=[FP_A],
                 issued=date(2020, 8, 10), refreshed_on=date(2020, 8, 10), refresh_rate_days=7,
             )
-            flipped = dataclasses.replace(
-                good, signature=bytes([good.signature[0] ^ 1]) + good.signature[1:]
+            flipped = good.replace(
+                signature=bytes([good.signature[0] ^ 1]) + good.signature[1:]
             )
             entries += [good, stale, flipped]
     entries.append(third_party("bank.example", "root", [("bank.example", "bank-alt", ["news"])]))

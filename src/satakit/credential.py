@@ -86,6 +86,14 @@ def _require_date(value, field: str) -> date:
     return value
 
 
+def _names(values: Iterable[str], field: str) -> tuple[str, ...]:
+    """``values`` as a tuple; a bare string, which would give one name per
+    character, raises :class:`StructuralViolation`."""
+    if isinstance(values, str):
+        raise StructuralViolation(f"{field} must be a list of strings, got {values!r}")
+    return tuple(values)
+
+
 class Binding(Value):
     """One sattestee entry: a (domain, onion) pair with its dates.
 
@@ -118,7 +126,7 @@ class Binding(Value):
         _require_date(refreshed_on, "refreshed_on")
         if refreshed_on < issued:
             raise StructuralViolation(f"refreshed_on {refreshed_on} precedes issued {issued}")
-        labels = tuple(labels)
+        labels = _names(labels, "labels")
         for label in labels:
             if not label or "," in label or _SURROGATE_RE.search(label):
                 raise StructuralViolation(
@@ -126,7 +134,8 @@ class Binding(Value):
                 )
         if onion_reachable is not None and type(onion_reachable) is not bool:
             raise StructuralViolation(f"onion_reachable {onion_reachable!r} is not a boolean")
-        normalized = tuple(fp.upper() for fp in cert_fingerprints)
+        fingerprints = _names(cert_fingerprints, "cert_fingerprints")
+        normalized = tuple(fp.upper() for fp in fingerprints)
         for fp in normalized:
             if not _FINGERPRINT_RE.match(fp):
                 raise StructuralViolation(f"certificate fingerprint {fp!r} is not hex")
@@ -322,7 +331,7 @@ def make_self_sattestation(
     stay under :data:`MAX_SELF_SATTESTATION_BYTES` (headers travel
     uncompressed); exceeding it raises :class:`TooLarge`.
     """
-    fingerprints = tuple(cert_fingerprints)
+    fingerprints = _names(cert_fingerprints, "cert_fingerprints")
     if not fingerprints:
         raise NoFingerprints("a self-sattestation needs at least one cert fingerprint")
     onion = key.address
@@ -331,7 +340,7 @@ def make_self_sattestation(
         onion=onion,
         issued=issued,
         refreshed_on=refreshed_on,
-        labels=tuple(labels or ()),
+        labels=() if labels is None else labels,
         cert_fingerprints=fingerprints,
         onion_reachable=onion_reachable,
     )

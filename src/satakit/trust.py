@@ -64,16 +64,20 @@ every call.
 
 Cost: a query that reuses an index pays nothing for a tuple the memo
 holds and one identity pass over any other container, plus for
-:func:`evaluate` at most states x bindings, whatever the depth; at its
-last depth :func:`evaluate` reads only the rows that can hit and reaches
-no new state, and it stops at the first depth that reaches none.  A
-query whose index is derived pays one more identity pass.  The first
-query to read a touched issuer pays an identity pass over that issuer's
-credentials and, for each replaced one, the new one's verification and
-its rows.  A query whose index is built afresh pays one placing pass.
-Either way an issuer is verified, and its table built, only the first
-time a query reads it, so a query verifies only the issuers it reaches
-and a pool published by an adversary cannot force more.  Each credential
+:func:`evaluate` at most states x bindings, whatever the depth.  Each
+depth is searched for hits first, reading only the subject's rows in the
+states that may use the queried label; delegation rows are walked only at
+a depth that holds no hit and is not the last, and the search stops at the
+first depth that reaches no new state.  So a hit at depth d reads no
+state of that depth that may not use the label, and verifies no issuer
+met only there.  A query whose index is derived pays one more identity
+pass.  The first query to read a touched issuer pays an identity pass
+over that issuer's credentials and, for each replaced one, the new one's
+verification and its rows.  A query whose index is built afresh pays
+one placing pass.  Either way an issuer is verified, and its table built,
+only the first time a query reads it, so a query verifies only the
+issuers it reaches and a pool published by an adversary cannot force
+more.  Each credential
 object keeps its structural and signature verdicts (see
 :func:`verify_credential`), so indexing a pool again stays cheap;
 freshness depends on the query date and is checked per query, against
@@ -133,6 +137,10 @@ class TrustRoot(Value):
     trusted_labels: frozenset[str]
 
     def __init__(self, sattestor: Sata, trusted_labels: Iterable[str]) -> None:
+        if isinstance(trusted_labels, str):
+            raise UnrepresentableField(
+                f"trusted labels must be a list of labels, got {trusted_labels!r}"
+            )
         set_field(self, "sattestor", sattestor)
         set_field(self, "trusted_labels", frozenset(trusted_labels))
 
@@ -491,13 +499,15 @@ def evaluate(
     further (still as ``sattestor(X)``) within the depth budget.
 
     The pool is read through its index; the module docstring states how
-    it is kept and what a query costs, and the tie rule.  A reached state
-    looks up the subject's rows for a plain query label and walks the rows
-    of each delegation label it may use; at the last depth it walks only
-    the rows of the query label, which reach nothing further.  A candidate
-    chain's (step keys, ranks) is built only for a hit or for a state no
-    earlier depth reached, and a link's rank (canonical bytes, input
-    position) only then.
+    it is kept and what a query costs, and the tie rule.  Each depth is
+    searched in two passes.  The hit pass reads, in each state that may
+    use the query label, the subject's rows carrying it, and keeps the
+    smallest fresh one; a hit ends the search there.  Only a depth with
+    no hit that is not the last gets the expansion pass, which walks the
+    rows of each delegation label a state may use to reach the next
+    depth's states.  A candidate chain's (step keys, ranks) is built only
+    for a hit or for a state no earlier depth reached, and a link's rank
+    (canonical bytes, input position) only then.
     """
     index = _pool_index(credentials)
 
@@ -528,46 +538,60 @@ def evaluate(
     subject_key = (subject_domain, subject_onion, label)
     last = policy.max_chain_depth - 1
     for depth in range(policy.max_chain_depth):
+        # hits first: the subject's fresh rows carrying the query label, read
+        # only from states that may use it
         best: Optional[tuple] = None
-        reached: dict[tuple, tuple] = {}
         for (domain, onion, allowed), ((keys, ranks), creds) in frontier.items():
-            if depth == last and label not in allowed:
-                continue  # no hit here, and no next depth to reach
+            if label not in allowed:
+                continue
             table = index.table((domain, onion))
             if table is None:
                 continue
             plain, delegating = table
-            # (label, its grant, rows carrying it): the subject's rows for a
-            # plain query label, and every row of each delegation label; at
-            # the last depth only the rows that can hit, granting nothing
-            scans = []
-            if plain_label and label in allowed:
-                scans.append((label, None, plain.get(subject_key, ())))
-            if depth < last:
-                for lab in allowed:
-                    if lab in delegating:
-                        scans.append((lab, *delegating[lab]))
-            elif not plain_label and label in delegating:
-                scans.append((label, None, delegating[label][1]))
-            for lab, nxt, rows in scans:
+            if plain_label:
+                rows = plain.get(subject_key, ())
+            else:
+                rows = delegating[label][1] if label in delegating else ()
+            for refreshed, rate, sub_domain, sub_onion, idx, pos, cred in rows:
+                if sub_domain != subject_domain or sub_onion != subject_onion:
+                    continue
+                window = windows.get(rate)
+                if window is None:
+                    window = windows[rate] = fresh_window(rate, now)
+                if not window[0] <= refreshed <= window[1]:
+                    continue
+                order = (
+                    keys + ((domain, onion, idx, label),),
+                    ranks + ((canonical_bytes(cred), pos),),
+                )
+                if best is None or order < best[0]:
+                    best = (order, creds + (cred,))
+        if best is not None:
+            (keys, _ranks), creds = best
+            links = tuple(
+                ChainLink(cred, idx, lab)
+                for cred, (_domain, _onion, idx, lab) in zip(creds, keys)
+            )
+            return TrustChain(links=links, subject=subject, label=label)
+        if depth == last:
+            break
+        # no hit at this depth: the delegation rows of every allowed label
+        # reach the next depth's states
+        reached: dict[tuple, tuple] = {}
+        for (domain, onion, allowed), ((keys, ranks), creds) in frontier.items():
+            table = index.table((domain, onion))
+            if table is None:
+                continue
+            delegating = table[1]
+            for lab in allowed:
+                if lab not in delegating:
+                    continue
+                nxt, rows = delegating[lab]
                 for refreshed, rate, sub_domain, sub_onion, idx, pos, cred in rows:
                     window = windows.get(rate)
                     if window is None:
                         window = windows[rate] = fresh_window(rate, now)
                     if not window[0] <= refreshed <= window[1]:
-                        continue
-                    if (
-                        lab == label
-                        and sub_domain == subject_domain
-                        and sub_onion == subject_onion
-                    ):
-                        order = (
-                            keys + ((domain, onion, idx, lab),),
-                            ranks + ((canonical_bytes(cred), pos),),
-                        )
-                        if best is None or order < best[0]:
-                            best = (order, creds + (cred,))
-                    if nxt is None:
                         continue
                     state = (sub_domain, sub_onion, nxt)
                     if state in seen:
@@ -579,15 +603,8 @@ def evaluate(
                     kept = reached.get(state)
                     if kept is None or order < kept[0]:
                         reached[state] = (order, creds + (cred,))
-        if best is not None:
-            (keys, _ranks), creds = best
-            links = tuple(
-                ChainLink(cred, idx, lab)
-                for cred, (_domain, _onion, idx, lab) in zip(creds, keys)
-            )
-            return TrustChain(links=links, subject=subject, label=label)
         if not reached:
-            return None  # no state left to expand: deeper chains cannot exist
+            break  # no state left to expand: deeper chains cannot exist
         seen.update(reached)
         frontier = reached
     return None

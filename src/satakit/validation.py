@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Union
 from ._value import Value, set_field
 from .credential import (
     Sattestation,
+    _require_date,
     check_freshness,
     is_self_sattestation,
     verify_credential,
@@ -68,7 +69,9 @@ class CertDescriptor(Value):
     ``der`` is provided the two must agree (enforced by fixtures, not
     here, since descriptors are often built without the full DER).
     ``has_sct`` only records whether a CT signed-certificate-timestamp was
-    promised; nothing here verifies SCTs.
+    promised; nothing here verifies SCTs.  The validity dates must be
+    calendar dates and ``has_sct`` a bool, or :class:`UnrepresentableField`
+    is raised.
     """
 
     fingerprint: str
@@ -102,6 +105,10 @@ class CertDescriptor(Value):
         sans = tuple(san_list)
         if not all(isinstance(name, str) for name in sans):
             raise UnrepresentableField(f"certificate SANs must be strings, got {sans!r}")
+        _require_date(not_before, "certificate not_before")
+        _require_date(not_after, "certificate not_after")
+        if type(has_sct) is not bool:
+            raise UnrepresentableField(f"certificate has_sct must be a boolean, got {has_sct!r}")
         set_field(self, "fingerprint", fingerprint.upper())
         set_field(self, "san_list", tuple(name.lower() for name in sans))
         set_field(self, "not_before", not_before)

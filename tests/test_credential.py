@@ -278,6 +278,35 @@ def test_labels_with_commas_rejected():
         )
 
 
+@pytest.mark.parametrize("field,value", [("labels", "news"), ("cert_fingerprints", "ABCD")])
+def test_binding_rejects_a_bare_string_for_a_list(field, value):
+    # a string is an iterable of characters: "news" would be four labels
+    with pytest.raises(StructuralViolation, match=field):
+        Binding(
+            domain="domain1.info",
+            onion=key_for("domain1.info").address,
+            issued=date(2020, 6, 1),
+            refreshed_on=date(2020, 8, 25),
+            **{field: value},
+        )
+
+
+@pytest.mark.parametrize(
+    "fingerprints,labels", [("AB", ["bank"]), (["AB"], "bank")], ids=["fingerprints", "labels"]
+)
+def test_self_sattestation_rejects_a_bare_string_for_a_list(fingerprints, labels):
+    with pytest.raises(StructuralViolation, match="must be a list of strings"):
+        make_self_sattestation(
+            key=key_for("bank.example"),
+            domain="bank.example",
+            cert_fingerprints=fingerprints,
+            issued=date(2020, 6, 1),
+            refreshed_on=date(2020, 8, 25),
+            refresh_rate_days=7,
+            labels=labels,
+        )
+
+
 def _wire_with(field: str, raw: str) -> str:
     """fig1's transport form with the first binding's ``field`` set to the
     raw JSON text ``raw``, signed by its sattestor."""

@@ -21,7 +21,7 @@ from satakit import (
     to_subdomain_form,
     verify_credential,
 )
-from satakit.errors import DomainMismatch, KeyMismatch
+from satakit.errors import DomainMismatch, KeyMismatch, UnrepresentableField
 from satakit.trust import (
     TrustPolicy,
     TrustRoot,
@@ -449,6 +449,12 @@ def test_policy_from_json_leaves_defaults_to_the_policy():
 def test_policy_depth_must_be_positive():
     with pytest.raises(ValueError):
         TrustPolicy(roots=(), max_chain_depth=0)
+
+
+def test_trust_root_rejects_a_bare_string_for_its_labels():
+    # a string is an iterable of characters: "news" would trust n, e, w, s
+    with pytest.raises(UnrepresentableField, match="trusted labels"):
+        TrustRoot(sattestor=sata_for("root.example"), trusted_labels="news")
 
 
 @pytest.mark.parametrize("pool", ["empty", "frontier empty at depth 2"])

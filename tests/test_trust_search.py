@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import weakref
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
@@ -212,6 +213,32 @@ def test_search_returns_the_exhaustive_chain(depth):
     assert hits >= 200 and ties >= 100 and longest == depth, (hits, ties, longest)
     assert moved >= 3 * hits // 2, (moved, hits)
     assert pinned >= 100 and self_hops >= 30, (pinned, self_hops)
+
+
+def test_a_chain_found_within_a_budget_is_the_chain_of_every_larger_budget():
+    """A chain of k links is the shortest, so every budget below k finds
+    none and every budget from k to 6 finds the same one: the search stops
+    at the first depth that holds a hit, whatever depth it may go on to.
+    Budgets 5 and 6 are beyond what the exhaustive search is run at."""
+    rng = random.Random("trust-search:budgets")
+    lengths = Counter()
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        # three pools over the same nodes, so chains grow longer
+        pool = [cred for _ in range(3) for cred in _random_pool(rng, n)]
+        policy = _random_policy(rng, n, 6)
+        for node in range(n):
+            for label in LABELS:
+                got = [
+                    _chain_ids(evaluate(policy.replace(max_chain_depth=budget), pool,
+                                        _sata(node), label, NOW))
+                    for budget in range(1, 7)
+                ]
+                k = len(got[-1]) if got[-1] is not None else 7  # 7: a miss
+                assert got == [None] * (k - 1) + [got[-1]] * (7 - k), (node, label)
+                lengths[k] += 1
+    # hits of every length up to 5, and misses at every budget
+    assert lengths[7] >= 1000 and lengths[4] >= 20 and lengths[5] >= 3, lengths
 
 
 # -- ranks without a pool sort ----------------------------------------------------------
@@ -1054,6 +1081,37 @@ def test_queries_verify_only_the_issuers_they_read(verify_calls, monkeypatch):
     assert len(usable_links(pool, NOW)) == 7
     assert verify_calls == {cred.signature: 1 for cred in unreached}
     assert len(built) == 1
+
+
+def test_a_hit_ends_the_search_before_other_delegates_are_read(verify_calls):
+    """A depth that holds a hit is the last one searched: a state there
+    that may not use the queried label is never read, so its issuer is
+    never verified."""
+    # the root (node 0) delegates news to node 1 and bank to node 2; node 1
+    # binds node 3 with news, and node 2 issues a credential of its own
+    reached = [
+        issue(
+            _KEYS[0],
+            _body(0, [
+                _binding(1, [delegation_label(NEWS)], NOW),
+                _binding(2, [delegation_label("bank")], NOW),
+            ]),
+        ),
+        issue(_KEYS[1], _body(1, [_binding(3, [NEWS], NOW)])),
+    ]
+    unread = issue(_KEYS[2], _body(2, [_binding(3, ["bank"], NOW)]))
+    root = TrustRoot(
+        sattestor=_sata(0),
+        trusted_labels=frozenset({delegation_label(NEWS), delegation_label("bank")}),
+    )
+    policy = TrustPolicy(roots=(root,), max_chain_depth=3)
+    chain = evaluate(policy, [unread, *reached], _sata(3), NEWS, NOW)
+    assert [link.credential for link in chain.links] == reached
+    assert [(link.binding_index, link.label) for link in chain.links] == [
+        (0, delegation_label(NEWS)),
+        (0, NEWS),
+    ]
+    assert verify_calls == {cred.signature: 1 for cred in reached}
 
 
 # -- rotation ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 from hypothesis import example, given, settings
@@ -596,6 +596,25 @@ def test_cert_descriptor_san_list_faults_are_sata_errors(san_list):
             not_before=date(2020, 1, 1),
             not_after=date(2021, 1, 1),
         )
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("not_before", "2020-01-01"),
+        ("not_after", "2021-01-01"),
+        ("not_after", datetime(2021, 1, 1, 12, 0)),
+        ("has_sct", "yes"),
+        ("has_sct", 1),
+    ],
+)
+def test_cert_descriptor_field_type_faults_are_sata_errors(field, value):
+    # a date given as text would reach validate_connection and fail there
+    # as a bare TypeError
+    fields = dict(not_before=date(2020, 1, 1), not_after=date(2021, 1, 1), has_sct=True)
+    fields[field] = value
+    with pytest.raises(UnrepresentableField, match=field):
+        CertDescriptor(fingerprint=SHA256_ABC, san_list=("bank.example",), **fields)
 
 
 def test_cert_descriptor_takes_any_iterable_of_names():

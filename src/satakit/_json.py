@@ -35,10 +35,13 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_object)
 def load(text: str | bytes, what: str):
     """The JSON value ``text`` holds (bytes are UTF-8).
 
-    Text that is not JSON, invalid UTF-8, nesting too deep for the parser,
-    an integer with more digits than Python converts, or an object that
-    repeats a key raises :class:`UnrepresentableField`.
+    A value that is neither text nor bytes, text that is not JSON, invalid
+    UTF-8, nesting too deep for the parser, an integer with more digits
+    than Python converts, or an object that repeats a key raises
+    :class:`UnrepresentableField`.
     """
+    if not isinstance(text, (str, bytes)):
+        raise UnrepresentableField(f"{what} is not JSON text but a {type(text).__name__}")
     try:
         return _DECODER.decode(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as exc:

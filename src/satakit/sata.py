@@ -183,7 +183,10 @@ def securedrop_rewrite(
     ``onion`` query parameter was supplied it is validated and returned so
     the caller can check the served certificate and SATA header against
     the pair.  Without it the expected onion must come from a ruleset.
+    A ``hostname`` that is not a string raises :class:`NotSecureDropName`.
     """
+    if not isinstance(hostname, str):
+        raise NotSecureDropName(f"SecureDrop name must be a string, got {hostname!r}")
     host = hostname.strip().lower()
     if not host.endswith(SECUREDROP_SUFFIX):
         raise NotSecureDropName(f"{hostname!r} does not end with {SECUREDROP_SUFFIX!r}")

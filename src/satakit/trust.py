@@ -32,56 +32,57 @@ published credentials count: :func:`evaluate`, :func:`usable_links`,
 :func:`rotation_check` and :func:`satakit.validation.validate_alt_svc`.
 The index places the pool's credentials by issuer in one pass, in input
 order, without sorting or verifying them; entries that are not
-credentials are skipped.  The first query that reads an issuer verifies
-that issuer's credentials and keeps the sound ones with the index, in
-pool order.  A credential that raises any ``SataError`` is dropped, not
-fatal, so publishing junk cannot poison a query.  For :func:`evaluate`
-each issuer it reaches also gets a table of its bindings, keyed by
-subject and plain label or by delegation label, built once.
+credentials are skipped.  The first query that reads an issuer, whatever
+the query, verifies that issuer's credentials and builds the table of the
+sound ones' bindings, keyed by subject and plain label or by delegation
+label, and both are kept with the index.  A credential that raises any
+``SataError`` is dropped, not fatal, so publishing junk cannot poison a
+query.
 
 An index is reused while the same list or tuple holds the same credential
 objects in the same order.  The indexes of the 16 most recently queried
 pools are kept in one process-wide memo guarded by a lock.  The memo
 holds a plain tuple itself, so a query on a tuple it holds is known by
 identity; a list is compared with a copy of its entries, object by
-object.  A pool changed in place replaces its own index, and a pool
-indexed as an edited copy of another (as long, most positions holding
-the same objects) replaces the other's.  Where the two differ only by
-credentials replaced with ones of the same issuer, however many, the new
-index is derived from the old: no issuer's positions move, so they are
-shared, as is the state of every issuer no replacement touched.
+object.  One rule serves a list or tuple the memo does not hold: its
+index is derived from the most recently used memo index whose pool it
+differs from only by credentials replaced with ones of the same issuer,
+however many, while one object at least stays in its place.  The
+container's own last index is tried first, and the new index takes the
+place of the one it was derived from.  Such an edit moves no issuer's
+positions, so they are shared, as is the state of every issuer no
+replacement touched.  A pool no memo index allows this for is placed
+afresh, as is any iterable other than a list or tuple, on every call.
 
-One rule reuses an issuer's work: its state is (credentials, verdicts,
-sound credentials, table) and describes exactly the credentials it
-names.  The first query that reads an issuer touched since its last read
-fits that last state to the credentials the pool holds now.  The state is
-reused if they are the same objects.  If they are as many, only the
-credentials at places holding other objects are verified, and copies of
-the table lose those places' rows and gain the new sound credentials'
-rows, so no other row moves.  Otherwise all are verified.  Any other edit
-is indexed afresh, as is any iterable other than a list or tuple, on
-every call.
+An issuer's state is (credentials, verdicts, sound credentials, table)
+and describes exactly the credentials it names.  The first query that
+reads an issuer a replacement touched fits the state it had in the base
+index to the credentials the pool holds now: only the credentials at
+places holding other objects are verified, and the table's row lists are
+copied without those places' rows, then given the new sound credentials'
+rows, so no other row moves.
 
-Cost: a query that reuses an index pays nothing for a tuple the memo
-holds and one identity pass over any other container, plus for
-:func:`evaluate` at most states x bindings, whatever the depth.  Each
-depth is searched for hits first, reading only the subject's rows in the
-states that may use the queried label; delegation rows are walked only at
-a depth that holds no hit and is not the last, and the search stops at the
-first depth that reaches no new state.  So a hit at depth d reads no
-state of that depth that may not use the label, and verifies no issuer
-met only there.  A query whose index is derived pays one more identity
-pass.  The first query to read a touched issuer pays an identity pass
-over that issuer's credentials and, for each replaced one, the new one's
-verification and its rows.  A query whose index is built afresh pays
-one placing pass.  Either way an issuer is verified, and its table built,
-only the first time a query reads it, so a query verifies only the
-issuers it reaches and a pool published by an adversary cannot force
-more.  Each credential
-object keeps its structural and signature verdicts (see
-:func:`verify_credential`), so indexing a pool again stays cheap;
-freshness depends on the query date and is checked per query, against
-one window of dates per refresh rate.
+Cost: a query that reuses an index pays nothing for a tuple the memo holds
+and one identity pass over any other container, plus for :func:`evaluate`
+at most states x bindings, whatever the depth.  Each depth is searched for
+hits first, reading only the subject's rows in the states that may use the
+queried label; delegation rows are walked only at a depth that holds no
+hit and is not the last, and the search stops at the first depth that
+reaches no new state.  So a hit at depth d reads no state of that depth
+that may not use the label, and verifies no issuer met only there.  A pool
+the memo does not hold is compared with its indexes in turn: one of
+another length costs nothing, and one as long costs identity passes, until
+an object in the same place is found and then until the two differ by more
+than a same-issuer replacement.  The first query to read a touched issuer
+pays an identity pass over that issuer's credentials, one pass over its
+rows, and for each replaced credential the new one's verification and
+rows.  A pool placed afresh pays one placing pass.  Either way an issuer
+is verified, and its table built, only the first time a query reads it, so
+a query verifies only the issuers it reaches and a pool published by an
+adversary cannot force more.  Each credential object keeps its structural
+and signature verdicts (see :func:`verify_credential`), so indexing a pool
+again stays cheap; freshness depends on the query date and is checked per
+query, against one window of dates per refresh rate.
 """
 
 from __future__ import annotations
@@ -158,9 +159,24 @@ class TrustPolicy(Value):
         require_sattestation_for: Iterable[str] = frozenset(),
         allow_credentialed_alt_services: bool = True,
     ) -> None:
+        # a string is an iterable of characters: "news" would require n, e, w, s
+        if isinstance(require_sattestation_for, str):
+            raise UnrepresentableField(
+                f"require_sattestation_for must be a list, got {require_sattestation_for!r}"
+            )
+        roots = tuple(roots)  # a string's characters are not roots either
+        for root in roots:
+            if not isinstance(root, TrustRoot):
+                raise UnrepresentableField(f"a trust root must be a TrustRoot, got {root!r}")
+        for name, value, kind in (
+            ("max_chain_depth", max_chain_depth, int),
+            ("allow_credentialed_alt_services", allow_credentialed_alt_services, bool),
+        ):
+            if type(value) is not kind:  # so a bool is no depth
+                raise UnrepresentableField(f"{name} must be of type {kind.__name__}, got {value!r}")
         if max_chain_depth < 1:
             raise ValueError("max_chain_depth must be at least 1")
-        set_field(self, "roots", tuple(roots))
+        set_field(self, "roots", roots)
         set_field(self, "max_chain_depth", max_chain_depth)
         set_field(self, "require_sattestation_for", frozenset(require_sattestation_for))
         set_field(self, "allow_credentialed_alt_services", allow_credentialed_alt_services)
@@ -235,10 +251,11 @@ class _PoolIndex:
     ``entries`` is the pool as it was indexed, kept to tell whether the
     pool has changed since.  ``_places`` maps each issuer to the positions
     of its credentials in ``entries``.  A state is (credentials, verdicts,
-    sound credentials, table or None): it describes exactly the
-    credentials it names, the issuer's in pool order, with one verdict
-    each.  ``_states`` maps each issuer read here to its state; ``_kept``
-    maps an issuer to the state an earlier index of the pool last fitted,
+    sound credentials, table): it describes exactly the credentials it
+    names, the issuer's in pool order, with one verdict each, and its
+    table holds the rows of the sound ones (see :meth:`table`).
+    ``_states`` maps each issuer read here to its state; ``_kept`` maps an
+    issuer to its last state in the indexes this one was derived from,
     which :func:`_fit` starts from.  Neither the states nor ``_places`` and
     ``_kept`` are changed in place, so indexes and threads may share them.
     """
@@ -258,15 +275,20 @@ class _PoolIndex:
     def derived(self, entries: Sequence) -> Optional[_PoolIndex]:
         """The index of ``entries`` derived from this one, or None unless
         ``entries`` differs from this index's entries only at positions
-        where a credential was replaced by one of the same issuer.
+        where a credential was replaced by one of the same issuer, and
+        holds the same object at one position at least.
 
         Such an edit moves no issuer's positions, so ``_places`` is shared
-        whole.  Every state read here is kept for :func:`_fit`; an issuer
-        no replacement touched keeps its state as read, and a touched one
-        is fitted again on its next read.
+        whole, and every kept state names as many credentials as its
+        issuer has here.  Every state read here is kept for :func:`_fit`;
+        an issuer no replacement touched keeps its state as read, and a
+        touched one is fitted again on its next read.  Of a pool that
+        shares no object with this one, such as a copy parsed again from
+        the same text, nothing would be reused, so it is not derived and
+        this index, which may still be read, stays in the memo.
         """
         old = self.entries
-        if len(old) != len(entries):
+        if len(old) != len(entries) or not any(map(is_, old, entries)):
             return None
         touched = set()
         for pos in compress(count(), map(is_not, old, entries)):
@@ -291,14 +313,14 @@ class _PoolIndex:
         """Every issuer that has a credential in the pool, sound or not."""
         return self._places.keys()
 
-    def _state(self, issuer: tuple[str, str]) -> Optional[tuple]:
+    def _state(self, issuer: tuple[str, str]) -> tuple:
         """``issuer``'s state, fitted on its first read here (see
-        :func:`_fit`); None when the pool holds no credential of it."""
+        :func:`_fit`)."""
         state = self._states.get(issuer)
         if state is None:
             places = self._places.get(issuer)
             if places is None:
-                return None
+                return _NO_STATE
             creds = tuple(map(self.entries.__getitem__, places))
             # a racing thread may do the same; either state serves
             state = self._states[issuer] = _fit(self._kept.get(issuer), creds)
@@ -307,12 +329,11 @@ class _PoolIndex:
     def issued(self, issuer: tuple[str, str]) -> Sequence[Sattestation]:
         """``issuer``'s credentials that verify, in pool order; the rest
         are dropped on any ``SataError``."""
-        state = self._state(issuer)
-        return state[2] if state is not None else ()
+        return self._state(issuer)[2]
 
-    def table(self, issuer: tuple[str, str]) -> Optional[tuple[dict, dict]]:
-        """(plain, delegating) rows of ``issuer``'s bindings, or None when
-        the pool holds no sound credential of it.
+    def table(self, issuer: tuple[str, str]) -> tuple[dict, dict]:
+        """(plain, delegating) rows of the bindings of ``issuer``'s
+        credentials that verify; both are empty when there are none.
 
         ``plain`` maps (subject domain, subject onion, label) to the rows
         carrying that plain label; ``delegating`` maps each ``sattestor(X)``
@@ -320,68 +341,47 @@ class _PoolIndex:
         A row is (refreshed_on, refresh rate, subject domain, subject onion,
         binding index, place in the issuer's credentials, credential).
         """
-        state = self._state(issuer)
-        if state is None or not state[2]:
-            return None
-        creds, verdicts, sound, table = state
-        if table is None:
-            table = ({}, {})
-            for g in compress(count(), verdicts):
-                _add_rows(*table, g, creds[g])
-            # a racing thread may build the same table; either copy serves
-            self._states[issuer] = (creds, verdicts, sound, table)
-        return table
+        return self._state(issuer)[3]
+
+
+_NO_STATE = ((), (), (), ({}, {}))  # of an issuer the pool holds no credential of
 
 
 def _fit(kept: Optional[tuple], creds: tuple[Sattestation, ...]) -> tuple:
     """The state of an issuer whose credentials are ``creds``, in pool
-    order, fitted from ``kept``, a state of that issuer or None.
+    order, fitted from ``kept``: None, or the issuer's state in an index
+    the pool's index was derived from, which names as many credentials.
 
-    ``kept`` is reused when it names the same objects.  When it names as
-    many, only the credentials at places where the objects differ are
-    verified, and the table, if built, is copied with the rows at those
-    places taken out and the new sound credentials' put in, so no other
-    row moves.  Otherwise every credential is verified, and the table is
-    left for :meth:`_PoolIndex.table` to build.
+    Without ``kept`` every credential is verified and its rows put in a new
+    table.  ``kept`` is reused when it names the same objects.  Otherwise
+    only the credentials at places holding other objects are verified, and
+    the table is patched: each of its row lists is copied without those
+    places' rows, then the new sound credentials' rows are put in, so no
+    other row moves.
     """
-    if kept is None or len(kept[0]) != len(creds):
-        verdicts = [_verifies(cred) for cred in creds]
-        return (creds, verdicts, list(compress(creds, verdicts)), None)
-    was, was_verdicts, _sound, table = kept
-    edits = set(compress(count(), map(is_not, was, creds)))
-    if not edits:
-        return kept
-    verdicts = list(was_verdicts)
+    if kept is None:
+        edits, verdicts, plain, delegating = range(len(creds)), [False] * len(creds), {}, {}
+    else:
+        was, verdicts, _sound, (plain, delegating) = kept
+        edits = set(compress(count(), map(is_not, was, creds)))
+        if not edits:
+            return kept
+        verdicts = list(verdicts)
+        plain = {
+            key: left
+            for key, rows in plain.items()
+            if (left := [r for r in rows if r[5] not in edits])
+        }
+        delegating = {
+            lab: (grant, left)
+            for lab, (grant, rows) in delegating.items()
+            if (left := [r for r in rows if r[5] not in edits])
+        }
     for g in edits:
         verdicts[g] = _verifies(creds[g])
-    if table is not None:
-        plain, delegating = dict(table[0]), dict(table[1])
-        into = [g for g in edits if verdicts[g]]
-        # every list that holds a row at an edited place, or will, is
-        # copied without those rows before any row goes in
-        keys, labels = set(), set()
-        for cred in [was[g] for g in edits if was_verdicts[g]] + [creds[g] for g in into]:
-            for binding in cred.body.sattestees:
-                for lab in binding.labels:
-                    if delegation_scope(lab) is None:
-                        keys.add((binding.domain, binding.onion.label, lab))
-                    else:
-                        labels.add(lab)
-        for key in keys:
-            plain[key] = [r for r in plain.get(key, ()) if r[5] not in edits]
-        for lab in labels:
-            grant, rows = delegating.get(lab) or (_grant(lab), ())
-            delegating[lab] = (grant, [r for r in rows if r[5] not in edits])
-        for g in into:
+        if verdicts[g]:
             _add_rows(plain, delegating, g, creds[g])
-        for key in keys:
-            if not plain[key]:
-                del plain[key]
-        for lab in labels:
-            if not delegating[lab][1]:
-                del delegating[lab]
-        table = (plain, delegating)
-    return (creds, verdicts, list(compress(creds, verdicts)), table)
+    return (creds, verdicts, list(compress(creds, verdicts)), (plain, delegating))
 
 
 def _add_rows(plain: dict, delegating: dict, place: int, cred: Sattestation) -> None:
@@ -408,12 +408,6 @@ _memo: OrderedDict[int, _PoolIndex] = OrderedDict()  # id(pool container) -> ind
 _memo_lock = threading.Lock()
 
 
-def _edited_copy(old: list, new: list) -> bool:
-    """Whether ``new`` is as long as ``old`` and holds the same objects at
-    more than half of the positions."""
-    return len(old) == len(new) and 2 * sum(map(is_, old, new)) > len(new)
-
-
 def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
     """The index of ``credentials``, reused while the same list or tuple
     holds the same objects in the same order.
@@ -424,14 +418,11 @@ def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
     alone.  Of any other list or tuple it keeps a copy of the entries, not
     the container, so the indexed credentials stay alive only until the
     index is dropped, and each call compares the container's entries with
-    that copy by identity.  A container changed in place, or a new one that
-    took a dead one's id, replaces its own last index; a new one that is an
-    edited copy of an indexed pool replaces that pool's.  The last of these
-    indexes, the container's own when it has one, is the base: the new
-    index is derived from it when only same-issuer replacements tell them
-    apart (see :meth:`_PoolIndex.derived`), however many, and built afresh
-    otherwise.  Any other iterable is read once and indexed afresh on every
-    call.
+    that copy by identity.  On a miss the new index is derived (see
+    :meth:`_PoolIndex.derived`) from the most recently used memo index
+    that allows it, the container's own last index first, and replaces
+    that base; if none does, the pool is placed afresh.  Any other iterable
+    is read once and indexed afresh on every call.
     """
     if not isinstance(credentials, (list, tuple)):
         return _PoolIndex(list(credentials))
@@ -450,18 +441,18 @@ def _pool_index(credentials: Iterable[Sattestation]) -> _PoolIndex:
         return index
     entries = credentials if type(credentials) is tuple else list(credentials)
     with _memo_lock:
-        # a pool edited in place, or republished as an edited copy, replaces
-        # its last index, whose container is then most likely gone: drop it
-        # now rather than keep it until it ages out, and derive from it.  The
-        # container's own last index, moved to the end above, comes last
-        stale = [
-            k for k, old in _memo.items() if k == key or _edited_copy(old.entries, entries)
-        ]
-        base = _memo[stale[-1]] if stale else None
-        for k in stale:
-            del _memo[k]
-    index = base is not None and base.derived(entries) or _PoolIndex(entries)
+        held = list(_memo.items())
+    # most recently used first: the container's own, moved to the end above
+    for base_key, base in reversed(held):
+        index = base.derived(entries)
+        if index is not None:
+            break
+    else:
+        base_key, index = key, _PoolIndex(entries)
     with _memo_lock:
+        # the base's container is most likely gone: a pool edited in place,
+        # or republished as an edited copy, replaces its last index
+        _memo.pop(base_key, None)
         _memo[key] = index
         _memo.move_to_end(key)
         if len(_memo) > _MEMO_SIZE:
@@ -544,10 +535,7 @@ def evaluate(
         for (domain, onion, allowed), ((keys, ranks), creds) in frontier.items():
             if label not in allowed:
                 continue
-            table = index.table((domain, onion))
-            if table is None:
-                continue
-            plain, delegating = table
+            plain, delegating = index.table((domain, onion))
             if plain_label:
                 rows = plain.get(subject_key, ())
             else:
@@ -579,10 +567,7 @@ def evaluate(
         # reach the next depth's states
         reached: dict[tuple, tuple] = {}
         for (domain, onion, allowed), ((keys, ranks), creds) in frontier.items():
-            table = index.table((domain, onion))
-            if table is None:
-                continue
-            delegating = table[1]
+            delegating = index.table((domain, onion))[1]
             for lab in allowed:
                 if lab not in delegating:
                     continue
@@ -700,5 +685,5 @@ def policy_from_json(obj: dict) -> TrustPolicy:
     }
     try:
         return TrustPolicy(roots=roots, **fields)
-    except ValueError as exc:  # the one rule TrustPolicy checks: the depth bound
+    except ValueError as exc:  # the one ValueError TrustPolicy raises: the depth bound
         raise UnrepresentableField(f"policy field 'max_chain_depth': {exc}") from None

@@ -602,6 +602,12 @@ def test_transport_rejects_bad_json():
         from_transport_json("{not json")
 
 
+@pytest.mark.parametrize("value", [5, None, bytearray(b"{}"), ["{}"]])
+def test_transport_rejects_a_value_that_is_not_text(value):
+    with pytest.raises(UnrepresentableField, match="not JSON text"):
+        from_transport_json(value)
+
+
 def test_transport_rejects_missing_fields():
     with pytest.raises(UnrepresentableField):
         from_transport_json('{"sattestation":{}}')

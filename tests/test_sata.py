@@ -165,6 +165,12 @@ def test_securedrop_rewrite_requires_suffix():
         securedrop_rewrite("www.cbc.ca")
 
 
+@pytest.mark.parametrize("hostname", [5, None, b"www.cbc.ca.securedrop.tor.onion"])
+def test_securedrop_rewrite_rejects_a_name_that_is_not_a_string(hostname):
+    with pytest.raises(NotSecureDropName, match="must be a string"):
+        securedrop_rewrite(hostname)
+
+
 def test_securedrop_rewrite_without_param():
     base, onion = securedrop_rewrite("www.cbc.ca.securedrop.tor.onion")
     assert base == "www.cbc.ca"

@@ -451,6 +451,28 @@ def test_policy_depth_must_be_positive():
         TrustPolicy(roots=(), max_chain_depth=0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"require_sattestation_for": "news"},
+        {"roots": "abc"},
+        {"roots": ["root.example"]},
+        {"max_chain_depth": 2.5},
+        {"max_chain_depth": "3"},
+        {"max_chain_depth": None},
+        {"max_chain_depth": True},
+        {"allow_credentialed_alt_services": "no"},
+    ],
+    ids=["labels string", "roots string", "root not a TrustRoot", "float depth",
+         "text depth", "no depth", "bool depth", "text flag"],
+)
+def test_policy_rejects_fields_of_the_wrong_type(fields):
+    # each of these used to be accepted as something else, or to fail later
+    # with a bare TypeError
+    with pytest.raises(UnrepresentableField):
+        TrustPolicy(**{"roots": (), **fields})
+
+
 def test_trust_root_rejects_a_bare_string_for_its_labels():
     # a string is an iterable of characters: "news" would trust n, e, w, s
     with pytest.raises(UnrepresentableField, match="trusted labels"):

@@ -691,6 +691,73 @@ def test_a_reused_index_verifies_nothing(monkeypatch):
     assert calls == [pool[7]] and calls[0] is pool[7]
 
 
+@pytest.fixture
+def verified(monkeypatch):
+    """The credentials the pool index hands to ``verify_credential``, in order."""
+    calls: list = []
+    real = trust_module.verify_credential
+
+    def counting(cred):
+        calls.append(cred)
+        return real(cred)
+
+    monkeypatch.setattr(trust_module, "verify_credential", counting)
+    return calls
+
+
+def test_a_tuple_republished_with_most_places_re_issued_verifies_only_those(verified):
+    """Same-issuer replacements cost only the new credentials, however many:
+    here 9 of 17 places, so the new tuple holds fewer than half of the old
+    one's objects."""
+    policy, creds = _one_binding_pool(17)
+    pool = tuple(creds)
+    assert evaluate(policy, pool, _site(17), NEWS, NOW) is None  # reads the root's group
+    assert len(verified) == 17
+    verified.clear()
+    replaced = range(0, 17, 2)
+    edited = list(pool)
+    for k in replaced:
+        edited[k] = issue(_KEYS[0], pool[k].body)
+    pool = tuple(edited)
+    assert evaluate(policy, pool, _site(4), NEWS, NOW).links[0].credential is pool[4]
+    assert len(verified) == 9
+    assert sorted(map(id, verified)) == sorted(id(pool[k]) for k in replaced)
+
+
+def test_a_republished_tuple_keeps_its_base_across_queries_on_other_pools(verified):
+    """Queries on other pools between two versions of a tuple, as a browser
+    running other worlds makes, leave the tuple's last index as the base of
+    its next version: only the replacing credential is verified."""
+    policy, creds = _one_binding_pool(17)
+    pool = tuple(creds)
+    assert evaluate(policy, pool, _site(17), NEWS, NOW) is None
+    edge_policy, edge = _edge_pool()
+    # another issuer's pool as long as this one, and the edge pool, longer
+    same_length = tuple(
+        issue(_KEYS[2], _body(2, [_binding(j % 7, [NEWS], NOW)])) for j in range(17)
+    )
+    for other_policy, other in ((policy, same_length), (edge_policy, tuple(edge))):
+        assert evaluate(other_policy, other, _sata(6), NEWS, NOW) is None
+    verified.clear()
+    pool = pool[:5] + (issue(_KEYS[0], pool[5].body),) + pool[6:]
+    assert evaluate(policy, pool, _site(5), NEWS, NOW).links[0].credential is pool[5]
+    assert verified == [pool[5]]
+
+
+def test_copies_parsed_from_one_text_keep_their_own_indexes(verified):
+    """A copy of a pool parsed again shares no object with it, so neither
+    is an edit of the other: queried in turn, each keeps its own index."""
+    policy, creds = _one_binding_pool(17)
+    first, second = (tuple(map(_equal_bytes_copy, creds)) for _ in range(2))
+    for pool in (first, second):
+        assert evaluate(policy, pool, _site(3), NEWS, NOW) is not None
+    assert len(verified) == 34
+    verified.clear()
+    for pool in (first, second, first, second):
+        assert evaluate(policy, pool, _site(3), NEWS, NOW).links[0].credential is pool[3]
+    assert verified == []
+
+
 REPLACEMENTS = ("sound to sound", "sound to junk", "junk to sound", "fresh to stale")
 QUERIES = ("evaluate", "rotation_check", "validate_alt_svc")
 

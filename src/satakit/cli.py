@@ -244,6 +244,16 @@ def _write_out(args, text: str) -> None:
         Path(args.out).write_text(text + "\n")
 
 
+def _print_credential(args, credential) -> int:
+    """Print ``credential`` in transport form, and write it to ``--out``."""
+    from .credential import to_transport_json
+
+    text = to_transport_json(credential)
+    _write_out(args, text)
+    print(text)
+    return EXIT_OK
+
+
 # -- command handlers; each returns an exit code -----------------------------
 
 
@@ -331,19 +341,15 @@ def _cmd_sata_rewrite(args) -> int:
 
 def _cmd_satt_issue(args) -> int:
     from . import _json
-    from .credential import body_from_wire, issue, to_transport_json
+    from .credential import body_from_wire, issue
 
     key = _read_key(args.key)
     body = body_from_wire(_json.load(Path(args.body).read_bytes(), "credential"))
-    credential = issue(key, body)
-    text = to_transport_json(credential)
-    _write_out(args, text)
-    print(text)
-    return EXIT_OK
+    return _print_credential(args, issue(key, body))
 
 
 def _cmd_satt_self(args) -> int:
-    from .credential import make_self_sattestation, to_transport_json
+    from .credential import make_self_sattestation
 
     key = _read_key(args.key)
     credential = make_self_sattestation(
@@ -355,10 +361,7 @@ def _cmd_satt_self(args) -> int:
         refresh_rate_days=args.rate,
         labels=args.label,
     )
-    text = to_transport_json(credential)
-    _write_out(args, text)
-    print(text)
-    return EXIT_OK
+    return _print_credential(args, credential)
 
 
 def _cmd_satt_verify(args) -> int:
@@ -444,7 +447,6 @@ def _cmd_rotate_check(args) -> int:
 
 
 def _cmd_rotate_pointer(args) -> int:
-    from .credential import to_transport_json
     from .sata import parse_sata
     from .trust import expired_rotation_form
 
@@ -459,10 +461,7 @@ def _cmd_rotate_pointer(args) -> int:
         refreshed_on=args.refreshed,
         refresh_rate_days=args.rate,
     )
-    text = to_transport_json(credential)
-    _write_out(args, text)
-    print(text)
-    return EXIT_OK
+    return _print_credential(args, credential)
 
 
 def _cmd_sim_run(args) -> int:

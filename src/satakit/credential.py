@@ -58,7 +58,6 @@ MAX_SELF_SATTESTATION_BYTES = 800
 _RATE_RE = re.compile(r"^(\d+(?:\.\d+)?) days$")
 _FINGERPRINT_RE = re.compile(r"^[0-9A-F]+$")
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
-_LAST_ORDINAL = date.max.toordinal()
 
 
 def format_refresh_rate(days: float) -> str:
@@ -361,28 +360,23 @@ def make_self_sattestation(
     return credential
 
 
-def fresh_window(refresh_rate_days: float, now: date) -> tuple[date, date]:
-    """The earliest and latest ``refreshed_on`` that are fresh at ``now``,
-    both included: the freshness rule as a range of dates.
+def freshness_slack(refresh_rate_days: float) -> int:
+    """The most whole days a binding's ``refreshed_on`` may lie from the
+    date it is checked at and still be fresh.
 
     The rule is |now - refreshed_on| < rate, in whole days.  For an integer
     day difference d, |d| < rate exactly when |d| <= ceil(rate) - 1, so
-    the window is exact for any positive rate, whole or not.  It is clipped
-    to the calendar.  The reference date is the binding's
-    ``refreshed_on``, which equals ``issued`` when never refreshed.
+    the slack is exact for any positive rate, whole or not.
     """
-    slack = math.ceil(refresh_rate_days) - 1
-    today = now.toordinal()
-    return (
-        date.fromordinal(max(today - slack, 1)),
-        date.fromordinal(min(today + slack, _LAST_ORDINAL)),
-    )
+    return math.ceil(refresh_rate_days) - 1
 
 
 def is_fresh(b: Binding, refresh_rate_days: float, now: date) -> bool:
-    """Whether one binding is fresh at ``now`` (see :func:`fresh_window`)."""
-    earliest, latest = fresh_window(refresh_rate_days, now)
-    return earliest <= b.refreshed_on <= latest
+    """Whether one binding is fresh at ``now``: its day distance from
+    ``refreshed_on``, which equals ``issued`` when never refreshed, is
+    within :func:`freshness_slack`."""
+    days = abs(now.toordinal() - b.refreshed_on.toordinal())
+    return days <= freshness_slack(refresh_rate_days)
 
 
 def check_freshness(s: Sattestation, binding_index: int, now: date) -> None:
@@ -409,16 +403,14 @@ def to_transport_json(s: Sattestation) -> str:
 
 def _parse_binding(obj: dict) -> Binding:
     labels = _json.field(obj, "labels", str, "", what="credential")
-    fingerprints = _json.field(
-        obj, "cert_fingerprint", (list, str), [], items=str, what="credential"
-    )
+    fingerprints = _json.field(obj, "cert_fingerprint", list, [], items=str, what="credential")
     return Binding(
         domain=_json.field(obj, "domain", str, what="credential"),
         onion=parse_onion(_json.field(obj, "onion", str, what="credential")),
         issued=_json.date_field(obj, "issued", what="credential"),
         refreshed_on=_json.date_field(obj, "refreshed_on", what="credential"),
         labels=tuple(part for part in labels.split(",") if part),
-        cert_fingerprints=(fingerprints,) if isinstance(fingerprints, str) else tuple(fingerprints),
+        cert_fingerprints=tuple(fingerprints),
         onion_reachable=obj.get("onion_reachable"),
     )
 

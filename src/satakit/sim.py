@@ -664,18 +664,14 @@ def browser_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> Bro
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
-    """Load a scenario fixture from a JSON file, JSON text, or parsed dict.
+    """Load a scenario fixture from the path of its JSON file, or from the
+    fixture already parsed.
 
     Malformed JSON, a fixture that is not a JSON object, a field of the
     wrong JSON type or a missing required field, or a key, cert or
     credential the fixture names but does not define raises
     :class:`UnrepresentableField`."""
-    if isinstance(source, dict):
-        raw = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        raw = _json.load(source, "fixture")
-    else:
-        raw = _json.load(Path(source).read_bytes(), "fixture")
+    raw = source if isinstance(source, dict) else _json.load(Path(source).read_bytes(), "fixture")
 
     keys = {
         name: keygen(_seed(name, seed))

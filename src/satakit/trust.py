@@ -20,7 +20,9 @@ sound or not, in the order the pool gives them.  Ranks are compared only
 when the step keys are equal, which means the same issuer at every step,
 so this picks the chain that positions in pool order would: sorted by
 (sattestor domain, sattestor onion, canonical bytes), stably, the order
-of :func:`usable_links`.
+of :func:`usable_links`.  The search compares only the rank of the link
+being added: candidates with equal step keys extend the same state, and
+a state keeps one chain, so their earlier ranks are equal.
 
 The search is breadth-first over states (issuer identity, allowed-label
 set), in the manner of Clarke et al., "Certificate chain discovery in
@@ -81,8 +83,9 @@ is verified, and its table built, only the first time a query reads it, so
 a query verifies only the issuers it reaches and a pool published by an
 adversary cannot force more.  Each credential object keeps its structural
 and signature verdicts (see :func:`verify_credential`), so indexing a pool
-again stays cheap; freshness depends on the query date and is checked per
-query, against one window of dates per refresh rate.
+again stays cheap.  Freshness depends on the query date and is checked per
+query, as one integer comparison per row read: a row holds its refresh
+date's ordinal and its credential's :func:`freshness_slack`.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ from ._value import Value, set_field
 from .credential import (
     Sattestation,
     canonical_bytes,
-    fresh_window,
+    freshness_slack,
     is_fresh,
     make_self_sattestation,
     verify_credential,
@@ -133,17 +136,26 @@ def rotation_pointer_label(new: Sata) -> str:
     return delegation_label("{" + to_subdomain_form(new) + "}")
 
 
+def _label_set(labels: Iterable[str], field: str) -> frozenset[str]:
+    """``labels`` as a set; anything but an iterable of strings raises
+    :class:`UnrepresentableField`, a bare string too: it would give one
+    label per character."""
+    try:
+        names = None if isinstance(labels, str) else frozenset(labels)
+    except TypeError:  # not iterable, or an item that cannot be hashed
+        names = None
+    if names is None or not all(isinstance(name, str) for name in names):
+        raise UnrepresentableField(f"{field} must be a list of labels, got {labels!r}")
+    return names
+
+
 class TrustRoot(Value):
     sattestor: Sata
     trusted_labels: frozenset[str]
 
     def __init__(self, sattestor: Sata, trusted_labels: Iterable[str]) -> None:
-        if isinstance(trusted_labels, str):
-            raise UnrepresentableField(
-                f"trusted labels must be a list of labels, got {trusted_labels!r}"
-            )
         set_field(self, "sattestor", sattestor)
-        set_field(self, "trusted_labels", frozenset(trusted_labels))
+        set_field(self, "trusted_labels", _label_set(trusted_labels, "trusted labels"))
 
 
 class TrustPolicy(Value):
@@ -159,12 +171,11 @@ class TrustPolicy(Value):
         require_sattestation_for: Iterable[str] = frozenset(),
         allow_credentialed_alt_services: bool = True,
     ) -> None:
-        # a string is an iterable of characters: "news" would require n, e, w, s
-        if isinstance(require_sattestation_for, str):
-            raise UnrepresentableField(
-                f"require_sattestation_for must be a list, got {require_sattestation_for!r}"
-            )
-        roots = tuple(roots)  # a string's characters are not roots either
+        required = _label_set(require_sattestation_for, "require_sattestation_for")
+        try:
+            roots = tuple(roots)  # a string's characters are not roots either
+        except TypeError:
+            raise UnrepresentableField(f"roots must be a list, got {roots!r}") from None
         for root in roots:
             if not isinstance(root, TrustRoot):
                 raise UnrepresentableField(f"a trust root must be a TrustRoot, got {root!r}")
@@ -178,7 +189,7 @@ class TrustPolicy(Value):
             raise ValueError("max_chain_depth must be at least 1")
         set_field(self, "roots", roots)
         set_field(self, "max_chain_depth", max_chain_depth)
-        set_field(self, "require_sattestation_for", frozenset(require_sattestation_for))
+        set_field(self, "require_sattestation_for", required)
         set_field(self, "allow_credentialed_alt_services", allow_credentialed_alt_services)
 
 
@@ -338,8 +349,10 @@ class _PoolIndex:
         ``plain`` maps (subject domain, subject onion, label) to the rows
         carrying that plain label; ``delegating`` maps each ``sattestor(X)``
         label to its grant (see :func:`_grant`) and the rows carrying it.
-        A row is (refreshed_on, refresh rate, subject domain, subject onion,
-        binding index, place in the issuer's credentials, credential).
+        A row is (ordinal of refreshed_on, freshness slack of the
+        credential's refresh rate (see :func:`freshness_slack`), subject
+        domain, subject onion, binding index, place in the issuer's
+        credentials, credential).
         """
         return self._state(issuer)[3]
 
@@ -388,10 +401,10 @@ def _add_rows(plain: dict, delegating: dict, place: int, cred: Sattestation) -> 
     """Append the rows of ``cred``, at ``place`` in its issuer's group, to
     a table's maps (see :meth:`_PoolIndex.table`)."""
     body = cred.body
-    rate = body.refresh_rate_days
+    slack = freshness_slack(body.refresh_rate_days)
     for idx, binding in enumerate(body.sattestees):
         domain, onion = binding.domain, binding.onion.label
-        row = (binding.refreshed_on, rate, domain, onion, idx, place, cred)
+        row = (binding.refreshed_on.toordinal(), slack, domain, onion, idx, place, cred)
         for lab in binding.labels:
             if lab in delegating:
                 delegating[lab][1].append(row)
@@ -496,9 +509,9 @@ def evaluate(
     smallest fresh one; a hit ends the search there.  Only a depth with
     no hit that is not the last gets the expansion pass, which walks the
     rows of each delegation label a state may use to reach the next
-    depth's states.  A candidate chain's (step keys, ranks) is built only
-    for a hit or for a state no earlier depth reached, and a link's rank
-    (canonical bytes, input position) only then.
+    depth's states.  A candidate's order, (step keys, canonical bytes,
+    place) with the bytes and place those of the link it adds, is built
+    only for a hit or for a state no earlier depth reached.
     """
     index = _pool_index(credentials)
 
@@ -510,21 +523,21 @@ def evaluate(
         )
 
     # state (issuer domain, issuer onion, allowed labels) -> its one chain as
-    # ((step keys, ranks), credentials).  A state is expanded only at the
-    # first depth that reaches it: a chain through it at a later depth has a
-    # shorter twin.  All chains into a state at one depth have the same
-    # length, so the smallest (step keys, ranks) stays smallest under any
-    # common extension.  A step key holds the binding index and label, so
-    # the credentials alone complete the chain's links.  Candidates are
-    # compared by that order alone, which no two chains share, so the order
-    # in which rows are walked does not matter.
+    # (step keys, credentials).  A state is expanded only at the first depth
+    # that reaches it: a chain through it at a later depth has a shorter
+    # twin.  All chains into a state at one depth have the same length, so
+    # the smallest stays smallest under any common extension.  A step key
+    # holds the issuer, binding index and label, so the credentials alone
+    # complete the chain's links.  A candidate is ordered by its step keys,
+    # then by the added link's rank (see the module docstring).  No two
+    # candidates share an order, so the order in which rows are walked does
+    # not matter.
     frontier: dict[tuple, tuple] = {
-        (*ident, frozenset(allowed)): (((), ()), ())
-        for ident, allowed in allowed_at_root.items()
+        (*ident, frozenset(allowed)): ((), ()) for ident, allowed in allowed_at_root.items()
     }
     seen = set(frontier)
     subject_domain, subject_onion = subject.domain.lower(), subject.onion.label
-    windows: dict[float, tuple[date, date]] = {}  # refresh rate -> fresh_window
+    today = now.toordinal()
     plain_label = delegation_scope(label) is None
     subject_key = (subject_domain, subject_onion, label)
     last = policy.max_chain_depth - 1
@@ -532,7 +545,7 @@ def evaluate(
         # hits first: the subject's fresh rows carrying the query label, read
         # only from states that may use it
         best: Optional[tuple] = None
-        for (domain, onion, allowed), ((keys, ranks), creds) in frontier.items():
+        for (domain, onion, allowed), (keys, creds) in frontier.items():
             if label not in allowed:
                 continue
             plain, delegating = index.table((domain, onion))
@@ -540,22 +553,16 @@ def evaluate(
                 rows = plain.get(subject_key, ())
             else:
                 rows = delegating[label][1] if label in delegating else ()
-            for refreshed, rate, sub_domain, sub_onion, idx, pos, cred in rows:
+            for refreshed, slack, sub_domain, sub_onion, idx, pos, cred in rows:
                 if sub_domain != subject_domain or sub_onion != subject_onion:
                     continue
-                window = windows.get(rate)
-                if window is None:
-                    window = windows[rate] = fresh_window(rate, now)
-                if not window[0] <= refreshed <= window[1]:
+                if abs(today - refreshed) > slack:
                     continue
-                order = (
-                    keys + ((domain, onion, idx, label),),
-                    ranks + ((canonical_bytes(cred), pos),),
-                )
+                order = (keys + ((domain, onion, idx, label),), canonical_bytes(cred), pos)
                 if best is None or order < best[0]:
                     best = (order, creds + (cred,))
         if best is not None:
-            (keys, _ranks), creds = best
+            (keys, _bytes, _place), creds = best
             links = tuple(
                 ChainLink(cred, idx, lab)
                 for cred, (_domain, _onion, idx, lab) in zip(creds, keys)
@@ -566,32 +573,26 @@ def evaluate(
         # no hit at this depth: the delegation rows of every allowed label
         # reach the next depth's states
         reached: dict[tuple, tuple] = {}
-        for (domain, onion, allowed), ((keys, ranks), creds) in frontier.items():
+        for (domain, onion, allowed), (keys, creds) in frontier.items():
             delegating = index.table((domain, onion))[1]
             for lab in allowed:
                 if lab not in delegating:
                     continue
                 nxt, rows = delegating[lab]
-                for refreshed, rate, sub_domain, sub_onion, idx, pos, cred in rows:
-                    window = windows.get(rate)
-                    if window is None:
-                        window = windows[rate] = fresh_window(rate, now)
-                    if not window[0] <= refreshed <= window[1]:
+                for refreshed, slack, sub_domain, sub_onion, idx, pos, cred in rows:
+                    if abs(today - refreshed) > slack:
                         continue
                     state = (sub_domain, sub_onion, nxt)
                     if state in seen:
                         continue
-                    order = (
-                        keys + ((domain, onion, idx, lab),),
-                        ranks + ((canonical_bytes(cred), pos),),
-                    )
+                    order = (keys + ((domain, onion, idx, lab),), canonical_bytes(cred), pos)
                     kept = reached.get(state)
                     if kept is None or order < kept[0]:
                         reached[state] = (order, creds + (cred,))
         if not reached:
             break  # no state left to expand: deeper chains cannot exist
         seen.update(reached)
-        frontier = reached
+        frontier = {state: (order[0], creds) for state, (order, creds) in reached.items()}
     return None
 
 

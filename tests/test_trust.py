@@ -462,9 +462,13 @@ def test_policy_depth_must_be_positive():
         {"max_chain_depth": None},
         {"max_chain_depth": True},
         {"allow_credentialed_alt_services": "no"},
+        {"roots": 5},
+        {"require_sattestation_for": 5},
+        {"require_sattestation_for": ["news", 5]},
     ],
     ids=["labels string", "roots string", "root not a TrustRoot", "float depth",
-         "text depth", "no depth", "bool depth", "text flag"],
+         "text depth", "no depth", "bool depth", "text flag", "roots not a list",
+         "labels not a list", "label not a string"],
 )
 def test_policy_rejects_fields_of_the_wrong_type(fields):
     # each of these used to be accepted as something else, or to fail later
@@ -477,6 +481,14 @@ def test_trust_root_rejects_a_bare_string_for_its_labels():
     # a string is an iterable of characters: "news" would trust n, e, w, s
     with pytest.raises(UnrepresentableField, match="trusted labels"):
         TrustRoot(sattestor=sata_for("root.example"), trusted_labels="news")
+
+
+@pytest.mark.parametrize(
+    "labels", [5, ["news", 5], [["news"]]], ids=["a number", "a number label", "a list label"]
+)
+def test_trust_root_rejects_labels_that_are_not_strings(labels):
+    with pytest.raises(UnrepresentableField, match="trusted labels"):
+        TrustRoot(sattestor=sata_for("root.example"), trusted_labels=labels)
 
 
 @pytest.mark.parametrize("pool", ["empty", "frontier empty at depth 2"])

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import operator
 import random
 import sys
@@ -16,7 +17,7 @@ from collections import Counter
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import satakit.credential as credential_module
@@ -239,6 +240,60 @@ def test_a_chain_found_within_a_budget_is_the_chain_of_every_larger_budget():
                 lengths[k] += 1
     # hits of every length up to 5, and misses at every budget
     assert lengths[7] >= 1000 and lengths[4] >= 20 and lengths[5] >= 3, lengths
+
+
+_LAST_DAY = date.max.toordinal()
+# days anywhere in the calendar, and days near both of its ends
+_DAYS = st.one_of(
+    st.integers(1, _LAST_DAY), st.integers(1, 40), st.integers(_LAST_DAY - 40, _LAST_DAY)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rate=st.one_of(
+        st.integers(1, 10**9),
+        st.floats(min_value=1e-6, max_value=1e300, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.5, 1.0, 3.5, 7.0, 7 + 1e-9, 7 - 1e-9, 2.0**-30]),
+    ),
+    today=_DAYS,
+    refreshed=_DAYS,
+    edge=st.none() | st.tuples(st.sampled_from([-1, 1]), st.integers(-2, 2)),
+    delegated=st.booleans(),
+)
+def test_the_search_counts_a_dated_link_exactly_while_it_is_fresh(
+    rate, today, refreshed, edge, delegated
+):
+    """A root's credential refreshed d days from ``now`` makes a chain
+    exactly when |d| < rate, whether it binds the subject (a pool of that
+    one credential) or delegates to a node that does (the node's own link
+    is fresh).  Refresh dates just inside and outside that bound, and dates
+    at both ends of the calendar, are tried most."""
+    if edge is not None:
+        sign, step = edge
+        refreshed = today + sign * (min(math.ceil(rate), _LAST_DAY) + step)
+        assume(1 <= refreshed <= _LAST_DAY)
+    now = date.fromordinal(today)
+    dated = Binding(
+        domain=_DOMAINS[1],
+        onion=_KEYS[1].address,
+        issued=date.min,
+        refreshed_on=date.fromordinal(refreshed),
+        labels=(delegation_label(NEWS) if delegated else NEWS,),
+    )
+    root = issue(_KEYS[0], _body(0, [dated]).replace(refresh_rate_days=rate))
+    pool, subject = (root,), _sata(1)
+    if delegated:
+        fresh = Binding(domain=_DOMAINS[2], onion=_KEYS[2].address, issued=now, refreshed_on=now,
+                        labels=(NEWS,))
+        pool, subject = (root, issue(_KEYS[1], _body(1, [fresh]))), _sata(2)
+    trusted = frozenset({NEWS, delegation_label(NEWS)})
+    policy = TrustPolicy(roots=(TrustRoot(sattestor=_sata(0), trusted_labels=trusted),),
+                         max_chain_depth=2)
+    chain = evaluate(policy, pool, subject, NEWS, now)
+    assert (chain is not None) is (abs(refreshed - today) < rate)
+    if chain is not None:
+        assert [link.credential for link in chain.links] == list(pool)
 
 
 # -- ranks without a pool sort ----------------------------------------------------------

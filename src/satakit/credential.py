@@ -61,14 +61,20 @@ _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # the only code points UTF-8 can
 
 
 def format_refresh_rate(days: float) -> str:
-    """Wire form of a refresh rate, e.g. ``"7 days"`` or ``"3.5 days"``."""
+    """Wire form of a refresh rate, e.g. ``"7 days"``, ``"3.5 days"`` or
+    ``"0.0000001 days"``: the shortest decimal that reads back as ``days``,
+    never in exponent form, so :func:`parse_refresh_rate` reads it."""
     if not isinstance(days, (int, float)) or isinstance(days, bool):
         raise UnrepresentableField(f"refresh rate must be a number of days, got {days!r}")
     if days <= 0 or days != days or days in (float("inf"),):
         raise UnrepresentableField(f"refresh rate must be positive and finite: {days!r}")
     if float(days).is_integer():
         return f"{int(days)} days"
-    return f"{float(days)} days"
+    text = repr(float(days))
+    if "e" in text:  # only below 1e-4: every float from 1e16 up is an integer
+        digits, exponent = text.split("e")
+        text = "0." + "0" * (-int(exponent) - 1) + digits.replace(".", "")
+    return f"{text} days"
 
 
 def parse_refresh_rate(text: str) -> float:
@@ -85,12 +91,22 @@ def _require_date(value, field: str) -> date:
     return value
 
 
+def _require_onion(value, field: str) -> None:
+    if not isinstance(value, OnionAddress):
+        raise StructuralViolation(f"{field} must be an onion address, got {value!r}")
+
+
 def _names(values: Iterable[str], field: str) -> tuple[str, ...]:
-    """``values`` as a tuple; a bare string, which would give one name per
-    character, raises :class:`StructuralViolation`."""
-    if isinstance(values, str):
+    """``values`` as a tuple of strings.  A bare string, which would give
+    one name per character, a value that is not iterable, or an item that
+    is not a string raises :class:`StructuralViolation`."""
+    try:
+        names = None if isinstance(values, str) else tuple(values)
+    except TypeError:
+        names = None
+    if names is None or not all(isinstance(name, str) for name in names):
         raise StructuralViolation(f"{field} must be a list of strings, got {values!r}")
-    return tuple(values)
+    return names
 
 
 class Binding(Value):
@@ -121,6 +137,7 @@ class Binding(Value):
         onion_reachable: bool | None = None,
     ) -> None:
         domain = normalize_domain(domain)
+        _require_onion(onion, "onion")
         _require_date(issued, "issued")
         _require_date(refreshed_on, "refreshed_on")
         if refreshed_on < issued:
@@ -173,6 +190,7 @@ class SattestationBody(Value):
         version: int = CREDENTIAL_VERSION,
     ) -> None:
         sattestor_domain = normalize_domain(sattestor_domain)
+        _require_onion(sattestor_onion, "sattestor_onion")
         sattestees = tuple(sattestees)
         if not sattestees:
             raise StructuralViolation("credential must carry at least one binding")

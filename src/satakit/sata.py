@@ -56,7 +56,9 @@ def normalize_domain(domain: str) -> str:
 
 
 class Sata(Value):
-    """Binding of a registered domain name to an onion address."""
+    """Binding of a registered domain name to an onion address; an
+    ``onion`` that is not an :class:`OnionAddress` raises
+    :class:`InvalidOnionComponent`."""
 
     domain: str
     onion: OnionAddress
@@ -66,6 +68,8 @@ class Sata(Value):
         self, domain: str, onion: OnionAddress, form: SataForm = SataForm.QUERY_STRING
     ) -> None:
         set_field(self, "domain", normalize_domain(domain))
+        if not isinstance(onion, OnionAddress):
+            raise InvalidOnionComponent(f"onion must be an onion address, got {onion!r}")
         set_field(self, "onion", onion)
         set_field(self, "form", form)
 

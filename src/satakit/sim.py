@@ -13,6 +13,13 @@ A SATA-aware browser stores an alternative service only when
 :func:`satakit.validation.validate_alt_svc` accepts the served header or
 a published credential for it, by the check a SATA connection applies.
 
+A visit's user-visible alert is derived from what it reports: it is
+raised exactly when one of the visit's verdicts is not an accept, or when
+the browser's policy requires a sattestation and none from a trusted
+sattestor is found.  ``run_visit`` returns the world it was given, the
+same object, unless the visit stored an alternative service; the browser
+cache then maps that origin to the visit's own :class:`CacheWrite`.
+
 Endpoint ids starting with ``attacker`` are attacker-controlled; an
 attack counts as succeeding only when the browser lands on one of those
 *without* a user-visible alert.
@@ -137,7 +144,11 @@ class AttackerCaps:
 
 
 @dataclass(frozen=True)
-class CacheEntry:
+class CacheWrite:
+    """An alternative service stored for ``origin``: both what a visit
+    reports and the record the browser cache keeps."""
+
+    origin: str
     alt_host: str
     expires_at: float  # fractional day ordinal
 
@@ -148,7 +159,7 @@ class BrowserConfig:
     sata_aware: bool = False
     policy: TrustPolicy | None = None
     prioritize_onion: bool = False
-    alt_svc_cache: Mapping[str, CacheEntry] = field(default_factory=dict)
+    alt_svc_cache: Mapping[str, CacheWrite] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -158,13 +169,6 @@ class World:
     browser: BrowserConfig = BrowserConfig()
     he_rules: Mapping[str, str] = field(default_factory=dict)  # hostname -> onion label
     credentials: tuple[Sattestation, ...] = ()
-
-
-@dataclass(frozen=True)
-class CacheWrite:
-    origin: str
-    alt_host: str
-    expires_at: float
 
 
 @dataclass(frozen=True)
@@ -236,29 +240,27 @@ def _host_of(url: str) -> tuple[str, str]:
     return host, query
 
 
-def _alt_host_str(alt: AltSvcHeader) -> str:
-    if not isinstance(alt.host, str):
-        raise InconsistentWorld(
-            "per-user alt-svc hosts must be resolved before a visit runs"
-        )
-    return alt.host
-
-
 def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, World]:
-    """Simulate one navigation; returns the outcome and the updated world.
+    """Simulate one navigation; returns the outcome and the world after it.
 
     Processing order: ruleset rewrite (before any network contact), cached
     alternative-service lookup, connection, response headers (alt-svc
     store, onion-location redirect), SATA validation when the browser is
     SATA-aware, and finally the contextual trust requirement when a policy
     is configured.
+
+    The outcome's ``user_visible_alert`` is derived, not tracked: it holds
+    exactly when a verdict of this visit is not an accept, or when the
+    policy requires a sattestation and none from a trusted sattestor is
+    found.  The returned world is the given ``world`` itself unless the
+    visit stored an alternative service; then it is a copy whose browser
+    cache maps the origin to the visit's own :class:`CacheWrite`.
     """
     browser = world.browser
     host, query = _host_of(requested_url)
     verdicts: list[Verdict] = []
     notes: list[str] = []
-    cache_writes: list[CacheWrite] = []
-    alert = False
+    write: CacheWrite | None = None
 
     # rewrite rulesets apply entirely in the browser, before any connection
     expected: Sata | None = None
@@ -272,7 +274,6 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
                 base, expected_onion = securedrop_rewrite(host, onions[0] if onions else None)
             except InvalidOnionComponent as exc:
                 verdicts.append(Verdict(VerdictOutcome.REJECT_NOT_SATA, str(exc)))
-                alert = True
             else:
                 if expected_onion is not None:
                     expected = Sata(domain=base, onion=expected_onion)
@@ -288,7 +289,6 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
             origin_sata = None
         except InvalidOnionComponent as exc:
             verdicts.append(Verdict(VerdictOutcome.REJECT_NOT_SATA, str(exc)))
-            alert = True
 
     # cached alternative service for this origin
     via_alt: str | None = None
@@ -302,21 +302,18 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
     if record is None:
         raise UnknownHost(f"no site record for {target_host!r}")
 
-    new_cache = dict(browser.alt_svc_cache)
-    if record.headers.alt_svc is not None and via_alt is None:
-        alt_host = _alt_host_str(record.headers.alt_svc)
-        store = True
-        if browser.sata_aware:
-            store = validate_alt_svc(
-                target_host, alt_host, world.credentials, browser.policy,
-                now=now, header=record.headers.sata_header,
-            ) is AltSvcDecision.ALLOW
-            if not store:
-                notes.append(f"alt-svc {alt_host} blocked: no trusted self-sattestation")
-        if store:
-            expires = now.toordinal() + record.headers.alt_svc.max_age / 86400.0
-            new_cache[target_host] = CacheEntry(alt_host, expires)
-            cache_writes.append(CacheWrite(target_host, alt_host, expires))
+    alt_svc = record.headers.alt_svc
+    if alt_svc is not None and via_alt is None:
+        alt_host = alt_svc.host
+        if not isinstance(alt_host, str):
+            raise InconsistentWorld("per-user alt-svc hosts must be resolved before a visit runs")
+        if browser.sata_aware and validate_alt_svc(
+            target_host, alt_host, world.credentials, browser.policy,
+            now=now, header=record.headers.sata_header,
+        ) is AltSvcDecision.BLOCK:
+            notes.append(f"alt-svc {alt_host} blocked: no trusted self-sattestation")
+        else:
+            write = CacheWrite(target_host, alt_host, now.toordinal() + alt_svc.max_age / 86400.0)
 
     loc = record.headers.onion_location
     if (
@@ -325,13 +322,9 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
         and expected is None
         and via_alt is None
     ):
-        follow = True
         if browser.sata_aware:
-            v = validate_onion_location(origin_sata or host, loc, record.cert)
-            verdicts.append(v)
-            follow = v.accepted()
-            alert = alert or not follow
-        if follow:
+            verdicts.append(validate_onion_location(origin_sata or host, loc, record.cert))
+        if not browser.sata_aware or verdicts[-1].accepted():
             target_host, _ = _host_of(loc)
             record = world.sites.get(target_host)
             if record is None:
@@ -357,13 +350,11 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
             s = Sata(domain=host, onion=record.headers.sata_header.sattestor_onion)
             notes.append("upgraded to the site's advertised SATA")
         if s is not None:
-            v = validate_connection(s, record.cert, record.headers.sata_header, now)
-            verdicts.append(v)
-            if v.accepted():
+            verdicts.append(validate_connection(s, record.cert, record.headers.sata_header, now))
+            if verdicts[-1].accepted():
                 validated = s
-            else:
-                alert = True
 
+    missing_sattestation = False
     if (
         browser.sata_aware
         and browser.policy is not None
@@ -375,8 +366,8 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
                 chain = evaluate(browser.policy, world.credentials, validated, lbl, now)
                 if chain is not None:
                     break
-        if chain is None:
-            alert = True
+        missing_sattestation = chain is None
+        if missing_sattestation:
             notes.append("required sattestation from a trusted sattestor is missing")
         else:
             notes.append(f"sattested for label {chain.label!r}")
@@ -384,13 +375,15 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
     outcome = Outcome(
         reached_endpoint=record.endpoint_id,
         verdicts=tuple(verdicts),
-        user_visible_alert=alert,
-        cache_writes=tuple(cache_writes),
+        user_visible_alert=missing_sattestation or not all(v.accepted() for v in verdicts),
+        cache_writes=() if write is None else (write,),
         via_alt_service=via_alt,
         notes=tuple(notes),
     )
-    new_world = replace(world, browser=replace(browser, alt_svc_cache=new_cache))
-    return outcome, new_world
+    if write is not None:
+        cache = {**browser.alt_svc_cache, write.origin: write}
+        world = replace(world, browser=replace(browser, alt_svc_cache=cache))
+    return outcome, world
 
 
 def run_scenario(scenario: Scenario, browser: BrowserConfig) -> list[Outcome]:

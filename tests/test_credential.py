@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from satakit import (
     Binding,
+    Sata,
     Sattestation,
     SattestationBody,
     canonical_bytes,
@@ -34,6 +35,7 @@ from satakit.credential import (
 )
 from satakit.errors import (
     BadSignature,
+    InvalidOnionComponent,
     KeyMismatch,
     MalformedSignature,
     NoFingerprints,
@@ -304,6 +306,42 @@ def test_self_sattestation_rejects_a_bare_string_for_a_list(fingerprints, labels
             refresh_rate_days=7,
             labels=labels,
         )
+
+
+def _binding(**changes) -> Binding:
+    fields = dict(
+        domain="domain1.info",
+        onion=key_for("domain1.info").address,
+        issued=date(2020, 6, 1),
+        refreshed_on=date(2020, 8, 25),
+    )
+    return Binding(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: _binding(labels=[5]), StructuralViolation),
+        (lambda: _binding(cert_fingerprints=[5]), StructuralViolation),
+        (lambda: _binding(labels=None), StructuralViolation),
+        (lambda: _binding(onion="x"), StructuralViolation),
+        (lambda: SattestationBody("domain1.info", "x", 7, [_binding()]), StructuralViolation),
+        (lambda: Sata("domain1.info", onion="abc"), InvalidOnionComponent),
+    ],
+    ids=[
+        "binding-label-not-a-string",
+        "binding-fingerprint-not-a-string",
+        "binding-labels-none",
+        "binding-onion-not-an-address",
+        "body-sattestor-onion-not-an-address",
+        "sata-onion-not-an-address",
+    ],
+)
+def test_value_types_reject_fields_of_the_wrong_type(build, error):
+    # each used to pass construction, or fail with a bare TypeError or
+    # AttributeError, and break later in canonical_bytes, issue or rendering
+    with pytest.raises(error):
+        build()
 
 
 def _wire_with(field: str, raw: str) -> str:

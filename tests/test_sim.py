@@ -21,7 +21,7 @@ from satakit import (
 )
 from satakit.credential import make_self_sattestation
 from satakit.errors import InconsistentWorld, SataError, UnknownHost
-from satakit.sim import is_attacker_endpoint, validate_world
+from satakit.sim import _resolve_alt_hosts, is_attacker_endpoint, validate_world
 from satakit.trust import TrustPolicy
 from satakit.validation import VerdictOutcome
 
@@ -296,6 +296,62 @@ def test_cache_write_records_expiry():
     (write,) = outcome.cache_writes
     assert write.origin == "victim.example"
     assert write.expires_at == date(2020, 9, 1).toordinal() + 2.0
+
+
+def test_a_stored_alternative_service_is_read_back_as_its_own_cache_write():
+    scenario = load("attack1_onion_alt_svc.json")
+    world = dataclasses.replace(scenario.world, browser=scenario.browsers["legacy"])
+    outcome, after = run_visit(world, "https://victim.example/", date(2020, 9, 1))
+    (write,) = outcome.cache_writes
+    assert after is not world and world.browser.alt_svc_cache == {}
+    assert after.browser.alt_svc_cache == {"victim.example": write}
+    assert after.browser.alt_svc_cache["victim.example"] is write
+    again, _ = run_visit(after, "https://victim.example/", date(2020, 9, 2))
+    assert again.via_alt_service == write.alt_host
+
+
+@pytest.mark.parametrize(
+    "fixture,browser,url",
+    [
+        ("attack1_onion_alt_svc.json", "sata-aware", "https://victim.example/"),
+        ("attack2_onion_location.json", "legacy", "https://full.com/"),
+        ("attack2_onion_location.json", "sata-aware", "https://full.com/"),
+    ],
+)
+def test_a_visit_that_stores_nothing_returns_the_world_it_was_given(fixture, browser, url):
+    scenario = load(fixture)
+    world = dataclasses.replace(scenario.world, browser=scenario.browsers[browser])
+    outcome, after = run_visit(world, url, date(2020, 9, 1))
+    assert outcome.cache_writes == ()
+    assert after is world
+
+
+def _every_outcome():
+    """(case, outcome) for each step of every fixture under each of its
+    browsers; the tracking fixture runs once per user it names."""
+    for path in [*sorted(FIXTURES_DIR.glob("*.json")), DATA_DIR / "tracking_alt_svc.json"]:
+        scenario = load_scenario(path)
+        users = ("user-a", "user-b") if path.name == "tracking_alt_svc.json" else (None,)
+        for user in users:
+            if user is not None:
+                scenario = dataclasses.replace(
+                    scenario, world=_resolve_alt_hosts(scenario.world, user)
+                )
+            for name, browser in scenario.browsers.items():
+                for index, outcome in enumerate(run_scenario(scenario, browser)):
+                    yield f"{path.stem}:{user}:{name}:{index}", outcome
+
+
+def test_the_alert_is_raised_exactly_by_a_rejected_verdict_or_a_missing_sattestation():
+    missing = "required sattestation from a trusted sattestor is missing"
+    seen = set()
+    for case, outcome in _every_outcome():
+        rejected = not all(v.accepted() for v in outcome.verdicts)
+        expected = rejected or missing in outcome.notes
+        assert outcome.user_visible_alert is expected, case
+        seen.add((rejected, missing in outcome.notes))
+    # every way to raise the alert, and visits without one, are exercised
+    assert seen >= {(False, False), (True, False), (False, True), (True, True)}, seen
 
 
 # -- user tracking via alternative services --------------------------------------------

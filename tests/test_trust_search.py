@@ -249,13 +249,16 @@ _DAYS = st.one_of(
 )
 
 
+_RATES = st.one_of(
+    st.integers(1, 10**9),
+    st.floats(min_value=1e-6, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.5, 1.0, 3.5, 7.0, 7 + 1e-9, 7 - 1e-9, 2.0**-30]),
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    rate=st.one_of(
-        st.integers(1, 10**9),
-        st.floats(min_value=1e-6, max_value=1e300, allow_nan=False, allow_infinity=False),
-        st.sampled_from([0.5, 1.0, 3.5, 7.0, 7 + 1e-9, 7 - 1e-9, 2.0**-30]),
-    ),
+    rate=_RATES,
     today=_DAYS,
     refreshed=_DAYS,
     edge=st.none() | st.tuples(st.sampled_from([-1, 1]), st.integers(-2, 2)),
@@ -294,6 +297,19 @@ def test_the_search_counts_a_dated_link_exactly_while_it_is_fresh(
     assert (chain is not None) is (abs(refreshed - today) < rate)
     if chain is not None:
         assert [link.credential for link in chain.links] == list(pool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rate=_RATES | st.floats(min_value=5e-324, max_value=1e-4))
+def test_every_rate_the_search_is_tried_at_survives_its_wire_form(rate):
+    """A credential issued at any of those refresh rates, tiny ones
+    included, parses back from its transport form with the same rate and
+    verifies."""
+    sent = issue(_KEYS[0], _body(0, [_binding(1, [NEWS], NOW)]).replace(refresh_rate_days=rate))
+    received = from_transport_json(to_transport_json(sent))
+    verify_credential(received)
+    assert received.refresh_rate_days == rate
+    assert canonical_bytes(received) == canonical_bytes(sent)
 
 
 # -- ranks without a pool sort ----------------------------------------------------------

@@ -7,6 +7,8 @@ values.  Every failure is an :class:`UnrepresentableField` whose text
 starts with the ``what`` its caller names, the kind of input being read:
 ``credential``, ``certificate``, ``policy`` or ``fixture``.  One type rule
 holds everywhere: JSON ``true`` and ``false`` are bools, never numbers.
+One date rule holds too: :func:`iso_date` reads the dates of JSON fields
+and of the CLI's date options alike.
 """
 
 from __future__ import annotations
@@ -81,17 +83,26 @@ def field(obj, name: str, kind, default=REQUIRED, *, items=None, what: str):
     return value
 
 
-def date_field(obj, name: str, *, what: str) -> date:
-    """``obj[name]``, a required ``YYYY-MM-DD`` string, as a date.
+def iso_date(text: str) -> date:
+    """``text``, a ``YYYY-MM-DD`` string, as a date; other text raises
+    :class:`ValueError`.
 
     Only that form is a date, on every Python: 3.11's
     :meth:`date.fromisoformat` also reads ``20200601`` and ``2020-W23-1``.
     """
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return day
+
+
+def date_field(obj, name: str, *, what: str) -> date:
+    """``obj[name]``, a required ``YYYY-MM-DD`` string, as a date (see
+    :func:`iso_date`)."""
     text = field(obj, name, str, what=what)
     try:
-        day = date.fromisoformat(text)
-        if day.isoformat() == text:
-            return day
+        return iso_date(text)
     except ValueError:
-        pass
-    raise UnrepresentableField(f"{what} field {name!r} is not a YYYY-MM-DD date: {text!r}")
+        raise UnrepresentableField(
+            f"{what} field {name!r} is not a YYYY-MM-DD date: {text!r}"
+        ) from None

@@ -40,6 +40,7 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ._json import iso_date
 from .errors import EmptyInput, SataError, UnrepresentableField
 
 if TYPE_CHECKING:  # each handler imports what it runs when it runs
@@ -89,7 +90,7 @@ def _test_mode() -> bool:
 def _add_now(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--now",
-        type=date.fromisoformat,
+        type=iso_date,
         required=_test_mode(),
         default=None,
         help="evaluation date YYYY-MM-DD (defaults to today outside test mode)",
@@ -552,8 +553,8 @@ def _satt_commands(group: argparse.ArgumentParser) -> None:
     p.add_argument("--domain", required=True)
     p.add_argument("--fingerprint", action="append", help="cert fingerprint, repeatable")
     p.add_argument("--label", action="append")
-    p.add_argument("--issued", type=date.fromisoformat, required=True)
-    p.add_argument("--refreshed", type=date.fromisoformat, required=True)
+    p.add_argument("--issued", type=iso_date, required=True)
+    p.add_argument("--refreshed", type=iso_date, required=True)
     p.add_argument("--rate", type=float, default=7.0, help="refresh rate in days")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_satt_self)
@@ -599,8 +600,8 @@ def _rotate_commands(group: argparse.ArgumentParser) -> None:
     p.add_argument("--new", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--fingerprint", action="append")
-    p.add_argument("--issued", type=date.fromisoformat, required=True)
-    p.add_argument("--refreshed", type=date.fromisoformat, required=True)
+    p.add_argument("--issued", type=iso_date, required=True)
+    p.add_argument("--refreshed", type=iso_date, required=True)
     p.add_argument("--rate", type=float, default=7.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_rotate_pointer)

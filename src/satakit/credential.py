@@ -29,13 +29,14 @@ from __future__ import annotations
 import json
 import math
 import re
-from datetime import date, datetime
+from datetime import date
 from functools import cached_property
 from typing import Iterable
 
 from . import _json
 from ._value import Value, set_field
 from .errors import (
+    BadDomain,
     BadSignature,
     KeyMismatch,
     MalformedSignature,
@@ -64,8 +65,6 @@ def format_refresh_rate(days: float) -> str:
     """Wire form of a refresh rate, e.g. ``"7 days"``, ``"3.5 days"`` or
     ``"0.0000001 days"``: the shortest decimal that reads back as ``days``,
     never in exponent form, so :func:`parse_refresh_rate` reads it."""
-    if not isinstance(days, (int, float)) or isinstance(days, bool):
-        raise UnrepresentableField(f"refresh rate must be a number of days, got {days!r}")
     if days <= 0 or days != days or days in (float("inf"),):
         raise UnrepresentableField(f"refresh rate must be positive and finite: {days!r}")
     if float(days).is_integer():
@@ -84,39 +83,24 @@ def parse_refresh_rate(text: str) -> float:
     return float(m.group(1))
 
 
-def _require_date(value, field: str) -> date:
-    # datetime is a date subclass but would serialize with a time part
-    if not isinstance(value, date) or isinstance(value, datetime):
-        raise UnrepresentableField(f"{field} must be a calendar date, got {value!r}")
-    return value
-
-
-def _require_onion(value, field: str) -> None:
-    if not isinstance(value, OnionAddress):
-        raise StructuralViolation(f"{field} must be an onion address, got {value!r}")
-
-
-def _names(values: Iterable[str], field: str) -> tuple[str, ...]:
-    """``values`` as a tuple of strings.  A bare string, which would give
-    one name per character, a value that is not iterable, or an item that
-    is not a string raises :class:`StructuralViolation`."""
-    try:
-        names = None if isinstance(values, str) else tuple(values)
-    except TypeError:
-        names = None
-    if names is None or not all(isinstance(name, str) for name in names):
-        raise StructuralViolation(f"{field} must be a list of strings, got {values!r}")
-    return names
-
-
 class Binding(Value):
     """One sattestee entry: a (domain, onion) pair with its dates.
 
     ``cert_fingerprints`` may only be set when the enclosing credential is
     a self-sattestation.  ``onion_reachable`` is an optional hint that the
     service is reachable over onion transport; it is omitted from the
-    canonical bytes when absent.
+    canonical bytes when absent.  A wrong-typed field raises
+    :class:`StructuralViolation`, except a domain (:class:`BadDomain`) and
+    a date (:class:`UnrepresentableField`: a ``datetime`` would serialize
+    with a time part).
     """
+
+    _type_error = StructuralViolation
+    _type_errors = {
+        "domain": BadDomain,
+        "issued": UnrepresentableField,
+        "refreshed_on": UnrepresentableField,
+    }
 
     domain: str
     onion: OnionAddress
@@ -136,32 +120,19 @@ class Binding(Value):
         cert_fingerprints: Iterable[str] = (),
         onion_reachable: bool | None = None,
     ) -> None:
-        domain = normalize_domain(domain)
-        _require_onion(onion, "onion")
-        _require_date(issued, "issued")
-        _require_date(refreshed_on, "refreshed_on")
+        set_field(self, "domain", normalize_domain(domain))
         if refreshed_on < issued:
             raise StructuralViolation(f"refreshed_on {refreshed_on} precedes issued {issued}")
-        labels = _names(labels, "labels")
         for label in labels:
             if not label or "," in label or _SURROGATE_RE.search(label):
                 raise StructuralViolation(
                     f"label {label!r} must be nonempty, comma-free and encodable as UTF-8"
                 )
-        if onion_reachable is not None and type(onion_reachable) is not bool:
-            raise StructuralViolation(f"onion_reachable {onion_reachable!r} is not a boolean")
-        fingerprints = _names(cert_fingerprints, "cert_fingerprints")
-        normalized = tuple(fp.upper() for fp in fingerprints)
+        normalized = tuple(fp.upper() for fp in cert_fingerprints)
         for fp in normalized:
             if not _FINGERPRINT_RE.match(fp):
                 raise StructuralViolation(f"certificate fingerprint {fp!r} is not hex")
-        set_field(self, "domain", domain)
-        set_field(self, "onion", onion)
-        set_field(self, "issued", issued)
-        set_field(self, "refreshed_on", refreshed_on)
-        set_field(self, "labels", labels)
         set_field(self, "cert_fingerprints", normalized)
-        set_field(self, "onion_reachable", onion_reachable)
 
     def binds(self, domain: str, onion: OnionAddress) -> bool:
         return self.domain == domain.lower() and self.onion.label == onion.label
@@ -172,8 +143,14 @@ class SattestationBody(Value):
 
     Immutable, so its canonical bytes are encoded once, on first use.  A
     refresh rate with no wire form (not positive and finite) is rejected
-    here, not when the bytes are first needed.
+    here, not when the bytes are first needed.  A wrong-typed field raises
+    :class:`StructuralViolation`, except the domain (:class:`BadDomain`)
+    and the refresh rate (:class:`UnrepresentableField`, as for one with
+    no wire form).
     """
+
+    _type_error = StructuralViolation
+    _type_errors = {"sattestor_domain": BadDomain, "refresh_rate_days": UnrepresentableField}
 
     sattestor_domain: str
     sattestor_onion: OnionAddress
@@ -189,17 +166,10 @@ class SattestationBody(Value):
         sattestees: Iterable[Binding],
         version: int = CREDENTIAL_VERSION,
     ) -> None:
-        sattestor_domain = normalize_domain(sattestor_domain)
-        _require_onion(sattestor_onion, "sattestor_onion")
-        sattestees = tuple(sattestees)
+        set_field(self, "sattestor_domain", normalize_domain(sattestor_domain))
         if not sattestees:
             raise StructuralViolation("credential must carry at least one binding")
         format_refresh_rate(refresh_rate_days)
-        set_field(self, "sattestor_domain", sattestor_domain)
-        set_field(self, "sattestor_onion", sattestor_onion)
-        set_field(self, "refresh_rate_days", refresh_rate_days)
-        set_field(self, "sattestees", sattestees)
-        set_field(self, "version", version)
 
     @cached_property
     def _canonical(self) -> bytes:
@@ -209,7 +179,12 @@ class SattestationBody(Value):
 
 class Sattestation(Value):
     """A signed body.  Immutable, so its structure and its signature are
-    each checked once, on first use."""
+    each checked once, on first use.  A body that is not a
+    :class:`SattestationBody` raises :class:`StructuralViolation`, a
+    signature that is not bytes :class:`MalformedSignature`."""
+
+    _type_error = StructuralViolation
+    _type_errors = {"signature": MalformedSignature}
 
     body: SattestationBody
     signature: bytes
@@ -217,8 +192,6 @@ class Sattestation(Value):
     def __init__(self, body: SattestationBody, signature: bytes) -> None:
         if len(signature) != 64:
             raise MalformedSignature(f"signature must be 64 bytes, got {len(signature)}")
-        set_field(self, "body", body)
-        set_field(self, "signature", signature)
 
     @cached_property
     def _structural_fault(self) -> str | None:
@@ -348,9 +321,6 @@ def make_self_sattestation(
     stay under :data:`MAX_SELF_SATTESTATION_BYTES` (headers travel
     uncompressed); exceeding it raises :class:`TooLarge`.
     """
-    fingerprints = _names(cert_fingerprints, "cert_fingerprints")
-    if not fingerprints:
-        raise NoFingerprints("a self-sattestation needs at least one cert fingerprint")
     onion = key.address
     binding = Binding(
         domain=domain,
@@ -358,9 +328,11 @@ def make_self_sattestation(
         issued=issued,
         refreshed_on=refreshed_on,
         labels=() if labels is None else labels,
-        cert_fingerprints=fingerprints,
+        cert_fingerprints=cert_fingerprints,
         onion_reachable=onion_reachable,
     )
+    if not binding.cert_fingerprints:
+        raise NoFingerprints("a self-sattestation needs at least one cert fingerprint")
     body = SattestationBody(
         sattestor_domain=domain,
         sattestor_onion=onion,
@@ -428,7 +400,7 @@ def _parse_binding(obj: dict) -> Binding:
         issued=_json.date_field(obj, "issued", what="credential"),
         refreshed_on=_json.date_field(obj, "refreshed_on", what="credential"),
         labels=tuple(part for part in labels.split(",") if part),
-        cert_fingerprints=tuple(fingerprints),
+        cert_fingerprints=fingerprints,
         onion_reachable=obj.get("onion_reachable"),
     )
 

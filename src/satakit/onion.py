@@ -42,6 +42,7 @@ from .errors import (
     BadVersion,
     KeyMismatch,
     MalformedSignature,
+    OnionAddressError,
 )
 
 ONION_SUFFIX = ".onion"
@@ -69,8 +70,10 @@ class OnionAddress(Value):
     suffix is never stored.  Construction checks, in order, the public
     key length, the checksum over the version byte, the version, and that
     the label re-encodes from those fields, so an inconsistent instance
-    cannot exist.
+    cannot exist.  A wrong-typed field raises :class:`OnionAddressError`.
     """
+
+    _type_error = OnionAddressError
 
     pubkey: bytes
     checksum: bytes
@@ -88,9 +91,6 @@ class OnionAddress(Value):
         label = label.lower()
         if label != _label(pubkey, checksum, version):
             raise BadChecksum("label does not re-encode from its own public key")
-        set_field(self, "pubkey", pubkey)
-        set_field(self, "checksum", checksum)
-        set_field(self, "version", version)
         set_field(self, "label", label)
 
     @property
@@ -110,8 +110,11 @@ class KeyPair(Value):
     ``private`` for :func:`sign`, so signing never re-derives it.
     ``private`` is not part of the value, and the repr shows only
     ``public``, so a key pair that reaches a log or a traceback does not
-    leak its key.
+    leak its key.  A wrong-typed field raises :class:`OnionAddressError`.
     """
+
+    _type_error = OnionAddressError
+    _argument_types = {"public": bytes | None}
 
     secret: bytes
     public: bytes
@@ -123,7 +126,6 @@ class KeyPair(Value):
         derived = private.public_key().public_bytes_raw()
         if public is not None and public != derived:
             raise KeyMismatch("public key is not derivable from the secret seed")
-        set_field(self, "secret", secret)
         set_field(self, "public", derived)
         set_field(self, "private", private)
 
@@ -211,8 +213,6 @@ def keygen(seed: bytes | None = None) -> KeyPair:
     """Deterministic ed25519 keypair from a 32-byte seed (random if omitted)."""
     if seed is None:
         seed = os.urandom(32)
-    if len(seed) != 32:
-        raise BadLength(f"seed must be 32 bytes, got {len(seed)}")
     return KeyPair(secret=seed)
 
 

@@ -56,9 +56,12 @@ def normalize_domain(domain: str) -> str:
 
 
 class Sata(Value):
-    """Binding of a registered domain name to an onion address; an
-    ``onion`` that is not an :class:`OnionAddress` raises
-    :class:`InvalidOnionComponent`."""
+    """Binding of a registered domain name to an onion address; a
+    ``domain`` that is not a string raises :class:`BadDomain`, any other
+    wrong-typed field :class:`InvalidOnionComponent`."""
+
+    _type_error = InvalidOnionComponent
+    _type_errors = {"domain": BadDomain}
 
     domain: str
     onion: OnionAddress
@@ -68,10 +71,6 @@ class Sata(Value):
         self, domain: str, onion: OnionAddress, form: SataForm = SataForm.QUERY_STRING
     ) -> None:
         set_field(self, "domain", normalize_domain(domain))
-        if not isinstance(onion, OnionAddress):
-            raise InvalidOnionComponent(f"onion must be an onion address, got {onion!r}")
-        set_field(self, "onion", onion)
-        set_field(self, "form", form)
 
     def __str__(self) -> str:
         return f"{self.domain}[{self.onion.label[:8]}...]"

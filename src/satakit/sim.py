@@ -547,7 +547,7 @@ def _cert_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> CertD
             sans.append(entry)
     return CertDescriptor(
         fingerprint=fingerprint_cert(der),
-        san_list=tuple(sans),
+        san_list=sans,
         not_before=_json.date_field(spec, "not_before", what="fixture"),
         not_after=_json.date_field(spec, "not_after", what="fixture"),
         has_sct=_json.field(spec, "has_sct", bool, False, what="fixture"),
@@ -586,14 +586,14 @@ def _credential_from_spec(
                     onion=_named(keys, b.get("onion_key"), "key").address,
                     issued=_json.date_field(b, "issued", what="fixture"),
                     refreshed_on=_json.date_field(b, "refreshed_on", what="fixture"),
-                    labels=tuple(_json.field(b, "labels", list, [], items=str, what="fixture")),
+                    labels=_json.field(b, "labels", list, [], items=str, what="fixture"),
                 )
             )
         body = SattestationBody(
             sattestor_domain=_json.field(spec, "sattestor_domain", str, what="fixture"),
             sattestor_onion=key.address,
             refresh_rate_days=rate,
-            sattestees=tuple(bindings),
+            sattestees=bindings,
         )
         return issue(key, body)
     raise UnrepresentableField(f"unknown credential kind {kind!r}")

@@ -98,7 +98,7 @@ from operator import is_, is_not
 from typing import Iterable, Optional, Sequence
 
 from . import _json
-from ._value import Value, set_field
+from ._value import Value
 from .credential import (
     Sattestation,
     canonical_bytes,
@@ -136,29 +136,29 @@ def rotation_pointer_label(new: Sata) -> str:
     return delegation_label("{" + to_subdomain_form(new) + "}")
 
 
-def _label_set(labels: Iterable[str], field: str) -> frozenset[str]:
-    """``labels`` as a set; anything but an iterable of strings raises
-    :class:`UnrepresentableField`, a bare string too: it would give one
-    label per character."""
-    try:
-        names = None if isinstance(labels, str) else frozenset(labels)
-    except TypeError:  # not iterable, or an item that cannot be hashed
-        names = None
-    if names is None or not all(isinstance(name, str) for name in names):
-        raise UnrepresentableField(f"{field} must be a list of labels, got {labels!r}")
-    return names
-
-
 class TrustRoot(Value):
+    """A root the client trusts for ``trusted_labels``.  A wrong-typed
+    field raises :class:`UnrepresentableField`."""
+
+    _type_error = UnrepresentableField
+    _what = "policy"
+    _field_names = {"trusted_labels": "trusted labels"}
+
     sattestor: Sata
     trusted_labels: frozenset[str]
 
     def __init__(self, sattestor: Sata, trusted_labels: Iterable[str]) -> None:
-        set_field(self, "sattestor", sattestor)
-        set_field(self, "trusted_labels", _label_set(trusted_labels, "trusted labels"))
+        pass  # Value stores the fields
 
 
 class TrustPolicy(Value):
+    """What a client trusts, and how far.  A wrong-typed field raises
+    :class:`UnrepresentableField`, a ``max_chain_depth`` below 1
+    :class:`ValueError`."""
+
+    _type_error = UnrepresentableField
+    _what = "policy"
+
     roots: tuple[TrustRoot, ...]
     max_chain_depth: int
     require_sattestation_for: frozenset[str]
@@ -171,26 +171,8 @@ class TrustPolicy(Value):
         require_sattestation_for: Iterable[str] = frozenset(),
         allow_credentialed_alt_services: bool = True,
     ) -> None:
-        required = _label_set(require_sattestation_for, "require_sattestation_for")
-        try:
-            roots = tuple(roots)  # a string's characters are not roots either
-        except TypeError:
-            raise UnrepresentableField(f"roots must be a list, got {roots!r}") from None
-        for root in roots:
-            if not isinstance(root, TrustRoot):
-                raise UnrepresentableField(f"a trust root must be a TrustRoot, got {root!r}")
-        for name, value, kind in (
-            ("max_chain_depth", max_chain_depth, int),
-            ("allow_credentialed_alt_services", allow_credentialed_alt_services, bool),
-        ):
-            if type(value) is not kind:  # so a bool is no depth
-                raise UnrepresentableField(f"{name} must be of type {kind.__name__}, got {value!r}")
         if max_chain_depth < 1:
             raise ValueError("max_chain_depth must be at least 1")
-        set_field(self, "roots", roots)
-        set_field(self, "max_chain_depth", max_chain_depth)
-        set_field(self, "require_sattestation_for", required)
-        set_field(self, "allow_credentialed_alt_services", allow_credentialed_alt_services)
 
 
 class ChainLink(Value):
@@ -199,9 +181,7 @@ class ChainLink(Value):
     label: str  # the label relied upon at this hop
 
     def __init__(self, credential: Sattestation, binding_index: int, label: str) -> None:
-        set_field(self, "credential", credential)
-        set_field(self, "binding_index", binding_index)
-        set_field(self, "label", label)
+        pass  # Value stores the fields
 
 
 class TrustChain(Value):
@@ -210,9 +190,7 @@ class TrustChain(Value):
     label: str
 
     def __init__(self, links: tuple[ChainLink, ...], subject: Sata, label: str) -> None:
-        set_field(self, "links", links)
-        set_field(self, "subject", subject)
-        set_field(self, "label", label)
+        pass  # Value stores the fields
 
 
 class RotationResult(Value):
@@ -222,8 +200,7 @@ class RotationResult(Value):
     missing: tuple[str, ...]
 
     def __init__(self, ok: bool, missing: tuple[str, ...] = ()) -> None:
-        set_field(self, "ok", ok)
-        set_field(self, "missing", missing)
+        pass  # Value stores the fields
 
 
 def _identity(s: Sata) -> tuple[str, str]:
@@ -660,10 +637,11 @@ def policy_from_json(obj: dict) -> TrustPolicy:
     "<56-char label>", "trusted_labels": [...]}``.  A key left out of the
     file takes :class:`TrustPolicy`'s default.  A value that is not a JSON
     object where one is wanted, a field that is missing or of the wrong
-    JSON type, or a ``max_chain_depth`` below 1 raises
-    :class:`UnrepresentableField`.  ``satakit trust eval`` reads the file
-    with the loader every JSON input shares, so malformed JSON there is an
-    :class:`UnrepresentableField` too.
+    JSON type (the policy's own fields and a root's labels are checked by
+    :class:`TrustPolicy` and :class:`TrustRoot`), or a ``max_chain_depth``
+    below 1 raises :class:`UnrepresentableField`.  ``satakit trust eval``
+    reads the file with the loader every JSON input shares, so malformed
+    JSON there is an :class:`UnrepresentableField` too.
     """
     roots = tuple(
         TrustRoot(
@@ -671,17 +649,13 @@ def policy_from_json(obj: dict) -> TrustPolicy:
                 domain=_json.field(r, "sattestor_domain", str, what="policy"),
                 onion=parse_onion(_json.field(r, "sattestor_onion", str, what="policy")),
             ),
-            trusted_labels=_json.field(r, "trusted_labels", list, [], items=str, what="policy"),
+            trusted_labels=r.get("trusted_labels", ()),
         )
         for r in _json.field(obj, "roots", list, [], items=dict, what="policy")
     )
     fields = {
-        name: _json.field(obj, name, kind, items=items, what="policy")
-        for name, kind, items in (
-            ("max_chain_depth", int, None),
-            ("require_sattestation_for", list, str),
-            ("allow_credentialed_alt_services", bool, None),
-        )
+        name: obj[name]
+        for name in ("max_chain_depth", "require_sattestation_for", "allow_credentialed_alt_services")
         if name in obj
     }
     try:

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Iterable, Union
 from ._value import Value, set_field
 from .credential import (
     Sattestation,
-    _require_date,
     check_freshness,
     is_self_sattestation,
     verify_credential,
@@ -50,8 +49,7 @@ class Verdict(Value):
     detail: str
 
     def __init__(self, outcome: VerdictOutcome, detail: str) -> None:
-        set_field(self, "outcome", outcome)
-        set_field(self, "detail", detail)
+        pass  # Value stores the fields
 
     def accepted(self) -> bool:
         return self.outcome is VerdictOutcome.ACCEPT
@@ -69,10 +67,14 @@ class CertDescriptor(Value):
     ``der`` is provided the two must agree (enforced by fixtures, not
     here, since descriptors are often built without the full DER).
     ``has_sct`` only records whether a CT signed-certificate-timestamp was
-    promised; nothing here verifies SCTs.  The validity dates must be
-    calendar dates and ``has_sct`` a bool, or :class:`UnrepresentableField`
-    is raised.
+    promised; nothing here verifies SCTs.  A wrong-typed field, or a
+    fingerprint that is not 64 hex digits, raises
+    :class:`UnrepresentableField`.
     """
+
+    _type_error = UnrepresentableField
+    _what = "certificate"
+    _field_names = {"san_list": "SANs"}
 
     fingerprint: str
     san_list: tuple[str, ...]
@@ -90,31 +92,12 @@ class CertDescriptor(Value):
         has_sct: bool = False,
         der: bytes | None = None,
     ) -> None:
-        if (
-            not isinstance(fingerprint, str)
-            or len(fingerprint) != 64
-            or any(c not in "0123456789ABCDEF" for c in fingerprint.upper())
-        ):
+        if len(fingerprint) != 64 or any(c not in "0123456789ABCDEF" for c in fingerprint.upper()):
             raise UnrepresentableField(
                 f"certificate fingerprint must be 64 hex chars, got {fingerprint!r}"
             )
-        if isinstance(san_list, str) or not isinstance(san_list, Iterable):
-            raise UnrepresentableField(
-                f"certificate SANs must be a list of names, got {san_list!r}"
-            )
-        sans = tuple(san_list)
-        if not all(isinstance(name, str) for name in sans):
-            raise UnrepresentableField(f"certificate SANs must be strings, got {sans!r}")
-        _require_date(not_before, "certificate not_before")
-        _require_date(not_after, "certificate not_after")
-        if type(has_sct) is not bool:
-            raise UnrepresentableField(f"certificate has_sct must be a boolean, got {has_sct!r}")
         set_field(self, "fingerprint", fingerprint.upper())
-        set_field(self, "san_list", tuple(name.lower() for name in sans))
-        set_field(self, "not_before", not_before)
-        set_field(self, "not_after", not_after)
-        set_field(self, "has_sct", has_sct)
-        set_field(self, "der", der)
+        set_field(self, "san_list", tuple(name.lower() for name in san_list))
 
 
 def fingerprint_cert(der: bytes) -> str:
@@ -227,9 +210,12 @@ def validate_onion_location(
     Accepted only when the target is a SATA for the origin's own
     registered domain whose expected SANs are already covered by the
     origin certificate, so the redirected connection can reuse the same
-    HTTPS certificate.  Bare .onion targets, foreign-domain SATAs and
-    targets that are not URLs (the site serves the header, so any input
-    may arrive) are rejected.
+    HTTPS certificate.  When the origin is itself a SATA, the target must
+    also carry the origin's own onion: a certificate may name the SANs of
+    other onions too, so only the SATA's commitment stops a redirect to
+    another one.  Bare .onion targets, foreign-domain SATAs and targets
+    that are not URLs (the site serves the header, so any input may
+    arrive) are rejected.
     """
     origin_domain = _origin_domain(origin)
     try:
@@ -254,6 +240,12 @@ def validate_onion_location(
             VerdictOutcome.REJECT_NOT_SATA,
             f"redirect target is a SATA for {target.domain!r}, "
             f"not the origin {origin_domain!r}",
+        )
+    if isinstance(origin, Sata) and target.onion.label != origin.onion.label:
+        return Verdict(
+            VerdictOutcome.REJECT_NOT_SATA,
+            f"redirect target onion {target.onion.label[:8]}... is not the origin "
+            f"SATA's own onion {origin.onion.label[:8]}...",
         )
     gap = _sans_cover(target, origin_cert.san_list)
     if gap is not None:

@@ -508,6 +508,35 @@ def test_usage_errors_exit_64(capsys):
     assert err.value.code == EXIT_USAGE
 
 
+# a command line per date option, the option's value left as {}
+DATE_OPTIONS = {
+    "verify --now": ["verify", "--url", "u", "--cert", "c", "--header", "h", "--now", "{}"],
+    "trust eval --now": ["trust", "eval", "--policy", "p", "--creds", "d", "--subject", "s",
+                         "--label", "l", "--now", "{}"],
+    "satt fresh --now": ["satt", "fresh", "--file", "f", "--now", "{}"],
+    "rotate check --now": ["rotate", "check", "--old", "o", "--new", "n", "--creds", "d",
+                           "--now", "{}"],
+    **{
+        f"{command} {option}": [*command.split(), "--key", "k", "--issued", "2020-06-01",
+                                "--refreshed", "2020-06-01", *extra, option, "{}"]
+        for command, extra in (("satt self", ["--domain", "d"]),
+                               ("rotate pointer", ["--old", "o", "--new", "n"]))
+        for option in ("--issued", "--refreshed")
+    },
+}
+
+
+@pytest.mark.parametrize("value", ["2020-W23-1", "20200601", "2020-06-01T00:00"])
+@pytest.mark.parametrize("option", DATE_OPTIONS)
+def test_a_date_option_takes_only_yyyy_mm_dd(capsys, option, value):
+    # Python 3.11's date.fromisoformat reads the first two as 2020-06-01
+    argv = [value if arg == "{}" else arg for arg in DATE_OPTIONS[option]]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    assert f"invalid iso_date value: {value!r}" in capsys.readouterr().err
+
+
 def test_now_required_in_test_mode(capsys, monkeypatch, tmp_path, bank_files):
     monkeypatch.setenv("SATAKIT_TEST_MODE", "1")
     with pytest.raises(SystemExit) as err:

@@ -6,11 +6,12 @@ Every CLI call is a new process and pays for each module it imports.
 the cryptography serialization stack never; each command loads only the
 satakit modules it runs (``FOOTPRINTS``), and none loads ``dataclasses``
 or the ``inspect`` it imports; importing the package loads no submodule
-until a name is used.  Module counts, unlike timings, are the
-same on any host.  The traced run mirrors the benchmark's
-``perfbench/cli_probe.py``: it imports only ``satakit.cli``, installs the
-span tracer, and still sees the simulator's boundaries once ``sim matrix``
-loads it.
+until a name is used; and building each input type, which resolves its
+field annotations, loads neither those nor ``ast``.  Module counts,
+unlike timings, are the same on any host.  The traced run mirrors the
+benchmark's ``perfbench/cli_probe.py``: it imports only ``satakit.cli``,
+installs the span tracer, and still sees the simulator's boundaries once
+``sim matrix`` loads it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,29 @@ def test_package_and_submodule_imports_load_only_what_they_use():
         "satakit._value", "satakit.errors", "satakit.onion"
     }
     assert DATACLASSES & _loaded_after("import satakit.trust") == set()
+
+
+def test_building_each_input_type_loads_no_code_generation_modules():
+    # the first construction of each resolves its field annotations
+    loaded = _loaded_after(
+        "from datetime import date\n"
+        "from satakit.onion import KeyPair, OnionAddress, address_for\n"
+        "from satakit.sata import Sata\n"
+        "from satakit.credential import Binding, Sattestation, SattestationBody\n"
+        "from satakit.validation import CertDescriptor\n"
+        "from satakit.trust import TrustPolicy, TrustRoot\n"
+        "key = KeyPair(bytes(32))\n"
+        "onion = address_for(key.public)\n"
+        "assert type(OnionAddress(onion.pubkey, onion.checksum, 3, onion.label)) is OnionAddress\n"
+        "sata = Sata('a.example', onion)\n"
+        "day = date(2020, 6, 1)\n"
+        "binding = Binding('a.example', onion, day, day, ['news'], ['AB'])\n"
+        "body = SattestationBody('a.example', onion, 7, [binding])\n"
+        "Sattestation(body, bytes(64))\n"
+        "CertDescriptor('AB' * 32, ['a.example'], day, day)\n"
+        "TrustPolicy([TrustRoot(sata, ['news'])], 2, ['news'])"
+    )
+    assert {"inspect", "dataclasses", "ast"} & loaded == set()
 
 
 def test_traced_sim_matrix_from_cli_import_alone(tmp_path):

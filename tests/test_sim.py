@@ -8,15 +8,18 @@ import pytest
 
 from satakit import (
     AltSvcHeader,
+    Sata,
     AttackerCaps,
     BrowserConfig,
     SiteHeaders,
     SiteRecord,
     World,
+    expected_sans,
     load_scenario,
     run_matrix,
     run_scenario,
     run_visit,
+    to_query_form,
     track_alt_svc_exposure,
 )
 from satakit.credential import make_self_sattestation
@@ -112,6 +115,38 @@ def test_attack2_sata_aware_would_accept_same_domain_sata_redirect():
     assert not outcome.user_visible_alert
     assert any(v.accepted() for v in outcome.verdicts)
     assert outcome.notes == ("followed self-authenticating onion-location to full.com",)
+
+
+def test_onion_location_cannot_move_a_sata_to_the_hijackers_onion():
+    """A DNS hijack plus a rogue certificate naming the SATA SANs of both
+    the victim's onion V and the attacker's own onion A: the attacker
+    redirects a navigation to the victim's SATA towards A, and signs its
+    certificate for (victim.example, A).  The redirect leaves V, so a
+    SATA-aware browser alerts."""
+    victim = Sata("victim.example", key_for("victim.example").address)
+    attacker_key = key_for("attacker-onion")
+    attacker = Sata("victim.example", attacker_key.address)
+    cert = cert_for("rogue-victim", [*expected_sans(victim), *expected_sans(attacker)])
+    header = make_self_sattestation(
+        key=attacker_key, domain="victim.example", cert_fingerprints=[cert.fingerprint],
+        issued=date(2020, 8, 31), refreshed_on=date(2020, 8, 31), refresh_rate_days=7,
+    )
+    world = World(
+        sites={"victim.example": SiteRecord("attacker-spoof", cert, SiteHeaders(
+            onion_location=to_query_form(attacker), sata_header=header,
+        ))},
+        attacker=AttackerCaps(
+            rogue_cert_for=frozenset({"victim.example"}),
+            dns_hijack=frozenset({"victim.example"}),
+            onion_keys=frozenset({attacker.onion.label}),
+        ),
+        browser=BrowserConfig(name="sata-aware", sata_aware=True, prioritize_onion=True),
+    )
+    validate_world(world)
+    outcome, _ = run_visit(world, to_query_form(victim), date(2020, 9, 1))
+    assert outcome.user_visible_alert
+    assert outcome.verdicts[0].outcome is VerdictOutcome.REJECT_NOT_SATA
+    assert not any(v.accepted() for v in outcome.verdicts)
 
 
 def test_onion_location_to_an_unknown_host_raises():

@@ -15,6 +15,7 @@ from satakit import (
     fingerprint_cert,
     make_self_sattestation,
     to_query_form,
+    to_subdomain_form,
     validate_alt_svc,
     validate_connection,
     validate_onion_location,
@@ -192,6 +193,46 @@ def test_onion_location_target_that_is_not_a_url_rejected(bank_cert, target):
     verdict = validate_onion_location("bank.example", target, bank_cert)
     assert verdict.outcome is VerdictOutcome.REJECT_NOT_SATA
     assert repr(target) in verdict.detail
+
+
+def test_onion_location_from_a_sata_keeps_its_onion():
+    """A hijacker holding a certificate that names the SANs of both the
+    victim's onion and its own cannot redirect a SATA to its own onion."""
+    victim = Sata("victim.example", key_for("victim.example").address)
+    attacker = Sata("victim.example", key_for("attacker-onion").address)
+    cert = cert_for("rogue-victim", [*expected_sans(victim), *expected_sans(attacker)])
+    verdict = validate_onion_location(victim, to_query_form(attacker), cert)
+    assert verdict.outcome is VerdictOutcome.REJECT_NOT_SATA
+    assert validate_onion_location(victim, to_query_form(victim), cert).accepted()
+
+
+ONION_NAMES = ("victim.example", "attacker-onion", "other-onion")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    origin_key=st.sampled_from(ONION_NAMES),
+    target_key=st.sampled_from(ONION_NAMES),
+    target_domain=st.sampled_from(["victim.example", "other.example"]),
+    subdomain_form=st.booleans(),
+    sans=st.sets(st.sampled_from([
+        *(name for key in ONION_NAMES for name in expected_sans(
+            Sata("victim.example", key_for(key).address))),
+        "other.example", "unrelated.example",
+    ])),
+)
+def test_a_sata_origin_refuses_every_other_onion_whatever_the_certificate(
+    origin_key, target_key, target_domain, subdomain_form, sans
+):
+    origin = Sata("victim.example", key_for(origin_key).address)
+    target = Sata(target_domain, key_for(target_key).address)
+    url = f"https://{to_subdomain_form(target)}/" if subdomain_form else to_query_form(target)
+    cert = cert_for("any", sorted(sans))
+    verdict = validate_onion_location(origin, url, cert)
+    if target_key != origin_key:
+        assert verdict.outcome is VerdictOutcome.REJECT_NOT_SATA
+    else:  # the origin's own onion: decided as for the bare hostname
+        assert verdict == validate_onion_location(origin.domain, url, cert)
 
 
 # -- alternative services --------------------------------------------------------

@@ -2,6 +2,7 @@
 replaced: equality by class and fields, a hash that agrees with it, no
 assignment or deletion, a ``Name(field=value, ...)`` repr, and a
 ``replace()`` that rebuilds through ``__init__`` so every check runs again.
+The input types also refuse a wrong-typed field with a ``SataError``.
 
 The reprs are compared with ``value_repr_golden.json``, recorded from the
 dataclass versions.  The one deliberate difference is ``KeyPair``: its repr
@@ -11,9 +12,12 @@ no longer shows the secret seed.
 from __future__ import annotations
 
 import json
-from datetime import date
+from datetime import date, datetime
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satakit import (
     Binding,
@@ -37,6 +41,7 @@ from satakit.errors import (
     BadDomain,
     BadLength,
     MalformedSignature,
+    SataError,
     StructuralViolation,
     UnrepresentableField,
 )
@@ -184,3 +189,69 @@ def test_value_type_parity(cls):
             value.replace(**changes)
 
     assert repr(value) == _expected_repr(value)
+
+
+# the types built from outside input; the other value types only satakit builds
+INPUT_TYPES = (
+    OnionAddress, KeyPair, Sata, Binding, SattestationBody, Sattestation, CertDescriptor,
+    TrustRoot, TrustPolicy,
+)
+# an argument whose type is wider than its field's: the public key is derived when omitted
+ARGUMENT_TYPES = {(KeyPair, "public"): Union[bytes, None]}
+SAMPLES = (
+    5, True, 2.5, "zz", "", b"\x00" * 64, None, object(), date(2020, 1, 1),
+    datetime(2020, 1, 1, 12, 0), ("zz",), (5,), [None], frozenset({"zz"}), ONION, SATA,
+    BINDING, ROOT, SataForm.SUBDOMAIN,
+)
+
+
+def _fits(kind, value) -> bool:
+    """Whether ``value`` may stand for a field annotated ``kind``: the
+    annotation rule of :mod:`satakit._value`, written out on its own."""
+    origin = get_origin(kind)
+    if origin in (tuple, frozenset):
+        if isinstance(value, str):
+            return False
+        try:
+            items = list(value)
+        except TypeError:
+            return False
+        return all(_fits(get_args(kind)[0], item) for item in items)
+    if get_args(kind):  # X | None
+        return any(_fits(part, value) for part in get_args(kind))
+    if kind in (int, bool, date, type(None)):
+        return type(value) is kind
+    if kind is float:
+        return type(value) in (int, float)
+    return isinstance(value, kind)
+
+
+def _wrong(kind) -> st.SearchStrategy:
+    """Values that do not fit ``kind``; for a tuple or set, also a bare
+    string and lists holding one item of a wrong type among good ones."""
+    wrong = st.sampled_from(SAMPLES).filter(lambda value: not _fits(kind, value))
+    if get_origin(kind) in (tuple, frozenset):
+        item = get_args(kind)[0]
+        good = st.sampled_from(SAMPLES).filter(lambda value: _fits(item, value))
+        items = st.tuples(st.lists(good, max_size=2), _wrong(item), st.lists(good, max_size=2))
+        wrong = st.one_of(wrong, st.text(min_size=1), items.map(lambda t: [*t[0], t[1], *t[2]]))
+    return wrong
+
+
+@st.composite
+def _wrong_field(draw):
+    cls = draw(st.sampled_from(INPUT_TYPES))
+    hints = get_type_hints(cls)
+    name = draw(st.sampled_from(cls._fields))
+    kind = ARGUMENT_TYPES.get((cls, name), hints[name])
+    return cls, name, draw(_wrong(kind))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_wrong_field())
+def test_a_wrong_typed_field_raises_a_sata_error(case):
+    cls, name, value = case
+    kwargs = {**CASES[cls][0], name: value}
+    with pytest.raises(SataError):
+        cls(**kwargs)
+

@@ -7,9 +7,20 @@ them: equality by class and fields, a hash that agrees with it, the
 assignment and deletion.  :meth:`Value.replace` takes the place of
 :func:`dataclasses.replace`.
 
-:class:`Value` is also the one owner of field types.  Before a class's
-own ``__init__`` runs, every argument is checked against its field's
-annotation and stored, so a wrong-typed field raises a
+A subclass declares each field once, as a class annotation, in
+constructor order, with its default, if it has one, written on the
+annotation as for a dataclass (``labels: tuple[str, ...] = ()``).
+Class-level settings, such as ``_type_error`` below, are not annotated, so
+they never become fields.  A value check, or a field normalized on the way
+in, goes in an optional ``_check(self)`` method, which runs once every
+field is checked and stored and stores again, with :data:`set_field`,
+each field it normalizes.  A subclass that writes its own ``__init__`` is
+refused with a :class:`TypeError` when it is defined, since the compiled
+one would replace it.
+
+:class:`Value` is also the one owner of field types.  Before ``_check``
+runs, every argument is checked against its field's annotation and
+stored, so a wrong-typed field raises a
 :class:`~satakit.errors.SataError` subclass, never a bare
 :class:`TypeError` or :class:`AttributeError` from the code that uses it.
 The annotation forms understood are:
@@ -29,18 +40,17 @@ The error class comes from the class: ``_type_error`` names the
 such as :class:`~satakit.errors.BadDomain` for a domain name.  A class
 that names no ``_type_error`` opts out of the check: the output-only types
 (``Verdict``, ``ChainLink``, ``TrustChain``, ``RotationResult``), which
-only satakit builds.  Where an argument may differ from its stored type,
-``_argument_types`` gives the argument's type, such as ``bytes | None``
-for a key pair's ``public``, which is derived when omitted.
+only satakit builds.
 
 On a class's first construction its annotations are resolved once, with
-:func:`typing.get_type_hints`, and compiled into one function with the
-parameters of the class's own ``__init__``: it checks and stores each
-field, then calls that ``__init__``.  A call binds its arguments once,
-and a field that is not a ``tuple`` or ``frozenset`` costs one inline
-test of its type.  On CPython 3.11 (2 CPUs), building a ``Binding`` took
-no longer than with the hand-written checks this replaced, and compiling
-took about 0.2 ms per class, once per process.
+:func:`typing.get_type_hints`, and compiled into one ``__init__`` whose
+parameters are the fields, in order, with their defaults: it checks and
+stores each field, then calls ``_check`` when the class has one.  A call
+binds its arguments once, and a field that is not a ``tuple`` or
+``frozenset`` costs one inline test of its type.  On CPython 3.11 (2
+CPUs), building a ``Binding`` took no longer than with the hand-written
+checks this replaced, and compiling took about 0.2 ms per class, once per
+process.
 
 The reason for not using :mod:`dataclasses` is start-up cost, which every
 CLI call pays in a fresh process.
@@ -54,10 +64,9 @@ and only the classes a process builds are compiled.
 
 from __future__ import annotations
 
-from functools import update_wrapper
 from operator import attrgetter
 
-# ``set_field(self, name, value)`` stores a field in ``__init__``, where
+# ``set_field(self, name, value)`` stores a field in ``_check``, where
 # plain assignment raises.  It keeps CPython's compact per-instance
 # attribute storage, which ``self.__dict__[name] = value`` would give up,
 # making every later read of the field about three times slower.
@@ -68,10 +77,10 @@ class Value:
     """Base of an immutable value type.
 
     A subclass declares its fields as class annotations, in constructor
-    order, and writes its own ``__init__``, whose parameters are its
-    fields.  Each field is already stored when it runs, checked against
-    its annotation (see the module docstring), a ``tuple`` or
-    ``frozenset`` field already built.  It checks the values and stores
+    order, each with its default if it has one, and may define
+    ``_check(self)``.  Each field is already stored when ``_check`` runs,
+    checked against its annotation (see the module docstring), a ``tuple``
+    or ``frozenset`` field already built.  It checks the values and stores
     again, with :data:`set_field`, each field it normalizes.  The instance
     keeps a ``__dict__``, so :func:`functools.cached_property` still caches
     values derived from the fields.
@@ -80,18 +89,17 @@ class Value:
     _fields: tuple[str, ...] = ()
     _type_error = None  # the SataError subclass a wrong-typed field raises
     _type_errors = {}  # field -> another error class for that field
-    _argument_types = {}  # field -> the type its argument has, if not the field's
     _what = None  # what the class is, in its error texts; its name by default
     _field_names = {}  # field -> its name in error texts, if not "field 'name'"
 
     def __init_subclass__(cls) -> None:
+        if "__init__" in cls.__dict__:  # it would be replaced by the compiled one
+            raise TypeError(f"{cls.__name__} must not define __init__: checks go in _check")
         own = cls.__dict__.get("__annotations__")
         if own:
             cls._fields = tuple(own)
+            cls.__init__ = lambda self, *args, **kwargs: _first_init(cls, self, args, kwargs)
         cls._values = attrgetter(*cls._fields)
-        init = cls.__dict__.get("__init__")
-        if init is not None:
-            cls.__init__ = lambda self, *args, **kwargs: _first_init(cls, init, self, args, kwargs)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -119,15 +127,20 @@ class Value:
         return type(self)(**fields)
 
 
-def _first_init(cls: type, init, self, args: tuple, kwargs: dict) -> None:
+def _first_init(cls: type, self, args: tuple, kwargs: dict) -> None:
     """The first construction of ``cls``: compile its ``__init__`` (see the
-    module docstring), put it in place of ``init``, and run it."""
+    module docstring), put it in place, and run it."""
     from typing import get_type_hints
 
-    params = ", ".join(init.__code__.co_varnames[1 : init.__code__.co_argcount])
-    hints = {**get_type_hints(cls), **cls._argument_types} if cls._type_error else {}
-    namespace = {"_init": init, "_set": set_field, "_type": type, "_typed": _typed}
-    lines = [f"def __init__(self, {params}):"]
+    hints = get_type_hints(cls) if cls._type_error else {}
+    # a default is written on its annotation, so it is a class attribute
+    defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+    params = (f"{name}=_defaults[{name!r}]" if name in defaults else name for name in cls._fields)
+    namespace = {
+        "__name__": cls.__module__, "_defaults": defaults, "_check": getattr(cls, "_check", None),
+        "_set": set_field, "_type": type, "_typed": _typed,
+    }
+    lines = [f"def __init__(self, {', '.join(params)}):"]
     for name in cls._fields:
         if cls._type_error is not None:
             subject = cls._field_names.get(name, f"field {name!r}")
@@ -138,10 +151,11 @@ def _first_init(cls: type, init, self, args: tuple, kwargs: dict) -> None:
             check = f"{name} = _typed(_rule_{name}, {name})"
             lines.append(f"    {check}" if rule[2] else f"    if _type({name}) not in _exact_{name}: {check}")
         lines.append(f"    _set(self, {name!r}, {name})")
-    lines.append(f"    _init(self, {params})")
+    if namespace["_check"] is not None:
+        lines.append("    _check(self)")
     exec(compile("\n".join(lines), f"<{cls.__name__}.__init__>", "exec"), namespace)
-    compiled = update_wrapper(namespace["__init__"], init)
-    compiled.__defaults__ = init.__defaults__  # they apply to the same last parameters
+    compiled = namespace["__init__"]
+    compiled.__qualname__ = f"{cls.__qualname__}.__init__"  # as in a missing argument's error
     cls.__init__ = compiled
     compiled(self, *args, **kwargs)
 

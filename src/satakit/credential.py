@@ -106,29 +106,22 @@ class Binding(Value):
     onion: OnionAddress
     issued: date
     refreshed_on: date
-    labels: tuple[str, ...]
-    cert_fingerprints: tuple[str, ...]
-    onion_reachable: bool | None
+    labels: tuple[str, ...] = ()
+    cert_fingerprints: tuple[str, ...] = ()
+    onion_reachable: bool | None = None
 
-    def __init__(
-        self,
-        domain: str,
-        onion: OnionAddress,
-        issued: date,
-        refreshed_on: date,
-        labels: Iterable[str] = (),
-        cert_fingerprints: Iterable[str] = (),
-        onion_reachable: bool | None = None,
-    ) -> None:
-        set_field(self, "domain", normalize_domain(domain))
-        if refreshed_on < issued:
-            raise StructuralViolation(f"refreshed_on {refreshed_on} precedes issued {issued}")
-        for label in labels:
+    def _check(self) -> None:
+        set_field(self, "domain", normalize_domain(self.domain))
+        if self.refreshed_on < self.issued:
+            raise StructuralViolation(
+                f"refreshed_on {self.refreshed_on} precedes issued {self.issued}"
+            )
+        for label in self.labels:
             if not label or "," in label or _SURROGATE_RE.search(label):
                 raise StructuralViolation(
                     f"label {label!r} must be nonempty, comma-free and encodable as UTF-8"
                 )
-        normalized = tuple(fp.upper() for fp in cert_fingerprints)
+        normalized = tuple(fp.upper() for fp in self.cert_fingerprints)
         for fp in normalized:
             if not _FINGERPRINT_RE.match(fp):
                 raise StructuralViolation(f"certificate fingerprint {fp!r} is not hex")
@@ -156,20 +149,13 @@ class SattestationBody(Value):
     sattestor_onion: OnionAddress
     refresh_rate_days: float
     sattestees: tuple[Binding, ...]
-    version: int
+    version: int = CREDENTIAL_VERSION
 
-    def __init__(
-        self,
-        sattestor_domain: str,
-        sattestor_onion: OnionAddress,
-        refresh_rate_days: float,
-        sattestees: Iterable[Binding],
-        version: int = CREDENTIAL_VERSION,
-    ) -> None:
-        set_field(self, "sattestor_domain", normalize_domain(sattestor_domain))
-        if not sattestees:
+    def _check(self) -> None:
+        set_field(self, "sattestor_domain", normalize_domain(self.sattestor_domain))
+        if not self.sattestees:
             raise StructuralViolation("credential must carry at least one binding")
-        format_refresh_rate(refresh_rate_days)
+        format_refresh_rate(self.refresh_rate_days)
 
     @cached_property
     def _canonical(self) -> bytes:
@@ -189,9 +175,9 @@ class Sattestation(Value):
     body: SattestationBody
     signature: bytes
 
-    def __init__(self, body: SattestationBody, signature: bytes) -> None:
-        if len(signature) != 64:
-            raise MalformedSignature(f"signature must be 64 bytes, got {len(signature)}")
+    def _check(self) -> None:
+        if len(self.signature) != 64:
+            raise MalformedSignature(f"signature must be 64 bytes, got {len(self.signature)}")
 
     @cached_property
     def _structural_fault(self) -> str | None:

@@ -68,9 +68,10 @@ class OnionAddress(Value):
 
     ``label`` is the bare 56-character lowercase form; the ``.onion``
     suffix is never stored.  Construction checks, in order, the public
-    key length, the checksum over the version byte, the version, and that
-    the label re-encodes from those fields, so an inconsistent instance
-    cannot exist.  A wrong-typed field raises :class:`OnionAddressError`.
+    key length, that the version fits in a byte, the checksum over that
+    byte, the version, and that the label re-encodes from those fields, so
+    an inconsistent instance cannot exist.  A wrong-typed field raises
+    :class:`OnionAddressError`.
     """
 
     _type_error = OnionAddressError
@@ -80,15 +81,18 @@ class OnionAddress(Value):
     version: int
     label: str
 
-    def __init__(self, pubkey: bytes, checksum: bytes, version: int, label: str) -> None:
+    def _check(self) -> None:
+        pubkey, checksum, version = self.pubkey, self.checksum, self.version
         if len(pubkey) != 32:
             raise BadLength(f"pubkey must be 32 bytes, got {len(pubkey)}", len(pubkey))
+        if not 0 <= version <= 255:  # no version byte to derive a checksum over
+            raise BadVersion(f"unsupported onion address version {version}", version)
         expected = _checksum(pubkey, version)
         if checksum != expected:
             raise BadChecksum(f"checksum {checksum.hex()} does not match derived {expected.hex()}")
         if version != ONION_VERSION:
             raise BadVersion(f"unsupported onion address version {version}", version)
-        label = label.lower()
+        label = self.label.lower()
         if label != _label(pubkey, checksum, version):
             raise BadChecksum("label does not re-encode from its own public key")
         set_field(self, "label", label)
@@ -114,17 +118,16 @@ class KeyPair(Value):
     """
 
     _type_error = OnionAddressError
-    _argument_types = {"public": bytes | None}
 
     secret: bytes
-    public: bytes
+    public: bytes | None = None
 
-    def __init__(self, secret: bytes, public: bytes | None = None) -> None:
-        if len(secret) != 32:
-            raise BadLength(f"secret seed must be 32 bytes, got {len(secret)}")
-        private = Ed25519PrivateKey.from_private_bytes(secret)
+    def _check(self) -> None:
+        if len(self.secret) != 32:
+            raise BadLength(f"secret seed must be 32 bytes, got {len(self.secret)}")
+        private = Ed25519PrivateKey.from_private_bytes(self.secret)
         derived = private.public_key().public_bytes_raw()
-        if public is not None and public != derived:
+        if self.public is not None and self.public != derived:
             raise KeyMismatch("public key is not derivable from the secret seed")
         set_field(self, "public", derived)
         set_field(self, "private", private)

@@ -65,12 +65,10 @@ class Sata(Value):
 
     domain: str
     onion: OnionAddress
-    form: SataForm
+    form: SataForm = SataForm.QUERY_STRING
 
-    def __init__(
-        self, domain: str, onion: OnionAddress, form: SataForm = SataForm.QUERY_STRING
-    ) -> None:
-        set_field(self, "domain", normalize_domain(domain))
+    def _check(self) -> None:
+        set_field(self, "domain", normalize_domain(self.domain))
 
     def __str__(self) -> str:
         return f"{self.domain}[{self.onion.label[:8]}...]"

@@ -308,7 +308,7 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
         if not isinstance(alt_host, str):
             raise InconsistentWorld("per-user alt-svc hosts must be resolved before a visit runs")
         if browser.sata_aware and validate_alt_svc(
-            target_host, alt_host, world.credentials, browser.policy,
+            origin_sata or target_host, alt_host, world.credentials, browser.policy,
             now=now, header=record.headers.sata_header,
         ) is AltSvcDecision.BLOCK:
             notes.append(f"alt-svc {alt_host} blocked: no trusted self-sattestation")

@@ -147,9 +147,6 @@ class TrustRoot(Value):
     sattestor: Sata
     trusted_labels: frozenset[str]
 
-    def __init__(self, sattestor: Sata, trusted_labels: Iterable[str]) -> None:
-        pass  # Value stores the fields
-
 
 class TrustPolicy(Value):
     """What a client trusts, and how far.  A wrong-typed field raises
@@ -160,18 +157,12 @@ class TrustPolicy(Value):
     _what = "policy"
 
     roots: tuple[TrustRoot, ...]
-    max_chain_depth: int
-    require_sattestation_for: frozenset[str]
-    allow_credentialed_alt_services: bool
+    max_chain_depth: int = 3
+    require_sattestation_for: frozenset[str] = frozenset()
+    allow_credentialed_alt_services: bool = True
 
-    def __init__(
-        self,
-        roots: Iterable[TrustRoot],
-        max_chain_depth: int = 3,
-        require_sattestation_for: Iterable[str] = frozenset(),
-        allow_credentialed_alt_services: bool = True,
-    ) -> None:
-        if max_chain_depth < 1:
+    def _check(self) -> None:
+        if self.max_chain_depth < 1:
             raise ValueError("max_chain_depth must be at least 1")
 
 
@@ -180,27 +171,18 @@ class ChainLink(Value):
     binding_index: int
     label: str  # the label relied upon at this hop
 
-    def __init__(self, credential: Sattestation, binding_index: int, label: str) -> None:
-        pass  # Value stores the fields
-
 
 class TrustChain(Value):
     links: tuple[ChainLink, ...]
     subject: Sata
     label: str
 
-    def __init__(self, links: tuple[ChainLink, ...], subject: Sata, label: str) -> None:
-        pass  # Value stores the fields
-
 
 class RotationResult(Value):
     """Outcome of a key-rotation check; ``missing`` names absent directions."""
 
     ok: bool
-    missing: tuple[str, ...]
-
-    def __init__(self, ok: bool, missing: tuple[str, ...] = ()) -> None:
-        pass  # Value stores the fields
+    missing: tuple[str, ...] = ()
 
 
 def _identity(s: Sata) -> tuple[str, str]:

@@ -48,9 +48,6 @@ class Verdict(Value):
     outcome: VerdictOutcome
     detail: str
 
-    def __init__(self, outcome: VerdictOutcome, detail: str) -> None:
-        pass  # Value stores the fields
-
     def accepted(self) -> bool:
         return self.outcome is VerdictOutcome.ACCEPT
 
@@ -80,24 +77,17 @@ class CertDescriptor(Value):
     san_list: tuple[str, ...]
     not_before: date
     not_after: date
-    has_sct: bool
-    der: bytes | None
+    has_sct: bool = False
+    der: bytes | None = None
 
-    def __init__(
-        self,
-        fingerprint: str,
-        san_list: Iterable[str],
-        not_before: date,
-        not_after: date,
-        has_sct: bool = False,
-        der: bytes | None = None,
-    ) -> None:
+    def _check(self) -> None:
+        fingerprint = self.fingerprint
         if len(fingerprint) != 64 or any(c not in "0123456789ABCDEF" for c in fingerprint.upper()):
             raise UnrepresentableField(
                 f"certificate fingerprint must be 64 hex chars, got {fingerprint!r}"
             )
         set_field(self, "fingerprint", fingerprint.upper())
-        set_field(self, "san_list", tuple(name.lower() for name in san_list))
+        set_field(self, "san_list", tuple(name.lower() for name in self.san_list))
 
 
 def fingerprint_cert(der: bytes) -> str:
@@ -271,9 +261,12 @@ def validate_alt_svc(
     Only credentials issued by that (origin domain, alternative onion) pair
     are checked: any other sattestor fails the check's binding step.  The
     published ones are those the pool's index keeps for that issuer (see
-    :mod:`satakit.trust`).  Everything else, an empty pool, a pool of
-    ``None`` entries and an ``alt_host`` that is not a string included,
-    blocks: fail closed.
+    :mod:`satakit.trust`).  When the origin is a SATA, an alternative at
+    any other onion than its own blocks before the pool is read, as an
+    Onion-Location redirect does: whatever the pool holds, only the SATA's
+    commitment stops its navigation from moving to another onion.
+    Everything else, an empty pool, a pool of ``None`` entries and an
+    ``alt_host`` that is not a string included, blocks: fail closed.
     """
     if policy is not None and not policy.allow_credentialed_alt_services:
         return AltSvcDecision.BLOCK
@@ -286,6 +279,8 @@ def validate_alt_svc(
     try:
         alt_onion = parse_onion(host)
     except OnionAddressError:
+        return AltSvcDecision.BLOCK
+    if isinstance(origin, Sata) and alt_onion.label != origin.onion.label:
         return AltSvcDecision.BLOCK
     from .trust import _pool_index
 

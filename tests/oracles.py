@@ -261,6 +261,7 @@ def exhaustive_evaluate(policy, links, subject, label):
 import satakit.validation as validation_module  # noqa: E402
 from satakit.credential import Sattestation  # noqa: E402
 from satakit.onion import parse_onion  # noqa: E402
+from satakit.sata import Sata  # noqa: E402
 from satakit.errors import OnionAddressError  # noqa: E402
 from satakit.validation import AltSvcDecision  # noqa: E402
 
@@ -283,7 +284,8 @@ def rotation_over_links(old, new, links):
 
 def alt_svc_every_credential(origin, alt_host, credentials, policy=None, *, now):
     """``validate_alt_svc`` as it was before it skipped other sattestors:
-    the served-header check runs on every credential of the pool."""
+    the served-header check runs on every credential of the pool.  A SATA
+    origin blocks every onion other than its own."""
     if policy is not None and not policy.allow_credentialed_alt_services:
         return AltSvcDecision.BLOCK
     origin_domain = validation_module._origin_domain(origin)
@@ -293,6 +295,8 @@ def alt_svc_every_credential(origin, alt_host, credentials, policy=None, *, now)
     try:
         alt_onion = parse_onion(host)
     except OnionAddressError:
+        return AltSvcDecision.BLOCK
+    if isinstance(origin, Sata) and alt_onion.label != origin.onion.label:
         return AltSvcDecision.BLOCK
     for cred in credentials:
         if not isinstance(cred, Sattestation):

@@ -21,7 +21,9 @@ from satakit.errors import (
     OnionAddressError,
     SataError,
 )
-from satakit.onion import BASE32_ALPHABET, PARSE_MEMO_SIZE, KeyPair, _decode, address_for
+from satakit.onion import (
+    BASE32_ALPHABET, PARSE_MEMO_SIZE, KeyPair, OnionAddress, _decode, address_for,
+)
 
 from oracles import (
     FACEBOOK_LABEL,
@@ -80,6 +82,22 @@ def test_parse_rejects_wrong_version_even_with_consistent_checksum():
     with pytest.raises(BadVersion) as err:
         parse_onion(label)
     assert err.value.version == 2
+
+
+@pytest.mark.parametrize("version", [-1, 256, 300, 2**70])
+def test_a_version_that_fits_in_no_byte_raises_bad_version(version):
+    """Checked before the checksum, which is derived over the version byte."""
+    addr = address_for(bytes(range(32)))
+    with pytest.raises(BadVersion) as err:
+        OnionAddress(addr.pubkey, addr.checksum, version, addr.label)
+    assert err.value.version == version
+
+
+def test_a_flipped_version_character_is_still_a_bad_checksum():
+    label = encode_onion(bytes(range(32)))
+    assert label[-1] == "d"  # the low five bits of version 3
+    with pytest.raises(BadChecksum):
+        parse_onion(label[:-1] + "e")  # version 4, checksummed as version 3
 
 
 def test_encode_zero_pubkey_matches_oracle():

@@ -149,6 +149,46 @@ def test_onion_location_cannot_move_a_sata_to_the_hijackers_onion():
     assert not any(v.accepted() for v in outcome.verdicts)
 
 
+def test_alt_svc_cannot_move_a_sata_to_the_hijackers_onion():
+    """The same hijack through an alternative service: the spoofed origin
+    advertises the attacker's onion A and serves, and publishes, a sound
+    self-sattestation for (victim.example, A).  A navigation to the
+    victim's SATA stores nothing, so A never reaches the cache as a
+    tracking handle; the bare hostname, which commits to no onion, stores
+    it."""
+    victim = Sata("victim.example", key_for("victim.example").address)
+    attacker_key = key_for("attacker-onion")
+    attacker = Sata("victim.example", attacker_key.address)
+    cert = cert_for("rogue-victim", [*expected_sans(victim), *expected_sans(attacker)])
+    header = make_self_sattestation(
+        key=attacker_key, domain="victim.example", cert_fingerprints=[cert.fingerprint],
+        issued=date(2020, 8, 31), refreshed_on=date(2020, 8, 31), refresh_rate_days=7,
+    )
+    alt_host = attacker.onion.onion_name
+    world = World(
+        sites={
+            "victim.example": SiteRecord("attacker-spoof", cert, SiteHeaders(
+                alt_svc=AltSvcHeader(host=alt_host), sata_header=header,
+            )),
+            alt_host: SiteRecord("attacker-onion", cert),
+        },
+        attacker=AttackerCaps(
+            rogue_cert_for=frozenset({"victim.example"}),
+            dns_hijack=frozenset({"victim.example"}),
+            onion_keys=frozenset({attacker.onion.label}),
+        ),
+        browser=BrowserConfig(name="sata-aware", sata_aware=True),
+        credentials=(header,),
+    )
+    validate_world(world)
+    outcome, after = run_visit(world, to_query_form(victim), date(2020, 9, 1))
+    assert outcome.cache_writes == () and after is world
+    assert any(note.startswith(f"alt-svc {alt_host} blocked") for note in outcome.notes)
+    assert outcome.user_visible_alert  # the header is not the victim's
+    outcome, after = run_visit(world, "https://victim.example/", date(2020, 9, 1))
+    assert [write.alt_host for write in outcome.cache_writes] == [alt_host]
+
+
 def test_onion_location_to_an_unknown_host_raises():
     scenario = load("attack2_onion_location.json")
     sites = dict(scenario.world.sites)

@@ -576,6 +576,41 @@ def test_alt_svc_checks_only_the_origin_and_alt_onion_issuer(monkeypatch):
     )
 
 
+ALT_KEYS = ("bank", "bank-alt", "unrelated-onion")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    origin_key=st.sampled_from(ALT_KEYS),
+    alt_key=st.sampled_from(ALT_KEYS),
+    picks=st.lists(st.integers(0, len(POOL_ENTRIES) - 1), max_size=6),
+    publish_sound=st.booleans(),
+    served=st.sampled_from([None, "sound", *POOL_ENTRIES]),
+)
+def test_a_sata_origin_keeps_its_onion_whatever_the_pool_vouches_for(
+    origin_key, alt_key, picks, publish_sound, served
+):
+    """An alt-svc from the SATA (bank.example, X) to any onion Y other than
+    X blocks before the pool is read, even when the pool and the served
+    header hold a sound self-sattestation for (bank.example, Y); Y = X
+    decides as for the bare hostname."""
+    origin = Sata("bank.example", key_for(origin_key).address)
+    sound = _alt_self_satt("bank.example", alt_key, FP_A)
+    header = sound if served == "sound" else served
+    pool = [POOL_ENTRIES[i] for i in picks] + ([sound] if publish_sound else [])
+    read = []
+    host = f"{key_for(alt_key).address.label}.onion"
+    decision = validate_alt_svc(
+        origin, host, (read.append(c) or c for c in pool), now=TODAY, header=header
+    )
+    if alt_key != origin_key:
+        assert decision is AltSvcDecision.BLOCK and read == []
+    else:
+        assert decision is validate_alt_svc("bank.example", host, pool, now=TODAY, header=header)
+    # the sound credential alone lets the bare hostname move to Y
+    assert validate_alt_svc("bank.example", host, [sound], now=TODAY) is AltSvcDecision.ALLOW
+
+
 # -- fingerprints ------------------------------------------------------------------
 
 

@@ -36,6 +36,7 @@ from satakit import (
     Verdict,
     VerdictOutcome,
 )
+from satakit._value import Value
 from satakit.errors import (
     BadChecksum,
     BadDomain,
@@ -189,6 +190,65 @@ def test_value_type_parity(cls):
             value.replace(**changes)
 
     assert repr(value) == _expected_repr(value)
+
+
+# type -> (its fields in constructor order, the defaults of those that may be left out)
+SIGNATURES = {
+    OnionAddress: (("pubkey", "checksum", "version", "label"), {}),
+    KeyPair: (("secret", "public"), {"public": None}),
+    Sata: (("domain", "onion", "form"), {"form": SataForm.QUERY_STRING}),
+    Binding: (
+        ("domain", "onion", "issued", "refreshed_on", "labels", "cert_fingerprints",
+         "onion_reachable"),
+        {"labels": (), "cert_fingerprints": (), "onion_reachable": None},
+    ),
+    SattestationBody: (
+        ("sattestor_domain", "sattestor_onion", "refresh_rate_days", "sattestees", "version"),
+        {"version": 1},
+    ),
+    Sattestation: (("body", "signature"), {}),
+    Verdict: (("outcome", "detail"), {}),
+    CertDescriptor: (
+        ("fingerprint", "san_list", "not_before", "not_after", "has_sct", "der"),
+        {"has_sct": False, "der": None},
+    ),
+    TrustRoot: (("sattestor", "trusted_labels"), {}),
+    TrustPolicy: (
+        ("roots", "max_chain_depth", "require_sattestation_for",
+         "allow_credentialed_alt_services"),
+        {"max_chain_depth": 3, "require_sattestation_for": frozenset(),
+         "allow_credentialed_alt_services": True},
+    ),
+    ChainLink: (("credential", "binding_index", "label"), {}),
+    TrustChain: (("links", "subject", "label"), {}),
+    RotationResult: (("ok", "missing"), {"missing": ()}),
+}
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
+def test_constructor_takes_the_fields_in_order_with_their_defaults(cls):
+    """Positional arguments follow the declared fields, and a field left
+    out takes its default, as if it had been passed."""
+    order, defaults = SIGNATURES[cls]
+    assert cls._fields == order
+    kwargs = CASES[cls][0]
+    assert cls(*(kwargs[name] for name in order)) == cls(**kwargs)
+    required = {name: kwargs[name] for name in order if name not in defaults}
+    least = cls(*required.values())
+    assert least == cls(**required) == cls(**required, **defaults)
+    for name, default in defaults.items():
+        if (cls, name) != (KeyPair, "public"):  # derived from the secret when omitted
+            assert getattr(least, name) == default
+    with pytest.raises(TypeError):
+        cls(*list(required.values())[:-1])
+    with pytest.raises(TypeError):
+        cls(*(kwargs[name] for name in order), None)
+
+
+def test_a_value_type_may_not_write_its_own_init():
+    """Its fields are its parameters; an ``__init__`` would never run."""
+    with pytest.raises(TypeError, match="_check"):
+        type("Manual", (Value,), {"__annotations__": {"x": "int"}, "__init__": lambda self, x: None})
 
 
 # the types built from outside input; the other value types only satakit builds

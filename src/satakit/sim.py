@@ -311,7 +311,10 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
             origin_sata or target_host, alt_host, world.credentials, browser.policy,
             now=now, header=record.headers.sata_header,
         ) is AltSvcDecision.BLOCK:
-            notes.append(f"alt-svc {alt_host} blocked: no trusted self-sattestation")
+            if origin_sata is not None and alt_host.strip().lower() != origin_sata.onion.onion_name:
+                notes.append(f"alt-svc {alt_host} blocked: not the SATA's onion")
+            else:
+                notes.append(f"alt-svc {alt_host} blocked: no trusted self-sattestation")
         else:
             write = CacheWrite(target_host, alt_host, now.toordinal() + alt_svc.max_age / 86400.0)
 

@@ -45,7 +45,7 @@ def test_only_code_lines_count():
 
 def test_the_package_total_is_the_sum_of_its_modules(capsys):
     tool = _tool()
-    tool.main([])
+    tool.main()
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     *modules, (name, total) = rows
     assert name == "total" and int(total) == sum(int(count) for _, count in modules)

@@ -183,7 +183,8 @@ def test_alt_svc_cannot_move_a_sata_to_the_hijackers_onion():
     validate_world(world)
     outcome, after = run_visit(world, to_query_form(victim), date(2020, 9, 1))
     assert outcome.cache_writes == () and after is world
-    assert any(note.startswith(f"alt-svc {alt_host} blocked") for note in outcome.notes)
+    assert f"alt-svc {alt_host} blocked: not the SATA's onion" in outcome.notes
+    assert f"alt-svc {alt_host} blocked: no trusted self-sattestation" not in outcome.notes
     assert outcome.user_visible_alert  # the header is not the victim's
     outcome, after = run_visit(world, "https://victim.example/", date(2020, 9, 1))
     assert [write.alt_host for write in outcome.cache_writes] == [alt_host]

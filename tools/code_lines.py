@@ -4,10 +4,9 @@ A code line is a physical line that holds some code: docstrings, comments
 and blank lines are not counted.  A line of a statement that spans several
 lines counts, and so does every line of a string that is not a docstring.
 
-Run from the repository root::
+Run::
 
-    python tools/code_lines.py            # src/satakit
-    python tools/code_lines.py some/dir   # any directory of Python modules
+    python tools/code_lines.py
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "satakit"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "satakit"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
@@ -69,4 +68,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

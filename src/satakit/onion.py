@@ -19,6 +19,12 @@ call.  The memo is :func:`functools.lru_cache`, whose bookkeeping is
 thread-safe; two threads that miss on one label at once at worst decode
 it twice, to equal values.  Every other operation here is a pure
 function, so concurrent use needs no locking.
+
+Only signing and verifying need cryptography's ed25519 code, and with it
+its OpenSSL bindings.  The first :class:`KeyPair` or :func:`verify` call
+loads it and binds its names as globals of this module, so later calls
+pay no import; a process that only parses and encodes addresses, such
+as ``satakit onion parse`` or ``satakit sata parse``, never loads it.
 """
 
 from __future__ import annotations
@@ -27,12 +33,6 @@ import base64
 import hashlib
 import os
 from functools import cached_property, lru_cache
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 from ._value import Value, set_field
 from .errors import (
@@ -53,6 +53,28 @@ BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 PARSE_MEMO_SIZE = 4096  # labels parse_onion keeps decoded, about 400 bytes each
 
 _ALPHABET_SET = frozenset(BASE32_ALPHABET)
+_ed25519_loaded = False
+
+
+def _load_ed25519() -> None:
+    """Bind cryptography's ed25519 names as globals of this module."""
+    global _ed25519_loaded, Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
+
+    _ed25519_loaded = True
+
+
+def __getattr__(name: str):
+    """An ed25519 name read from outside before first use, such as by a
+    test that patches it, is loaded then."""
+    if name not in ("Ed25519PrivateKey", "Ed25519PublicKey", "InvalidSignature"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_ed25519()
+    return globals()[name]
 
 
 def _checksum(pubkey: bytes, version: int = ONION_VERSION) -> bytes:
@@ -125,6 +147,8 @@ class KeyPair(Value):
     def _check(self) -> None:
         if len(self.secret) != 32:
             raise BadLength(f"secret seed must be 32 bytes, got {len(self.secret)}")
+        if not _ed25519_loaded:
+            _load_ed25519()
         private = Ed25519PrivateKey.from_private_bytes(self.secret)
         derived = private.public_key().public_bytes_raw()
         if self.public is not None and self.public != derived:
@@ -234,6 +258,8 @@ def verify(pubkey: bytes, message: bytes, signature: bytes) -> bool:
         raise BadLength(f"pubkey must be 32 bytes, got {len(pubkey)}")
     if len(signature) != 64:
         raise MalformedSignature(f"signature must be 64 bytes, got {len(signature)}")
+    if not _ed25519_loaded:
+        _load_ed25519()
     try:
         Ed25519PublicKey.from_public_bytes(pubkey).verify(signature, message)
     except InvalidSignature:

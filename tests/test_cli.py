@@ -3,13 +3,23 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satakit import expected_sans, make_self_sattestation, to_query_form, to_transport_json
+from satakit import (
+    expected_sans,
+    make_self_sattestation,
+    parse_onion,
+    to_query_form,
+    to_transport_json,
+)
 from satakit.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from satakit.errors import UnrepresentableField
 
@@ -59,6 +69,29 @@ def test_onion_parse_json(capsys):
     payload = json.loads(out)
     assert payload["checksum_ok"] is True
     assert payload["version"] == 3
+
+
+def test_python_m_satakit_cli_is_the_command():
+    # the exact command the benchmark's cli workload times, in a process of its own
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def satakit(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "satakit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    proc = satakit("--json", "onion", "parse", FACEBOOK_LABEL)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    addr = parse_onion(FACEBOOK_LABEL)
+    assert json.loads(proc.stdout) == {
+        "label": addr.label, "pubkey_hex": addr.pubkey.hex(), "checksum_ok": True, "version": 3,
+    }
+    proc = satakit("nosuch")
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: satakit [-h] [--json]")
+    assert "invalid choice: 'nosuch'" in proc.stderr
 
 
 def test_onion_encode_keygen_roundtrip(capsys, tmp_path):

@@ -49,4 +49,6 @@ def test_the_package_total_is_the_sum_of_its_modules(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     *modules, (name, total) = rows
     assert name == "total" and int(total) == sum(int(count) for _, count in modules)
-    assert {"_value", "onion", "trust"} <= {module for module, _ in modules}
+    assert {"_value", "onion", "trust", "cli/__init__", "cli/_onion"} <= {
+        module for module, _ in modules
+    }

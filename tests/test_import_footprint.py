@@ -3,12 +3,14 @@ command and a traced ``sim matrix``.
 
 Every CLI call is a new process and pays for each module it imports.
 ``satakit.cli`` must load the simulator only for the ``sim`` commands and
-the cryptography serialization stack never; each command loads only the
-satakit modules it runs (``FOOTPRINTS``), and none loads ``dataclasses``
-or the ``inspect`` it imports; importing the package loads no submodule
-until a name is used; and building each input type, which resolves its
-field annotations, loads neither those nor ``ast``.  Module counts,
-unlike timings, are the same on any host.  The traced run mirrors the
+the cryptography serialization stack never; importing it loads none of
+its command-group modules, and a command loads only its own group's; each
+command loads only the satakit modules it runs (``FOOTPRINTS``), and none
+loads ``dataclasses`` or the ``inspect`` it imports; parsing an onion
+address or a SATA loads no cryptography; importing the package loads no
+submodule until a name is used; and building each input type, which
+resolves its field annotations, loads neither those nor ``ast``.  Module
+counts, unlike timings, are the same on any host.  The traced run mirrors the
 benchmark's ``perfbench/cli_probe.py``: it imports only ``satakit.cli``,
 installs the span tracer, and still sees the simulator's boundaries once
 ``sim matrix`` loads it.
@@ -29,6 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 FIXTURES = ROOT / "tests" / "data" / "fixtures"
 GOLDEN = ROOT / "tests" / "data" / "attack_matrix_golden.json"
+GROUPS = ("onion", "sata", "satt", "verify", "trust", "rotate", "sim")
+GROUP_MODULES = {f"satakit.cli._{group}" for group in GROUPS}
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
@@ -49,6 +53,7 @@ def test_cli_import_leaves_simulator_and_serialization_out():
     assert "satakit.cli" in loaded
     assert "satakit.sim" not in loaded
     assert "cryptography.hazmat.primitives.serialization" not in loaded
+    assert GROUP_MODULES & loaded == set()
 
 
 def test_package_and_submodule_imports_load_only_what_they_use():
@@ -57,6 +62,7 @@ def test_package_and_submodule_imports_load_only_what_they_use():
     assert {m for m in loaded if m.startswith("satakit.")} == {
         "satakit._value", "satakit.errors", "satakit.onion"
     }
+    assert CRYPTOGRAPHY not in loaded  # only signing and verifying load it
     assert DATACLASSES & _loaded_after("import satakit.trust") == set()
 
 
@@ -112,12 +118,13 @@ sys.exit(code)
 
 SATAKIT = {f"satakit.{m}" for m in ("sata", "credential", "validation", "trust", "sim")}
 SERIALIZATION = "cryptography.hazmat.primitives.serialization"
+CRYPTOGRAPHY = "cryptography"  # loaded whenever any of its modules is
 DATACLASSES = {"dataclasses", "inspect"}  # only the simulator's records are dataclasses
 # command -> the modules its process must not load
 FOOTPRINTS = {
-    "onion parse": SATAKIT | DATACLASSES,
+    "onion parse": SATAKIT | DATACLASSES | {CRYPTOGRAPHY},
     "onion keygen": SATAKIT | DATACLASSES,
-    "sata parse": SATAKIT - {"satakit.sata"} | DATACLASSES,
+    "sata parse": SATAKIT - {"satakit.sata"} | DATACLASSES | {CRYPTOGRAPHY},
     "satt verify": {"satakit.validation", "satakit.trust", "satakit.sim"} | DATACLASSES,
     "satt self": {"satakit.validation", "satakit.trust", "satakit.sim"} | DATACLASSES,
     "verify": {"satakit.trust", "satakit.sim", SERIALIZATION} | DATACLASSES,
@@ -185,3 +192,6 @@ def test_each_command_loads_only_what_it_runs(command_files, command):
         f"    assert satakit.cli.main({argv!r}) == 0, 'command failed'"
     )
     assert FOOTPRINTS[command] & loaded == set()
+    own = f"satakit.cli._{command.split()[0]}"
+    assert own in loaded
+    assert GROUP_MODULES - {own} & loaded == set()

@@ -1,5 +1,9 @@
 """Count the code lines of the ``satakit`` package, per module and in total.
 
+Every module under ``src/satakit`` counts, those of subpackages too; a
+module is named by its path from there, without ``.py``: ``onion``,
+``cli/__init__``.
+
 A code line is a physical line that holds some code: docstrings, comments
 and blank lines are not counted.  A line of a statement that spans several
 lines counts, and so does every line of a string that is not a docstring.
@@ -59,11 +63,11 @@ def code_lines(source: str) -> int:
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "satakit"
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
-        print(f"{path.stem:<12} {count:>5}")
-    print(f"{'total':<12} {total:>5}")
+        print(f"{path.relative_to(root).with_suffix('').as_posix():<16} {count:>5}")
+    print(f"{'total':<16} {total:>5}")
     return 0
 
 

@@ -6,7 +6,11 @@ parses each of them, and :func:`field` and :func:`date_field` read their
 values.  Every failure is an :class:`UnrepresentableField` whose text
 starts with the ``what`` its caller names, the kind of input being read:
 ``credential``, ``certificate``, ``policy`` or ``fixture``.  One type rule
-holds everywhere: JSON ``true`` and ``false`` are bools, never numbers.
+holds everywhere, the one :mod:`satakit._value` holds for field types: a
+value's type must be exactly one of the kinds its field names, never a
+subclass of one.  So JSON ``true`` and ``false`` are bools, never
+numbers, as ``bool`` is no ``int``; the parser itself never yields a
+subclass.
 One date rule holds too: :func:`iso_date` reads the dates of JSON fields
 and of the CLI's date options alike.
 """
@@ -51,25 +55,25 @@ def load(text: str | bytes, what: str):
 
 
 def _is(value, kind) -> bool:
-    """``isinstance(value, kind)``, except that a bool is only ever a bool."""
-    if value is True or value is False:
-        return kind is bool or (isinstance(kind, tuple) and bool in kind)
-    return isinstance(value, kind)
+    """Whether the type of ``value`` is exactly ``kind``, or one of the
+    types in a tuple ``kind``."""
+    return type(value) in kind if isinstance(kind, tuple) else type(value) is kind
 
 
 def field(obj, name: str, kind, default=REQUIRED, *, items=None, what: str):
     """``obj[name]``, or ``default``, unchecked, when ``obj`` has no ``name``.
 
-    The value must be a ``kind`` (a type or a tuple of types).  Given
-    ``items``, each item of a list value and each value of an object value
-    must be an ``items`` too; a value of another type has no items.  A
+    The type of the value must be exactly ``kind``, or one of the types in
+    a tuple ``kind`` (see the module docstring).  Given ``items``, each item
+    of a list value and each value of an object value must have an
+    ``items`` type too; a value of another type has no items.  A
     missing required field, a value of the wrong JSON type, or an ``obj``
     that is not a JSON object raises :class:`UnrepresentableField`.
     """
     if not isinstance(obj, dict):
         raise UnrepresentableField(f"{what} has no field {name!r}: {obj!r} is not a JSON object")
     value = obj.get(name, default)
-    if type(value) is kind and items is None:  # an int field still rejects true: bool is its type
+    if type(value) is kind and items is None:
         return value
     if value is REQUIRED:
         raise UnrepresentableField(f"{what} field {name!r} is missing")

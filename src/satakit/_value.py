@@ -25,10 +25,10 @@ stored, so a wrong-typed field raises a
 :class:`TypeError` or :class:`AttributeError` from the code that uses it.
 The annotation forms understood are:
 
-* a class.  ``int``, ``bool`` and ``date`` are exact types, so a
-  ``bool`` is no ``int`` and a ``datetime`` no ``date``; a ``float``
-  field also takes an ``int``, but not a ``bool``.  Any other class takes
-  its subclasses too;
+* a class.  A value's type must be exactly that class, never a subclass
+  of it: a ``bool`` is no ``int``, a ``datetime`` no ``date``, and a
+  ``str`` subclass no ``str``.  The one widening is that a ``float``
+  field also takes an ``int``, but not a ``bool``;
 * ``tuple[X, ...]`` and ``frozenset[X]``, built from any iterable that
   is not a ``str`` (whose characters are no items), with each item
   checked against ``X``;
@@ -149,7 +149,7 @@ def _first_init(cls: type, self, args: tuple, kwargs: dict) -> None:
             rule = namespace[f"_rule_{name}"] = (*_rule(hints[name]), error, text)
             namespace[f"_exact_{name}"] = rule[0]
             check = f"{name} = _typed(_rule_{name}, {name})"
-            lines.append(f"    {check}" if rule[2] else f"    if _type({name}) not in _exact_{name}: {check}")
+            lines.append(f"    {check}" if rule[1] else f"    if _type({name}) not in _exact_{name}: {check}")
         lines.append(f"    _set(self, {name!r}, {name})")
     if namespace["_check"] is not None:
         lines.append("    _check(self)")
@@ -161,17 +161,16 @@ def _first_init(cls: type, self, args: tuple, kwargs: dict) -> None:
 
 
 def _typed(rule: tuple, value):
-    """``value`` if it has its field's type, else the ``tuple`` or
-    ``frozenset`` built from it for such a field; else the rule's error."""
-    exact, kinds, container, items, error, text = rule
+    """For a ``tuple`` or ``frozenset`` field, the container built from
+    ``value`` if each item has the items' type; else the rule's error,
+    which is all a field of another form gets, as it comes here only when
+    its inline type test failed."""
+    _, container, items, error, text = rule
     try:
-        if container is None:
-            if type(value) in exact or isinstance(value, kinds):
-                return value
-        elif not isinstance(value, str):
+        if container is not None and not isinstance(value, str):
             built = container(value)  # the value itself when it is one already
             for item in built:
-                if type(item) not in items[0] and not isinstance(item, items[1]):
+                if type(item) not in items[0]:
                     break
             else:
                 return built
@@ -192,20 +191,17 @@ def _describe(kind) -> str:
 
 
 def _rule(kind) -> tuple:
-    """(types taken as they are, types taken with their subclasses,
-    ``tuple``, ``frozenset`` or None, the items' rule or None) for an
-    annotation of a form the module docstring lists."""
-    from datetime import date
-    from types import NoneType, UnionType
+    """(the exact types a value may have, ``tuple``, ``frozenset`` or None,
+    the items' rule or None) for an annotation of a form the module
+    docstring lists."""
+    from types import UnionType
     from typing import get_args, get_origin
 
     origin, args = get_origin(kind), get_args(kind)
     if origin is UnionType:
-        parts = [_rule(part) for part in args]
-        return sum((part[0] for part in parts), ()), sum((part[1] for part in parts), ()), None, None
+        return sum((_rule(part)[0] for part in args), ()), None, None
     if origin in (tuple, frozenset):
-        return (), (), origin, _rule(args[0])
+        return (), origin, _rule(args[0])
     if origin is not None or not isinstance(kind, type):
         raise TypeError(f"unsupported field annotation {kind!r}")
-    exact = (float, int) if kind is float else (kind,)  # a float field takes an int
-    return exact, () if kind in (int, bool, NoneType, date) else (kind,), None, None
+    return ((float, int) if kind is float else (kind,)), None, None  # a float field takes an int

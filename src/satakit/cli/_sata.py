@@ -21,13 +21,9 @@ def _cmd_sata_parse(args) -> int:
 
 def _cmd_sata_render(args) -> int:
     from ..onion import parse_onion
-    from ..sata import Sata, SataForm, to_query_form, to_subdomain_form
+    from ..sata import Sata, to_query_form, to_subdomain_form
 
-    s = Sata(
-        domain=args.domain,
-        onion=parse_onion(args.onion),
-        form=SataForm.SUBDOMAIN if args.form == "subdomain" else SataForm.QUERY_STRING,
-    )
+    s = Sata(domain=args.domain, onion=parse_onion(args.onion))
     rendered = to_subdomain_form(s) if args.form == "subdomain" else to_query_form(s)
     _emit(args, {"rendered": rendered}, rendered)
     return EXIT_OK

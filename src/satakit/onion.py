@@ -21,10 +21,11 @@ it twice, to equal values.  Every other operation here is a pure
 function, so concurrent use needs no locking.
 
 Only signing and verifying need cryptography's ed25519 code, and with it
-its OpenSSL bindings.  The first :class:`KeyPair` or :func:`verify` call
-loads it and binds its names as globals of this module, so later calls
-pay no import; a process that only parses and encodes addresses, such
-as ``satakit onion parse`` or ``satakit sata parse``, never loads it.
+its OpenSSL bindings.  :class:`KeyPair` and :func:`verify` reach it
+through ``_ed25519()``, which imports it on its first call and is cached,
+so later calls pay a cache hit and no import; a process that only parses
+and encodes addresses, such as ``satakit onion parse`` or ``satakit sata
+parse``, never loads it.
 """
 
 from __future__ import annotations
@@ -53,28 +54,16 @@ BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 PARSE_MEMO_SIZE = 4096  # labels parse_onion keeps decoded, about 400 bytes each
 
 _ALPHABET_SET = frozenset(BASE32_ALPHABET)
-_ed25519_loaded = False
 
 
-def _load_ed25519() -> None:
-    """Bind cryptography's ed25519 names as globals of this module."""
-    global _ed25519_loaded, Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature
+@lru_cache(maxsize=None)
+def _ed25519() -> tuple:
+    """cryptography's ``ed25519`` module and its ``InvalidSignature``,
+    imported on the first call and kept."""
     from cryptography.exceptions import InvalidSignature
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-        Ed25519PrivateKey,
-        Ed25519PublicKey,
-    )
+    from cryptography.hazmat.primitives.asymmetric import ed25519
 
-    _ed25519_loaded = True
-
-
-def __getattr__(name: str):
-    """An ed25519 name read from outside before first use, such as by a
-    test that patches it, is loaded then."""
-    if name not in ("Ed25519PrivateKey", "Ed25519PublicKey", "InvalidSignature"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_ed25519()
-    return globals()[name]
+    return ed25519, InvalidSignature
 
 
 def _checksum(pubkey: bytes, version: int = ONION_VERSION) -> bytes:
@@ -147,9 +136,7 @@ class KeyPair(Value):
     def _check(self) -> None:
         if len(self.secret) != 32:
             raise BadLength(f"secret seed must be 32 bytes, got {len(self.secret)}")
-        if not _ed25519_loaded:
-            _load_ed25519()
-        private = Ed25519PrivateKey.from_private_bytes(self.secret)
+        private = _ed25519()[0].Ed25519PrivateKey.from_private_bytes(self.secret)
         derived = private.public_key().public_bytes_raw()
         if self.public is not None and self.public != derived:
             raise KeyMismatch("public key is not derivable from the secret seed")
@@ -169,11 +156,10 @@ class KeyPair(Value):
 def encode_onion(pubkey: bytes) -> str:
     """Encode a 32-byte ed25519 public key as a 56-character onion label.
 
-    Total over 32-byte inputs; checksum and version byte are computed here.
+    Total over 32-byte inputs; any other length raises :class:`BadLength`
+    from :class:`OnionAddress`.
     """
-    if len(pubkey) != 32:
-        raise BadLength(f"pubkey must be 32 bytes, got {len(pubkey)}", len(pubkey))
-    return _label(pubkey, _checksum(pubkey), ONION_VERSION)
+    return address_for(pubkey).label
 
 
 def address_for(pubkey: bytes) -> OnionAddress:
@@ -258,10 +244,9 @@ def verify(pubkey: bytes, message: bytes, signature: bytes) -> bool:
         raise BadLength(f"pubkey must be 32 bytes, got {len(pubkey)}")
     if len(signature) != 64:
         raise MalformedSignature(f"signature must be 64 bytes, got {len(signature)}")
-    if not _ed25519_loaded:
-        _load_ed25519()
+    ed25519, invalid_signature = _ed25519()
     try:
-        Ed25519PublicKey.from_public_bytes(pubkey).verify(signature, message)
-    except InvalidSignature:
+        ed25519.Ed25519PublicKey.from_public_bytes(pubkey).verify(signature, message)
+    except invalid_signature:
         return False
     return True

@@ -282,7 +282,8 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
         raise UnknownHost(f"no ruleset entry for {host!r}")
 
     origin_sata: Sata | None = None
-    if browser.sata_aware and expected is None:
+    # a SecureDrop name's onion parameter is the rewrite's to check, above
+    if browser.sata_aware and expected is None and not host.endswith(SECUREDROP_SUFFIX):
         try:
             origin_sata = parse_sata(requested_url)
         except NotASata:

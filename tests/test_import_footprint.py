@@ -7,10 +7,10 @@ the cryptography serialization stack never; importing it loads none of
 its command-group modules, and a command loads only its own group's; each
 command loads only the satakit modules it runs (``FOOTPRINTS``), and none
 loads ``dataclasses`` or the ``inspect`` it imports; parsing an onion
-address or a SATA loads no cryptography; importing the package loads no
-submodule until a name is used; and building each input type, which
-resolves its field annotations, loads neither those nor ``ast``.  Module
-counts, unlike timings, are the same on any host.  The traced run mirrors the
+address or a SATA loads neither cryptography nor ``datetime``; importing
+the package loads no submodule until a name is used; and building each
+input type, which resolves its field annotations, loads neither those nor
+``ast``.  Module counts, unlike timings, are the same on any host.  The traced run mirrors the
 benchmark's ``perfbench/cli_probe.py``: it imports only ``satakit.cli``,
 installs the span tracer, and still sees the simulator's boundaries once
 ``sim matrix`` loads it.
@@ -120,11 +120,12 @@ SATAKIT = {f"satakit.{m}" for m in ("sata", "credential", "validation", "trust",
 SERIALIZATION = "cryptography.hazmat.primitives.serialization"
 CRYPTOGRAPHY = "cryptography"  # loaded whenever any of its modules is
 DATACLASSES = {"dataclasses", "inspect"}  # only the simulator's records are dataclasses
+DATETIME = "datetime"  # for dates, which no parse reads
 # command -> the modules its process must not load
 FOOTPRINTS = {
-    "onion parse": SATAKIT | DATACLASSES | {CRYPTOGRAPHY},
+    "onion parse": SATAKIT | DATACLASSES | {CRYPTOGRAPHY, DATETIME},
     "onion keygen": SATAKIT | DATACLASSES,
-    "sata parse": SATAKIT - {"satakit.sata"} | DATACLASSES | {CRYPTOGRAPHY},
+    "sata parse": SATAKIT - {"satakit.sata"} | DATACLASSES | {CRYPTOGRAPHY, DATETIME},
     "satt verify": {"satakit.validation", "satakit.trust", "satakit.sim"} | DATACLASSES,
     "satt self": {"satakit.validation", "satakit.trust", "satakit.sim"} | DATACLASSES,
     "verify": {"satakit.trust", "satakit.sim", SERIALIZATION} | DATACLASSES,

@@ -75,6 +75,19 @@ def test_a_bool_is_a_bool_and_a_number_a_number():
             field({"x": value}, "x", kind, what="t")
 
 
+class _Text(str):
+    """A ``str`` subclass, which the parser never yields."""
+
+
+@pytest.mark.parametrize(
+    "value,kind,items",
+    [(_Text("a"), str, None), (_Text("a"), (list, str), None), ([_Text("a")], list, str)],
+)
+def test_a_subclass_is_not_its_base_kind(value, kind, items):
+    with pytest.raises(UnrepresentableField, match="^fixture field 'x' has the wrong JSON type"):
+        field({"x": value}, "x", kind, items=items, what="fixture")
+
+
 # -- field: the item rule -------------------------------------------------------------
 
 

@@ -248,6 +248,20 @@ def test_attack3_honest_ruleset_validates_end_to_end():
     assert not outcome.user_visible_alert
 
 
+def test_attack3_bad_onion_parameter_is_rejected_once():
+    """The SecureDrop rewrite owns a SecureDrop name's ``onion`` parameter:
+    a bad one is one verdict, not a second one from SATA parsing."""
+    scenario = load("attack3_securedrop_ruleset.json")
+    world = dataclasses.replace(scenario.world, browser=scenario.browsers["sata-aware"])
+    outcome, _ = run_visit(
+        world, "https://www.cbc.ca.securedrop.tor.onion/?onion=notalabel", date(2020, 9, 1)
+    )
+    (verdict,) = outcome.verdicts
+    assert verdict.outcome is VerdictOutcome.REJECT_NOT_SATA
+    assert verdict.detail.startswith("onion parameter invalid: ")
+    assert outcome.user_visible_alert
+
+
 # -- golden matrix -------------------------------------------------------------------
 
 

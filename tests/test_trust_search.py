@@ -17,11 +17,11 @@ from collections import Counter
 from datetime import date, timedelta
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import satakit.credential as credential_module
-import satakit.onion as onion_module
 import satakit.trust as trust_module
 from satakit import (
     AltSvcDecision,
@@ -1345,13 +1345,13 @@ def test_sign_uses_the_kept_private_key(monkeypatch):
         def from_private_bytes(_seed):
             raise AssertionError("sign re-derived the private key")
 
-    monkeypatch.setattr(onion_module, "Ed25519PrivateKey", NoDerivation)
+    monkeypatch.setattr(ed25519, "Ed25519PrivateKey", NoDerivation)
     assert sign(pair, vec["message"]).hex() == vec["signature"]
 
 
 def test_keygen_derives_the_private_key_once(monkeypatch):
     vec = RFC8032_VECTOR_1
-    real = onion_module.Ed25519PrivateKey
+    real = ed25519.Ed25519PrivateKey
     seeds: list[bytes] = []
 
     class Counting:
@@ -1360,7 +1360,7 @@ def test_keygen_derives_the_private_key_once(monkeypatch):
             seeds.append(seed)
             return real.from_private_bytes(seed)
 
-    monkeypatch.setattr(onion_module, "Ed25519PrivateKey", Counting)
+    monkeypatch.setattr(ed25519, "Ed25519PrivateKey", Counting)
     pair = keygen(bytes.fromhex(vec["seed"]))
     assert seeds == [pair.secret]
     assert pair.public.hex() == vec["public"]

@@ -258,10 +258,21 @@ INPUT_TYPES = (
 )
 # an argument whose type is wider than its field's: the public key is derived when omitted
 ARGUMENT_TYPES = {(KeyPair, "public"): Union[bytes, None]}
+
+
+class _Text(str):
+    """A ``str`` subclass, which no ``str`` field takes."""
+
+
+class _Bytes(bytes):
+    """A ``bytes`` subclass, which no ``bytes`` field takes."""
+
+
+# the subclass instances hold content their base type's fields would take
 SAMPLES = (
     5, True, 2.5, "zz", "", b"\x00" * 64, None, object(), date(2020, 1, 1),
     datetime(2020, 1, 1, 12, 0), ("zz",), (5,), [None], frozenset({"zz"}), ONION, SATA,
-    BINDING, ROOT, SataForm.SUBDOMAIN,
+    BINDING, ROOT, SataForm.SUBDOMAIN, _Text("news"), _Bytes(b"\x01" * 64),
 )
 
 
@@ -279,11 +290,9 @@ def _fits(kind, value) -> bool:
         return all(_fits(get_args(kind)[0], item) for item in items)
     if get_args(kind):  # X | None
         return any(_fits(part, value) for part in get_args(kind))
-    if kind in (int, bool, date, type(None)):
-        return type(value) is kind
     if kind is float:
         return type(value) in (int, float)
-    return isinstance(value, kind)
+    return type(value) is kind
 
 
 def _wrong(kind) -> st.SearchStrategy:
@@ -296,6 +305,34 @@ def _wrong(kind) -> st.SearchStrategy:
         items = st.tuples(st.lists(good, max_size=2), _wrong(item), st.lists(good, max_size=2))
         wrong = st.one_of(wrong, st.text(min_size=1), items.map(lambda t: [*t[0], t[1], *t[2]]))
     return wrong
+
+
+def _subclassed(value):
+    """``value`` as an instance of a new subclass of its type, a list or
+    set with each item so; None when its type, or an item's, takes none."""
+    kind = type(value)
+    if kind in (list, set):
+        items = [_subclassed(item) for item in value]
+        return kind(items) if items and None not in items else None
+    if kind in (str, bytes, int, float):
+        return type("Sub", (kind,), {})(value)
+    if kind is date:
+        return type("Sub", (date,), {})(value.year, value.month, value.day)
+    return None
+
+
+@pytest.mark.parametrize("cls", INPUT_TYPES, ids=lambda cls: cls.__name__)
+def test_a_subclass_of_a_field_type_is_refused(cls):
+    """Field types are exact: the valid value itself, as an instance of a
+    subclass of its type, raises a ``SataError``."""
+    kwargs = CASES[cls][0]
+    changed = {name: _subclassed(value) for name, value in kwargs.items()}
+    changed = {name: value for name, value in changed.items() if value is not None}
+    assert changed
+    for name, value in changed.items():
+        assert value == kwargs[name]
+        with pytest.raises(SataError):
+            cls(**{**kwargs, name: value})
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 Onion-address math, SATA parsing, sattestation credential issuance and
 verification, browser-side connection validation, contextual trust
-evaluation, and a deterministic simulator for onion-discovery attacks.
+evaluation, the navigation decision, and a deterministic simulator for
+onion-discovery attacks.
 
 Each public name is imported from its submodule on first access
 (PEP 562), so ``import satakit`` and any one submodule load only what
@@ -59,11 +60,11 @@ _EXPORTS = {
         "expired_rotation_form",
         "rotation_check",
     ),
+    "browser": ("Outcome", "navigate"),
     "sim": (
         "AltSvcHeader",
         "AttackerCaps",
         "BrowserConfig",
-        "Outcome",
         "Scenario",
         "SiteHeaders",
         "SiteRecord",

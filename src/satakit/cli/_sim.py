@@ -12,7 +12,7 @@ from . import EXIT_OK, _emit
 from ._shared import files_in, write_out
 
 if TYPE_CHECKING:  # each handler imports what it runs when it runs
-    from ..sim import Outcome
+    from ..browser import Outcome
 
 
 def _outcome_payload(o: Outcome) -> dict:

@@ -1,4 +1,5 @@
-"""Deterministic, network-free simulator of onion-discovery attacks.
+"""Deterministic, network-free simulator of onion-discovery attacks: the
+worlds, the fixtures that build them, and the drivers that replay them.
 
 A :class:`World` holds the sites reachable at each hostname (with whoever
 actually serves them recorded as an opaque ``endpoint_id``), the
@@ -9,16 +10,13 @@ the browser ended up, which verdicts fired, and whether the user saw an
 alert.  There is no wall clock and no network: identical inputs always
 produce identical outcomes.
 
-A SATA-aware browser stores an alternative service only when
-:func:`satakit.validation.validate_alt_svc` accepts the served header or
-a published credential for it, by the check a SATA connection applies.
-
-A visit's user-visible alert is derived from what it reports: it is
-raised exactly when one of the visit's verdicts is not an accept, or when
-the browser's policy requires a sattestation and none from a trusted
-sattestor is found.  ``run_visit`` returns the world it was given, the
-same object, unless the visit stored an alternative service; the browser
-cache then maps that origin to the visit's own :class:`CacheWrite`.
+Every decision of a visit is made by :func:`satakit.browser.navigate`;
+``run_visit`` is its adapter, whose ``fetch`` is ``world.sites.get``.  It
+returns the world it was given, the same object, unless the visit stored
+an alternative service; the browser cache of the copy it returns then
+maps that origin to the visit's own :class:`~satakit.browser.CacheWrite`.
+``run_scenario``, ``run_matrix`` and ``track_alt_svc_exposure`` replay
+scripted visits through ``run_visit``.
 
 Endpoint ids starting with ``attacker`` are attacker-controlled; an
 attack counts as succeeding only when the browser lands on one of those
@@ -63,43 +61,27 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import _json
+from .browser import CacheWrite, Outcome, navigate
 from .credential import (
     Sattestation,
-    is_self_sattestation,
     make_self_sattestation,
     issue,
     Binding,
     SattestationBody,
 )
-from .errors import (
-    InconsistentWorld,
-    InvalidOnionComponent,
-    NotASata,
-    UnknownHost,
-    UnrepresentableField,
-)
+from .errors import InconsistentWorld, UnrepresentableField
 from .onion import KeyPair, keygen
-from .sata import (
-    QUERY_PARAM,
-    SECUREDROP_SUFFIX,
-    Sata,
-    expected_sans,
-    parse_sata,
-    query_values,
-    securedrop_rewrite,
-    split_url,
-)
-from .trust import TrustPolicy, evaluate, policy_from_json
-from .validation import (
-    AltSvcDecision,
-    CertDescriptor,
-    Verdict,
-    VerdictOutcome,
-    fingerprint_cert,
-    validate_alt_svc,
-    validate_connection,
-    validate_onion_location,
-)
+from .sata import Sata, expected_sans, split_url
+from .trust import TrustPolicy, policy_from_json
+from .validation import CertDescriptor, fingerprint_cert
+
+# Not used here: perfbench/tracer.py BOUNDARIES lists this module as an
+# importer of each, and installing the tracer raises BoundaryMissing when
+# one is gone (tests/test_tracer_boundaries.py pins sim.parse_sata).
+# They go when the tracer stops checking importers.
+from .sata import parse_sata
+from .trust import evaluate
+from .validation import validate_alt_svc, validate_connection, validate_onion_location
 
 ATTACKER_ENDPOINT_PREFIX = "attacker"
 DEFAULT_ALT_SVC_MAX_AGE = 86400  # seconds
@@ -144,16 +126,6 @@ class AttackerCaps:
 
 
 @dataclass(frozen=True)
-class CacheWrite:
-    """An alternative service stored for ``origin``: both what a visit
-    reports and the record the browser cache keeps."""
-
-    origin: str
-    alt_host: str
-    expires_at: float  # fractional day ordinal
-
-
-@dataclass(frozen=True)
 class BrowserConfig:
     name: str = "browser"
     sata_aware: bool = False
@@ -169,16 +141,6 @@ class World:
     browser: BrowserConfig = BrowserConfig()
     he_rules: Mapping[str, str] = field(default_factory=dict)  # hostname -> onion label
     credentials: tuple[Sattestation, ...] = ()
-
-
-@dataclass(frozen=True)
-class Outcome:
-    reached_endpoint: str
-    verdicts: tuple[Verdict, ...]
-    user_visible_alert: bool
-    cache_writes: tuple[CacheWrite, ...]
-    via_alt_service: str | None = None
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -223,7 +185,7 @@ def validate_world(world: World) -> None:
         if (
             is_attacker_endpoint(record.endpoint_id)
             and host in world.attacker.dns_hijack
-            and host.lower() in {n.lower() for n in cert.san_list}
+            and host.lower() in cert.san_list
             and host not in world.attacker.rogue_cert_for
         ):
             raise InconsistentWorld(
@@ -232,161 +194,21 @@ def validate_world(world: World) -> None:
             )
 
 
-def _host_of(url: str) -> tuple[str, str]:
-    """:func:`split_url`, raising :class:`UnknownHost` when there is no hostname."""
-    host, query = split_url(url)
-    if not host:
-        raise UnknownHost(f"no hostname in {url!r}")
-    return host, query
-
-
 def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, World]:
-    """Simulate one navigation; returns the outcome and the world after it.
+    """Simulate one navigation with :func:`satakit.browser.navigate`, which
+    makes every decision; returns the outcome and the world after it.
 
-    Processing order: ruleset rewrite (before any network contact), cached
-    alternative-service lookup, connection, response headers (alt-svc
-    store, onion-location redirect), SATA validation when the browser is
-    SATA-aware, and finally the contextual trust requirement when a policy
-    is configured.
-
-    The outcome's ``user_visible_alert`` is derived, not tracked: it holds
-    exactly when a verdict of this visit is not an accept, or when the
-    policy requires a sattestation and none from a trusted sattestor is
-    found.  The returned world is the given ``world`` itself unless the
-    visit stored an alternative service; then it is a copy whose browser
-    cache maps the origin to the visit's own :class:`CacheWrite`.
+    ``world.sites`` answers the navigation's fetches.  The returned world
+    is the given ``world`` itself unless the visit stored an alternative
+    service; then it is a copy whose browser cache maps the origin to the
+    visit's own :class:`~satakit.browser.CacheWrite`.
     """
-    browser = world.browser
-    host, query = _host_of(requested_url)
-    verdicts: list[Verdict] = []
-    notes: list[str] = []
-    write: CacheWrite | None = None
-
-    # rewrite rulesets apply entirely in the browser, before any connection
-    expected: Sata | None = None
-    target_host = host
-    if host in world.he_rules:
-        target_host = world.he_rules[host] + ".onion"
-        notes.append(f"ruleset rewrite {host} -> {target_host}")
-        if browser.sata_aware and host.endswith(SECUREDROP_SUFFIX):
-            onions = query_values(query, QUERY_PARAM)
-            try:
-                base, expected_onion = securedrop_rewrite(host, onions[0] if onions else None)
-            except InvalidOnionComponent as exc:
-                verdicts.append(Verdict(VerdictOutcome.REJECT_NOT_SATA, str(exc)))
-            else:
-                if expected_onion is not None:
-                    expected = Sata(domain=base, onion=expected_onion)
-    elif host.endswith(SECUREDROP_SUFFIX):
-        # not a real DNS name; without a ruleset entry there is nothing to reach
-        raise UnknownHost(f"no ruleset entry for {host!r}")
-
-    origin_sata: Sata | None = None
-    # a SecureDrop name's onion parameter is the rewrite's to check, above
-    if browser.sata_aware and expected is None and not host.endswith(SECUREDROP_SUFFIX):
-        try:
-            origin_sata = parse_sata(requested_url)
-        except NotASata:
-            origin_sata = None
-        except InvalidOnionComponent as exc:
-            verdicts.append(Verdict(VerdictOutcome.REJECT_NOT_SATA, str(exc)))
-
-    # cached alternative service for this origin
-    via_alt: str | None = None
-    entry = browser.alt_svc_cache.get(target_host)
-    if entry is not None and now.toordinal() < entry.expires_at:
-        notes.append(f"alt-svc cache: {target_host} -> {entry.alt_host}")
-        via_alt = entry.alt_host
-        target_host = entry.alt_host
-
-    record = world.sites.get(target_host)
-    if record is None:
-        raise UnknownHost(f"no site record for {target_host!r}")
-
-    alt_svc = record.headers.alt_svc
-    if alt_svc is not None and via_alt is None:
-        alt_host = alt_svc.host
-        if not isinstance(alt_host, str):
-            raise InconsistentWorld("per-user alt-svc hosts must be resolved before a visit runs")
-        if browser.sata_aware and validate_alt_svc(
-            origin_sata or target_host, alt_host, world.credentials, browser.policy,
-            now=now, header=record.headers.sata_header,
-        ) is AltSvcDecision.BLOCK:
-            if origin_sata is not None and alt_host.strip().lower() != origin_sata.onion.onion_name:
-                notes.append(f"alt-svc {alt_host} blocked: not the SATA's onion")
-            else:
-                notes.append(f"alt-svc {alt_host} blocked: no trusted self-sattestation")
-        else:
-            write = CacheWrite(target_host, alt_host, now.toordinal() + alt_svc.max_age / 86400.0)
-
-    loc = record.headers.onion_location
-    if (
-        loc is not None
-        and browser.prioritize_onion
-        and expected is None
-        and via_alt is None
-    ):
-        if browser.sata_aware:
-            verdicts.append(validate_onion_location(origin_sata or host, loc, record.cert))
-        if not browser.sata_aware or verdicts[-1].accepted():
-            target_host, _ = _host_of(loc)
-            record = world.sites.get(target_host)
-            if record is None:
-                raise UnknownHost(f"onion-location target {target_host!r} unknown")
-            kind = "onion-location"
-            if browser.sata_aware:
-                expected = parse_sata(loc)
-                kind = "self-authenticating onion-location"
-            notes.append(f"followed {kind} to {target_host}")
-
-    validated: Sata | None = None
-    if browser.sata_aware:
-        s = expected or origin_sata
-        if (
-            s is None
-            and target_host == host
-            and not host.endswith(".onion")
-            and record.headers.sata_header is not None
-            and is_self_sattestation(record.headers.sata_header)
-            and record.headers.sata_header.sattestor_domain == host
-        ):
-            # the site advertises itself as a SATA: adopt it automatically
-            s = Sata(domain=host, onion=record.headers.sata_header.sattestor_onion)
-            notes.append("upgraded to the site's advertised SATA")
-        if s is not None:
-            verdicts.append(validate_connection(s, record.cert, record.headers.sata_header, now))
-            if verdicts[-1].accepted():
-                validated = s
-
-    missing_sattestation = False
-    if (
-        browser.sata_aware
-        and browser.policy is not None
-        and browser.policy.require_sattestation_for
-    ):
-        chain = None
-        if validated is not None:
-            for lbl in sorted(browser.policy.require_sattestation_for):
-                chain = evaluate(browser.policy, world.credentials, validated, lbl, now)
-                if chain is not None:
-                    break
-        missing_sattestation = chain is None
-        if missing_sattestation:
-            notes.append("required sattestation from a trusted sattestor is missing")
-        else:
-            notes.append(f"sattested for label {chain.label!r}")
-
-    outcome = Outcome(
-        reached_endpoint=record.endpoint_id,
-        verdicts=tuple(verdicts),
-        user_visible_alert=missing_sattestation or not all(v.accepted() for v in verdicts),
-        cache_writes=() if write is None else (write,),
-        via_alt_service=via_alt,
-        notes=tuple(notes),
+    outcome = navigate(
+        requested_url, now, world.browser, world.sites.get, world.he_rules, world.credentials
     )
-    if write is not None:
-        cache = {**browser.alt_svc_cache, write.origin: write}
-        world = replace(world, browser=replace(browser, alt_svc_cache=cache))
+    for write in outcome.cache_writes:
+        cache = {**world.browser.alt_svc_cache, write.origin: write}
+        world = replace(world, browser=replace(world.browser, alt_svc_cache=cache))
     return outcome, world
 
 
@@ -395,14 +217,9 @@ def run_scenario(scenario: Scenario, browser: BrowserConfig) -> list[Outcome]:
     world = replace(scenario.world, browser=browser)
     outcomes: list[Outcome] = []
     for step in scenario.steps:
-        if step.sites_patch:
-            sites = dict(world.sites)
-            for hostname, rec in step.sites_patch.items():
-                if rec is None:
-                    sites.pop(hostname, None)
-                else:
-                    sites[hostname] = rec
-            world = replace(world, sites=sites)
+        if step.sites_patch:  # a host patched to None is removed
+            sites = {**world.sites, **step.sites_patch}
+            world = replace(world, sites={h: rec for h, rec in sites.items() if rec is not None})
         validate_world(world)
         outcome, world = run_visit(world, step.url, step.now)
         outcomes.append(outcome)
@@ -476,16 +293,15 @@ def track_alt_svc_exposure(
         w = _resolve_alt_hosts(world, user)
         for index, (url, when) in enumerate(visits):
             outcome, w = run_visit(w, url, when)
+            # both kinds of event under the typed host, a ruleset rewrite or not
             events = []
             for write in outcome.cache_writes:
-                events.append((write.origin, {"visit": index, "url": url, "stored": write.alt_host}))
+                events.append({"visit": index, "url": url, "stored": write.alt_host})
             if outcome.via_alt_service is not None:
-                origin, _ = _host_of(url)
-                events.append(
-                    (origin, {"visit": index, "url": url, "served_via": outcome.via_alt_service})
-                )
-            for origin, event in events:
-                origins.setdefault(origin, {}).setdefault(user, []).append(event)
+                events.append({"visit": index, "url": url, "served_via": outcome.via_alt_service})
+            if events:
+                origin, _ = split_url(url)
+                origins.setdefault(origin, {}).setdefault(user, []).extend(events)
 
     distinguishable = []
     for origin, per_user in sorted(origins.items()):

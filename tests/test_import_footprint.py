@@ -7,10 +7,11 @@ the cryptography serialization stack never; importing it loads none of
 its command-group modules, and a command loads only its own group's; each
 command loads only the satakit modules it runs (``FOOTPRINTS``), and none
 loads ``dataclasses`` or the ``inspect`` it imports; parsing an onion
-address or a SATA loads neither cryptography nor ``datetime``; importing
-the package loads no submodule until a name is used; and building each
-input type, which resolves its field annotations, loads neither those nor
-``ast``.  Module counts, unlike timings, are the same on any host.  The traced run mirrors the
+address or a SATA loads neither cryptography nor ``datetime``; the
+navigation decision, ``satakit.browser``, loads neither the simulator nor
+``dataclasses``; importing the package loads no submodule until a name is
+used; and building each input type, which resolves its field annotations,
+loads neither those nor ``ast``.  Module counts, unlike timings, are the same on any host.  The traced run mirrors the
 benchmark's ``perfbench/cli_probe.py``: it imports only ``satakit.cli``,
 installs the span tracer, and still sees the simulator's boundaries once
 ``sim matrix`` loads it.
@@ -64,6 +65,12 @@ def test_package_and_submodule_imports_load_only_what_they_use():
     }
     assert CRYPTOGRAPHY not in loaded  # only signing and verifying load it
     assert DATACLASSES & _loaded_after("import satakit.trust") == set()
+
+
+def test_the_navigation_decision_loads_neither_the_simulator_nor_dataclasses():
+    loaded = _loaded_after("import satakit.browser")
+    assert "satakit.browser" in loaded
+    assert ({"satakit.sim"} | DATACLASSES) & loaded == set()
 
 
 def test_building_each_input_type_loads_no_code_generation_modules():

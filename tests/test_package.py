@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     "canonical_bytes", "check_freshness", "encode_onion", "evaluate", "expected_sans",
     "expired_rotation_form", "fingerprint_cert", "from_transport_json",
     "is_self_sattestation", "issue", "keygen", "load_scenario",
-    "make_self_sattestation", "parse_onion", "parse_sata", "rotation_check",
+    "make_self_sattestation", "navigate", "parse_onion", "parse_sata", "rotation_check",
     "run_matrix", "run_scenario", "run_visit", "securedrop_rewrite", "sign",
     "to_query_form", "to_subdomain_form", "to_transport_json",
     "track_alt_svc_exposure", "validate_alt_svc", "validate_connection",

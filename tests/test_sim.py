@@ -462,6 +462,23 @@ def test_tracking_report_distinguishes_users():
     assert served_a and served_b and served_a != served_b
 
 
+def test_a_tracker_behind_a_ruleset_rewrite_is_one_origin():
+    # the tracker serves its per-user alt-svc at an onion the ruleset sends
+    # typed.example to: what is stored and what is reused file under one host
+    raw = json.loads((DATA_DIR / "tracking_alt_svc.json").read_text())
+    raw["keys"]["tracker"] = "77" * 32
+    raw["sites"]["{onion:tracker}.onion"] = raw["sites"].pop("tracker.example")
+    raw["he_rules"] = {"typed.example": "{onion:tracker}"}
+    scenario = load_scenario(raw)
+    world = dataclasses.replace(scenario.world, browser=scenario.browsers["legacy"])
+    visits = [("https://typed.example/", date(2020, 9, 1)),
+              ("https://typed.example/", date(2020, 9, 2))]
+    report = track_alt_svc_exposure(world, visits, users=("user-a", "user-b"))
+    assert report["distinguishable_origins"] == ["typed.example"]
+    events = report["origins"]["typed.example"]["user-a"]
+    assert ["stored" in events[0], "served_via" in events[1]] == [True, True]
+
+
 def test_tracking_report_empty_when_blocking_enabled():
     scenario = load("tracking_alt_svc.json")
     world = dataclasses.replace(scenario.world, browser=scenario.browsers["sata-aware"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import satakit.browser
 import satakit.sim
 import satakit.trust
 import satakit.validation
@@ -29,6 +30,8 @@ def _load_tracer():
 def test_tracer_installs_on_every_boundary_and_uninstalls():
     tracer_module = _load_tracer()
     held = {
+        (satakit.browser, "validate_alt_svc"): satakit.browser.validate_alt_svc,
+        (satakit.browser, "evaluate"): satakit.browser.evaluate,
         (satakit.trust, "parse_onion"): satakit.trust.parse_onion,
         (satakit.sim, "parse_sata"): satakit.sim.parse_sata,
         (satakit.validation, "parse_onion"): satakit.validation.parse_onion,

@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Mapping
 
 from ._value import Value
 from .credential import Sattestation, is_self_sattestation
-from .errors import InconsistentWorld, InvalidOnionComponent, NotASata, UnknownHost
+from .errors import InvalidOnionComponent, NotASata, UnknownHost
 from .sata import (
     QUERY_PARAM,
     SECUREDROP_SUFFIX,
@@ -154,8 +154,6 @@ def navigate(
     alt_svc = record.headers.alt_svc
     if alt_svc is not None and via_alt is None:
         alt_host = alt_svc.host
-        if not isinstance(alt_host, str):
-            raise InconsistentWorld("per-user alt-svc hosts must be resolved before a visit runs")
         if browser.sata_aware and validate_alt_svc(
             origin_sata or target_host, alt_host, credentials, browser.policy,
             now=now, header=record.headers.sata_header,

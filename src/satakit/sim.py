@@ -15,8 +15,9 @@ Every decision of a visit is made by :func:`satakit.browser.navigate`;
 returns the world it was given, the same object, unless the visit stored
 an alternative service; the browser cache of the copy it returns then
 maps that origin to the visit's own :class:`~satakit.browser.CacheWrite`.
-``run_scenario``, ``run_matrix`` and ``track_alt_svc_exposure`` replay
-scripted visits through ``run_visit``.
+``run_scenario`` is the one loop that replays a scenario's scripted
+visits through ``run_visit``, checking each step's world with
+``validate_world``; ``run_matrix`` and ``track_alt_svc_exposure`` call it.
 
 Endpoint ids starting with ``attacker`` are attacker-controlled; an
 attack counts as succeeding only when the browser lands on one of those
@@ -42,8 +43,16 @@ Fixture files are JSON::
                                     "onion_location": "...",
                                     "sata_header": "victim-self"}},
       "browsers": {"legacy": {...}, "sata-aware": {...}, "sata-policy": {...}},
-      "steps": [{"url": "...", "now": "YYYY-MM-DD", "sites": {...patch...}}]
+      "steps": [{"url": "...", "now": "YYYY-MM-DD", "sites": {...patch...}}],
+      "users": {"user-a": {...patch...}, "user-b": {...patch...}}
     }
+
+A patch maps a hostname to a site, or to null to remove that host; a
+step's patch applies from that step on.  ``"users"``, which tracking
+fixtures declare, gives each simulated user a patch that applies to every
+step.  Only :func:`track_alt_svc_exposure` reads it: it replays the steps
+once per user, and :func:`run_scenario`, so ``sim run`` and ``sim matrix``
+too, refuses a scenario that has users.
 
 ``{onion:NAME}`` anywhere in a string substitutes the onion label of the
 named key; cert DER bytes are derived from the cert's name so fingerprints
@@ -93,13 +102,11 @@ def is_attacker_endpoint(endpoint_id: str) -> bool:
 
 @dataclass(frozen=True)
 class AltSvcHeader:
-    """Advertised alternative service; ``max_age`` seconds until expiry.
+    """Advertised alternative service: the alternative ``host`` name and
+    ``max_age`` seconds until expiry.  A tracker that gives each user
+    another host is a scenario whose ``users`` patch the site per user."""
 
-    ``host`` may be a per-user mapping in tracking fixtures; it must be
-    resolved to a single hostname before a visit runs.
-    """
-
-    host: str | Mapping[str, str]
+    host: str
     max_age: int = DEFAULT_ALT_SVC_MAX_AGE
 
 
@@ -156,6 +163,7 @@ class Scenario:
     world: World
     steps: tuple[Step, ...]
     browsers: Mapping[str, BrowserConfig] = field(default_factory=dict)
+    users: Mapping[str, Mapping[str, SiteRecord | None]] = field(default_factory=dict)
 
 
 def validate_world(world: World) -> None:
@@ -212,14 +220,31 @@ def run_visit(world: World, requested_url: str, now: date) -> tuple[Outcome, Wor
     return outcome, world
 
 
+def _patched(world: World, patch: Mapping[str, SiteRecord | None]) -> World:
+    """``world`` with ``patch`` merged into its sites; a host patched to
+    None is removed."""
+    sites = {**world.sites, **patch}
+    return replace(world, sites={h: rec for h, rec in sites.items() if rec is not None})
+
+
 def run_scenario(scenario: Scenario, browser: BrowserConfig) -> list[Outcome]:
-    """Replay a scenario's scripted visits under one browser configuration."""
+    """Replay a scenario's scripted visits under one browser configuration,
+    checking each step's world with :func:`validate_world`.
+
+    A scenario with ``users`` raises :class:`InconsistentWorld` before any
+    visit: its sites differ per user, so only
+    :func:`track_alt_svc_exposure` replays it.
+    """
+    if scenario.users:
+        raise InconsistentWorld(
+            f"scenario varies its sites per user ({', '.join(sorted(scenario.users))}); "
+            "replay it with track_alt_svc_exposure"
+        )
     world = replace(scenario.world, browser=browser)
     outcomes: list[Outcome] = []
     for step in scenario.steps:
-        if step.sites_patch:  # a host patched to None is removed
-            sites = {**world.sites, **step.sites_patch}
-            world = replace(world, sites={h: rec for h, rec in sites.items() if rec is not None})
+        if step.sites_patch:
+            world = _patched(world, step.sites_patch)
         validate_world(world)
         outcome, world = run_visit(world, step.url, step.now)
         outcomes.append(outcome)
@@ -261,55 +286,39 @@ def run_matrix(
     return rows
 
 
-def _resolve_alt_hosts(world: World, user: str) -> World:
-    """Pick the per-user alternative host wherever a fixture varies it."""
-    sites = dict(world.sites)
-    changed = False
-    for host, record in world.sites.items():
-        alt = record.headers.alt_svc
-        if alt is not None and not isinstance(alt.host, str):
-            resolved = AltSvcHeader(host=alt.host[user], max_age=alt.max_age)
-            sites[host] = replace(record, headers=replace(record.headers, alt_svc=resolved))
-            changed = True
-    return replace(world, sites=sites) if changed else world
-
-
-def track_alt_svc_exposure(
-    world: World,
-    visits: Sequence[tuple[str, date]],
-    users: Sequence[str] = ("client",),
-) -> dict:
+def track_alt_svc_exposure(scenario: Scenario, browser: BrowserConfig) -> dict:
     """Report which visits were served through cached alternative services.
 
-    Replays the visit script once per simulated user.  Origins appear in
-    the report only when an alternative service was actually stored or
-    used for them; if different users observed different alternative
-    hosts for the same origin, those origins partition the user
+    Replays the scenario's steps under ``browser`` once per user, with
+    :func:`run_scenario` on the scenario patched by that user's sites; a
+    scenario without users replays once, as the user ``"client"``.  So
+    every step's world is checked with :func:`validate_world`.  Origins
+    appear in the report only when an alternative service was actually
+    stored or used for them; if different users observed different
+    alternative hosts for the same origin, those origins partition the user
     population and the attacker can distinguish returning users by cache
     state alone.
     """
     origins: dict[str, dict[str, list[dict]]] = {}
-    for user in users:
-        w = _resolve_alt_hosts(world, user)
-        for index, (url, when) in enumerate(visits):
-            outcome, w = run_visit(w, url, when)
+    for user, patch in (scenario.users or {"client": {}}).items():
+        user_scenario = replace(scenario, world=_patched(scenario.world, patch), users={})
+        outcomes = run_scenario(user_scenario, browser)
+        for index, (step, outcome) in enumerate(zip(scenario.steps, outcomes)):
             # both kinds of event under the typed host, a ruleset rewrite or not
-            events = []
-            for write in outcome.cache_writes:
-                events.append({"visit": index, "url": url, "stored": write.alt_host})
+            event = {"visit": index, "url": step.url}
+            events = [{**event, "stored": write.alt_host} for write in outcome.cache_writes]
             if outcome.via_alt_service is not None:
-                events.append({"visit": index, "url": url, "served_via": outcome.via_alt_service})
+                events.append({**event, "served_via": outcome.via_alt_service})
             if events:
-                origin, _ = split_url(url)
+                origin, _ = split_url(step.url)
                 origins.setdefault(origin, {}).setdefault(user, []).extend(events)
 
     distinguishable = []
     for origin, per_user in sorted(origins.items()):
-        seen_hosts = {
-            user: {e.get("stored") or e.get("served_via") for e in events}
-            for user, events in per_user.items()
+        distinct = {
+            frozenset(e.get("stored") or e.get("served_via") for e in events)
+            for events in per_user.values()
         }
-        distinct = {frozenset(hosts) for hosts in seen_hosts.values()}
         if len(distinct) > 1:
             distinguishable.append(origin)
     return {
@@ -428,11 +437,7 @@ def _site_from_spec(
     alt = None
     if "alt_svc" in spec:
         raw = _json.field(spec, "alt_svc", dict, what="fixture")
-        host = _json.field(raw, "host", (str, dict), items=str, what="fixture")
-        if isinstance(host, dict):  # per user, in tracking fixtures
-            host = {user: _substitute(h, keys) for user, h in host.items()}
-        else:
-            host = _substitute(host, keys)
+        host = _substitute(_json.field(raw, "host", str, what="fixture"), keys)
         max_age = _json.field(raw, "max_age", int, DEFAULT_ALT_SVC_MAX_AGE, what="fixture")
         alt = AltSvcHeader(host=host, max_age=max_age)
     header = None
@@ -450,6 +455,25 @@ def _site_from_spec(
             sata_header=header,
         ),
     )
+
+
+def _patch_from_spec(
+    obj: dict,
+    name: str,
+    keys: Mapping[str, KeyPair],
+    certs: Mapping[str, CertDescriptor],
+    credentials: Mapping[str, Sattestation],
+) -> dict[str, SiteRecord | None]:
+    """The site patch at ``obj[name]``: each hostname maps to a site, or to
+    null to remove that host."""
+    return {
+        _substitute(host, keys): (
+            None if spec is None else _site_from_spec(spec, keys, certs, credentials)
+        )
+        for host, spec in _json.field(
+            obj, name, dict, items=(dict, type(None)), what="fixture"
+        ).items()
+    }
 
 
 def browser_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> BrowserConfig:
@@ -481,9 +505,10 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     fixture already parsed.
 
     Malformed JSON, a fixture that is not a JSON object, a field of the
-    wrong JSON type or a missing required field, or a key, cert or
-    credential the fixture names but does not define raises
-    :class:`UnrepresentableField`."""
+    wrong JSON type or a missing required field, a key, cert or credential
+    the fixture names but does not define, or a ruleset that names one
+    host twice, in any mix of letter case, raises
+    :class:`UnrepresentableField`.  Ruleset hosts are kept lowercased."""
     raw = source if isinstance(source, dict) else _json.load(Path(source).read_bytes(), "fixture")
 
     keys = {
@@ -515,39 +540,38 @@ def load_scenario(source: str | Path | dict) -> Scenario:
             attacker_spec, "compromised_victim_onion_key", bool, False, what="fixture"
         ),
     )
-    he_rules = _json.field(raw, "he_rules", dict, {}, items=str, what="fixture")
+    # navigate looks a ruleset entry up by the typed host, which split_url lowercases
+    he_rules: dict[str, str] = {}
+    for host, label in _json.field(raw, "he_rules", dict, {}, items=str, what="fixture").items():
+        host = _substitute(host, keys).lower()
+        if host in he_rules:
+            raise UnrepresentableField(f"fixture ruleset names {host!r} twice")
+        he_rules[host] = _substitute(label, keys)
     world = World(
         sites=sites,
         attacker=attacker,
-        he_rules={_substitute(h, keys): _substitute(label, keys) for h, label in he_rules.items()},
+        he_rules=he_rules,
         credentials=tuple(credentials[name] for name in sorted(credentials)),
     )
-    steps = []
-    for s in _json.field(raw, "steps", list, [], items=dict, what="fixture"):
-        patch = None
-        if "sites" in s:
-            patch = {
-                _substitute(host, keys): (
-                    None if spec is None else _site_from_spec(spec, keys, certs, credentials)
-                )
-                for host, spec in _json.field(
-                    s, "sites", dict, items=(dict, type(None)), what="fixture"
-                ).items()
-            }
-        steps.append(
-            Step(
-                url=_substitute(_json.field(s, "url", str, what="fixture"), keys),
-                now=_json.date_field(s, "now", what="fixture"),
-                sites_patch=patch,
-            )
+    steps = [
+        Step(
+            url=_substitute(_json.field(s, "url", str, what="fixture"), keys),
+            now=_json.date_field(s, "now", what="fixture"),
+            sites_patch=(
+                _patch_from_spec(s, "sites", keys, certs, credentials) if "sites" in s else None
+            ),
         )
+        for s in _json.field(raw, "steps", list, [], items=dict, what="fixture")
+    ]
     browsers = {
         name: browser_from_spec(name, spec, keys)
         for name, spec in _json.field(raw, "browsers", dict, {}, items=dict, what="fixture").items()
     }
+    users = _json.field(raw, "users", dict, {}, what="fixture")
     return Scenario(
         name=_json.field(raw, "name", str, "scenario", what="fixture"),
         world=world,
         steps=tuple(steps),
         browsers=browsers,
+        users={user: _patch_from_spec(users, user, keys, certs, credentials) for user in users},
     )

@@ -10,7 +10,6 @@ before the simulator existed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import time
@@ -312,16 +311,10 @@ def test_criterion_09_attack_matrix_golden():
 
 def test_criterion_10_tracking_report():
     scenario = load_scenario(DATA_DIR / "tracking_alt_svc.json")
-    visits = [
-        ("https://tracker.example/", date(2020, 9, 1)),
-        ("https://tracker.example/", date(2020, 9, 2)),
-    ]
-    spying = dataclasses.replace(scenario.world, browser=scenario.browsers["legacy"])
-    report = track_alt_svc_exposure(spying, visits, users=("user-a", "user-b"))
+    report = track_alt_svc_exposure(scenario, scenario.browsers["legacy"])
     assert report["partitions_users"] is True
     assert report["distinguishable_origins"] == ["tracker.example"]
 
-    blocking = dataclasses.replace(scenario.world, browser=scenario.browsers["sata-aware"])
-    report = track_alt_svc_exposure(blocking, visits, users=("user-a", "user-b"))
+    report = track_alt_svc_exposure(scenario, scenario.browsers["sata-aware"])
     assert report["origins"] == {} and report["partitions_users"] is False
     _report(10, "distinct alt hosts partition users; blocking empties the report")

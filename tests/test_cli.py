@@ -943,12 +943,17 @@ def _attack1(path: tuple = (), *value) -> dict:
         {"attacker": {"dns_hijack": [{}]}},
         {"he_rules": {"a.example": 5}},
         {"he_rules": ["a.example"]},
+        {"he_rules": {"a.example": "x", "A.example": "x"}},
+        {"users": 5},
+        {"users": {"u": 5}},
+        {"users": {"u": {"x.example": 5}}},
         {"name": 5},
         _attack1(("credentials", "victim-self", "key")),
         _attack1(("credentials", "victim-self", "key"), "nobody"),
         _attack1(("credentials", "root-about-victim", "bindings", 0, "issued"), "2020-13-01"),
         _attack1(("certs", "victim-cert", "sans"), ["{sata_sans:victim.example}"]),
         _attack1(("sites", "victim.example", "alt_svc", "host"), "{onion:attacker.onion"),
+        _attack1(("sites", "victim.example", "alt_svc", "host"), {"user-a": "x.onion"}),
         _attack1(("browsers", "sata-policy", "policy", "roots", 0, "key"), 5),
         _attack1(("steps", 0, "sites"), {"victim.example": 5}),
     ],
@@ -1002,11 +1007,12 @@ def _edit_one_field(draw, document):
 
 @st.composite
 def _fixtures(draw):
-    """Arbitrary JSON, or the attack-1 fixture with one field at any depth
-    replaced by arbitrary JSON or deleted."""
+    """Arbitrary JSON, or the attack-1 or the tracking fixture with one
+    field at any depth replaced by arbitrary JSON or deleted."""
     if draw(st.booleans()):
         return draw(_JSON)
-    return _edit_one_field(draw, _attack1())
+    tracking = json.loads((DATA_DIR / "tracking_alt_svc.json").read_text())
+    return _edit_one_field(draw, draw(st.sampled_from([_attack1(), tracking])))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

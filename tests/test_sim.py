@@ -13,6 +13,7 @@ from satakit import (
     BrowserConfig,
     SiteHeaders,
     SiteRecord,
+    Step,
     World,
     expected_sans,
     load_scenario,
@@ -24,7 +25,7 @@ from satakit import (
 )
 from satakit.credential import make_self_sattestation
 from satakit.errors import InconsistentWorld, SataError, UnknownHost
-from satakit.sim import _resolve_alt_hosts, is_attacker_endpoint, validate_world
+from satakit.sim import _patched, is_attacker_endpoint, validate_world
 from satakit.trust import TrustPolicy
 from satakit.validation import VerdictOutcome
 
@@ -248,6 +249,32 @@ def test_attack3_honest_ruleset_validates_end_to_end():
     assert not outcome.user_visible_alert
 
 
+@pytest.mark.parametrize("browser", ["legacy", "sata-aware", "sata-policy"])
+def test_a_ruleset_key_in_capitals_rewrites_as_written_in_lowercase(browser):
+    raw = json.loads((FIXTURES_DIR / "attack3_securedrop_ruleset.json").read_text())
+    lowercase = load_scenario(raw)
+    raw["he_rules"] = {"WWW.CBC.CA.SecureDrop.Tor.Onion": "{onion:attacker}"}
+    capitals = load_scenario(raw)
+    assert capitals.world.he_rules == lowercase.world.he_rules
+    expected = run_scenario(lowercase, lowercase.browsers[browser])
+    assert run_scenario(capitals, capitals.browsers[browser]) == expected
+
+
+def test_a_plain_ruleset_key_in_capitals_still_reaches_the_onion():
+    raw = {
+        "keys": {"onion": "77" * 32},
+        "certs": {"c": {"sans": ["typed.example", "{onion:onion}.onion"],
+                        "not_before": "2020-01-01", "not_after": "2021-01-01"}},
+        "he_rules": {"Typed.Example": "{onion:onion}"},
+        "sites": {"typed.example": {"endpoint": "origin-clear", "cert": "c"},
+                  "{onion:onion}.onion": {"endpoint": "origin-onion", "cert": "c"}},
+        "steps": [{"url": "https://typed.example/", "now": "2020-09-01"}],
+    }
+    (outcome,) = run_scenario(load_scenario(raw), BrowserConfig())
+    assert outcome.reached_endpoint == "origin-onion"
+    assert outcome.notes[0].startswith("ruleset rewrite typed.example -> ")
+
+
 def test_attack3_bad_onion_parameter_is_rejected_once():
     """The SecureDrop rewrite owns a SecureDrop name's ``onion`` parameter:
     a bad one is one verdict, not a second one from SATA parsing."""
@@ -418,28 +445,28 @@ def test_a_visit_that_stores_nothing_returns_the_world_it_was_given(fixture, bro
 
 def _every_outcome():
     """(case, outcome) for each step of every fixture under each of its
-    browsers; the tracking fixture runs once per user it names."""
+    browsers; the tracking fixture runs once per user it declares, patched
+    by that user's sites as the tracking report patches it."""
     for path in [*sorted(FIXTURES_DIR.glob("*.json")), DATA_DIR / "tracking_alt_svc.json"]:
         scenario = load_scenario(path)
-        users = ("user-a", "user-b") if path.name == "tracking_alt_svc.json" else (None,)
-        for user in users:
-            if user is not None:
-                scenario = dataclasses.replace(
-                    scenario, world=_resolve_alt_hosts(scenario.world, user)
-                )
+        for user, patch in (scenario.users or {None: {}}).items():
+            patched = dataclasses.replace(scenario, world=_patched(scenario.world, patch), users={})
             for name, browser in scenario.browsers.items():
-                for index, outcome in enumerate(run_scenario(scenario, browser)):
+                for index, outcome in enumerate(run_scenario(patched, browser)):
                     yield f"{path.stem}:{user}:{name}:{index}", outcome
 
 
 def test_the_alert_is_raised_exactly_by_a_rejected_verdict_or_a_missing_sattestation():
     missing = "required sattestation from a trusted sattestor is missing"
     seen = set()
+    cases = set()
     for case, outcome in _every_outcome():
         rejected = not all(v.accepted() for v in outcome.verdicts)
         expected = rejected or missing in outcome.notes
         assert outcome.user_visible_alert is expected, case
         seen.add((rejected, missing in outcome.notes))
+        cases.add(case)
+    assert {f"tracking_alt_svc:{user}:legacy:1" for user in ("user-a", "user-b")} <= cases
     # every way to raise the alert, and visits without one, are exercised
     assert seen >= {(False, False), (True, False), (False, True), (True, True)}, seen
 
@@ -449,10 +476,7 @@ def test_the_alert_is_raised_exactly_by_a_rejected_verdict_or_a_missing_sattesta
 
 def test_tracking_report_distinguishes_users():
     scenario = load("tracking_alt_svc.json")
-    world = dataclasses.replace(scenario.world, browser=scenario.browsers["legacy"])
-    visits = [("https://tracker.example/", date(2020, 9, 1)),
-              ("https://tracker.example/", date(2020, 9, 2))]
-    report = track_alt_svc_exposure(world, visits, users=("user-a", "user-b"))
+    report = track_alt_svc_exposure(scenario, scenario.browsers["legacy"])
     assert report["partitions_users"] is True
     assert report["distinguishable_origins"] == ["tracker.example"]
     per_user = report["origins"]["tracker.example"]
@@ -467,13 +491,13 @@ def test_a_tracker_behind_a_ruleset_rewrite_is_one_origin():
     # typed.example to: what is stored and what is reused file under one host
     raw = json.loads((DATA_DIR / "tracking_alt_svc.json").read_text())
     raw["keys"]["tracker"] = "77" * 32
-    raw["sites"]["{onion:tracker}.onion"] = raw["sites"].pop("tracker.example")
+    for patch in raw["users"].values():
+        patch["{onion:tracker}.onion"] = patch.pop("tracker.example")
     raw["he_rules"] = {"typed.example": "{onion:tracker}"}
+    for step in raw["steps"]:
+        step["url"] = "https://typed.example/"
     scenario = load_scenario(raw)
-    world = dataclasses.replace(scenario.world, browser=scenario.browsers["legacy"])
-    visits = [("https://typed.example/", date(2020, 9, 1)),
-              ("https://typed.example/", date(2020, 9, 2))]
-    report = track_alt_svc_exposure(world, visits, users=("user-a", "user-b"))
+    report = track_alt_svc_exposure(scenario, scenario.browsers["legacy"])
     assert report["distinguishable_origins"] == ["typed.example"]
     events = report["origins"]["typed.example"]["user-a"]
     assert ["stored" in events[0], "served_via" in events[1]] == [True, True]
@@ -481,31 +505,57 @@ def test_a_tracker_behind_a_ruleset_rewrite_is_one_origin():
 
 def test_tracking_report_empty_when_blocking_enabled():
     scenario = load("tracking_alt_svc.json")
-    world = dataclasses.replace(scenario.world, browser=scenario.browsers["sata-aware"])
-    visits = [("https://tracker.example/", date(2020, 9, 1)),
-              ("https://tracker.example/", date(2020, 9, 2))]
-    report = track_alt_svc_exposure(world, visits, users=("user-a", "user-b"))
+    report = track_alt_svc_exposure(scenario, scenario.browsers["sata-aware"])
     assert report["origins"] == {}
     assert report["partitions_users"] is False
 
 
 def test_tracking_report_empty_without_alt_svc_headers():
     scenario = load("attack2_onion_location.json")
-    world = dataclasses.replace(scenario.world, browser=scenario.browsers["legacy"])
-    report = track_alt_svc_exposure(
-        world, [("https://full.com/", date(2020, 9, 1))], users=("user-a",)
-    )
+    scenario = dataclasses.replace(scenario, steps=(Step("https://full.com/", date(2020, 9, 1)),))
+    report = track_alt_svc_exposure(scenario, scenario.browsers["legacy"])
     assert report["origins"] == {}
+
+
+def test_a_scenario_without_users_is_tracked_as_one_client():
+    scenario = load("attack1_onion_alt_svc.json")
+    report = track_alt_svc_exposure(scenario, scenario.browsers["legacy"])
+    assert set(report["origins"]["victim.example"]) == {"client"}
+    assert report["partitions_users"] is False
 
 
 def test_tracking_cache_expiry_between_visits():
     scenario = load("tracking_alt_svc.json")
-    world = dataclasses.replace(scenario.world, browser=scenario.browsers["legacy"])
-    visits = [("https://tracker.example/", date(2020, 9, 1)),
-              ("https://tracker.example/", date(2020, 9, 10))]
-    report = track_alt_svc_exposure(world, visits, users=("user-a",))
+    first, second = scenario.steps
+    scenario = dataclasses.replace(
+        scenario,
+        steps=(first, dataclasses.replace(second, now=date(2020, 9, 10))),
+        users={"user-a": scenario.users["user-a"]},
+    )
+    report = track_alt_svc_exposure(scenario, scenario.browsers["legacy"])
     events = report["origins"]["tracker.example"]["user-a"]
     assert not any("served_via" in e for e in events)  # expired before reuse
+
+
+@pytest.mark.parametrize("browser", ["legacy", "sata-aware"])
+def test_the_tracking_report_refuses_a_world_the_matrix_refuses(browser):
+    raw = json.loads((DATA_DIR / "tracking_alt_svc.json").read_text())
+    raw["sites"]["{onion:alt_a}.onion"]["endpoint"] = "attacker-alt-a"
+    scenario = load_scenario(raw)
+    with pytest.raises(InconsistentWorld, match="without the key capability"):
+        track_alt_svc_exposure(scenario, scenario.browsers[browser])
+
+
+@pytest.mark.parametrize(
+    "replay", [run_scenario, lambda s, b: run_matrix([s], [b])], ids=["run_scenario", "run_matrix"]
+)
+def test_a_scenario_with_users_is_replayed_only_by_the_tracking_report(replay):
+    scenario = load("tracking_alt_svc.json")
+    with pytest.raises(
+        InconsistentWorld,
+        match=r"per user \(user-a, user-b\); replay it with track_alt_svc_exposure",
+    ):
+        replay(scenario, scenario.browsers["legacy"])
 
 
 # -- rotation attack realism ------------------------------------------------------------
@@ -636,17 +686,3 @@ def test_securedrop_name_without_ruleset_is_unreachable():
     world = World(sites={}, browser=BrowserConfig(sata_aware=True))
     with pytest.raises(UnknownHost):
         run_visit(world, "https://x.example.securedrop.tor.onion/", date(2020, 9, 1))
-
-
-def test_per_user_alt_host_must_be_resolved():
-    header = AltSvcHeader(host={"user-a": "a.onion"})
-    cert = cert_for("t", ["t.example"])
-    world = World(
-        sites={
-            "t.example": SiteRecord(
-                endpoint_id="origin", cert=cert, headers=SiteHeaders(alt_svc=header)
-            )
-        }
-    )
-    with pytest.raises(ValueError, match="resolved"):
-        run_visit(world, "https://t.example/", date(2020, 9, 1))

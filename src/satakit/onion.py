@@ -25,15 +25,22 @@ its OpenSSL bindings.  :class:`KeyPair` and :func:`verify` reach it
 through ``_ed25519()``, which imports it on its first call and is cached,
 so later calls pay a cache hit and no import; a process that only parses
 and encodes addresses, such as ``satakit onion parse`` or ``satakit sata
-parse``, never loads it.
+parse``, never loads it.  The checksum's SHA3-256 comes from CPython's
+``_sha3`` module where it exists, and from :mod:`hashlib` only where it
+does not, since importing :mod:`hashlib` loads Python's own OpenSSL
+binding, ``_hashlib``.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import os
 from functools import cached_property, lru_cache
+
+try:
+    from _sha3 import sha3_256
+except ImportError:
+    from hashlib import sha3_256
 
 from ._value import Value, set_field
 from .errors import (
@@ -67,7 +74,7 @@ def _ed25519() -> tuple:
 
 
 def _checksum(pubkey: bytes, version: int = ONION_VERSION) -> bytes:
-    return hashlib.sha3_256(CHECKSUM_PREFIX + pubkey + bytes([version])).digest()[:2]
+    return sha3_256(CHECKSUM_PREFIX + pubkey + bytes([version])).digest()[:2]
 
 
 def _label(pubkey: bytes, checksum: bytes, version: int) -> str:

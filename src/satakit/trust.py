@@ -60,9 +60,10 @@ An issuer's state is (credentials, verdicts, sound credentials, table)
 and describes exactly the credentials it names.  The first query that
 reads an issuer a replacement touched fits the state it had in the base
 index to the credentials the pool holds now: only the credentials at
-places holding other objects are verified, and the table's row lists are
-copied without those places' rows, then given the new sound credentials'
-rows, so no other row moves.
+places holding other objects are verified, and only the row lists under
+keys the replaced and the replacing credentials' bindings name are copied
+without those places' rows, then given the new sound credentials' rows,
+so no other row moves and every other row list is shared.
 
 Cost: a query that reuses an index pays nothing for a tuple the memo holds
 and one identity pass over any other container, plus for :func:`evaluate`
@@ -84,8 +85,13 @@ a query verifies only the issuers it reaches and a pool published by an
 adversary cannot force more.  Each credential object keeps its structural
 and signature verdicts (see :func:`verify_credential`), so indexing a pool
 again stays cheap.  Freshness depends on the query date and is checked per
-query, as one integer comparison per row read: a row holds its refresh
-date's ordinal and its credential's :func:`freshness_slack`.
+query, as one chained integer comparison per row read: a row holds the
+first and last day ordinals on which its binding is fresh, its refresh
+date's ordinal minus and plus its credential's :func:`freshness_slack`.
+A row also holds its credential's canonical bytes, the object the body
+keeps, and a delegation row the state it leads to, so reading a row calls
+no function and builds no tuple until it is a candidate.  The policy's
+first states are built once per :class:`TrustPolicy`.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from datetime import date
+from functools import cached_property
 from itertools import compress, count
 from operator import is_, is_not
 from typing import Iterable, Optional, Sequence
@@ -151,7 +158,9 @@ class TrustRoot(Value):
 class TrustPolicy(Value):
     """What a client trusts, and how far.  A wrong-typed field raises
     :class:`UnrepresentableField`, a ``max_chain_depth`` below 1
-    :class:`ValueError`."""
+    :class:`ValueError`.  The policy is immutable, so the trust search's
+    root states, its roots merged by identity, are built once, on its first
+    query, and kept with it."""
 
     _type_error = UnrepresentableField
     _what = "policy"
@@ -164,6 +173,20 @@ class TrustPolicy(Value):
     def _check(self) -> None:
         if self.max_chain_depth < 1:
             raise ValueError("max_chain_depth must be at least 1")
+
+    @cached_property
+    def _root_states(self) -> dict[tuple, tuple]:
+        """The trust search's first states, built once per policy: each
+        root identity with the union of the labels its roots are trusted
+        for, mapped to the empty chain.  Never changed in place."""
+        allowed_at_root: dict[tuple[str, str], set[str]] = {}
+        for root in self.roots:
+            allowed_at_root.setdefault(_identity(root.sattestor), set()).update(
+                root.trusted_labels
+            )
+        return {
+            (*ident, frozenset(allowed)): ((), ()) for ident, allowed in allowed_at_root.items()
+        }
 
 
 class ChainLink(Value):
@@ -308,10 +331,14 @@ class _PoolIndex:
         ``plain`` maps (subject domain, subject onion, label) to the rows
         carrying that plain label; ``delegating`` maps each ``sattestor(X)``
         label to its grant (see :func:`_grant`) and the rows carrying it.
-        A row is (ordinal of refreshed_on, freshness slack of the
-        credential's refresh rate (see :func:`freshness_slack`), subject
-        domain, subject onion, binding index, place in the issuer's
-        credentials, credential).
+        A row is (first and last ordinal of the days the binding is fresh
+        on, refreshed_on's ordinal minus and plus the freshness slack of
+        the credential's refresh rate (see :func:`freshness_slack`),
+        subject domain, subject onion, binding index, place in the issuer's
+        credentials, credential, its canonical bytes, state), where the
+        state is None in a plain row and, in a row under ``sattestor(X)``,
+        the search state it leads to: (subject domain, subject onion,
+        grant).
         """
         return self._state(issuer)[3]
 
@@ -327,9 +354,10 @@ def _fit(kept: Optional[tuple], creds: tuple[Sattestation, ...]) -> tuple:
     Without ``kept`` every credential is verified and its rows put in a new
     table.  ``kept`` is reused when it names the same objects.  Otherwise
     only the credentials at places holding other objects are verified, and
-    the table is patched: each of its row lists is copied without those
-    places' rows, then the new sound credentials' rows are put in, so no
-    other row moves.
+    the table is patched: each row list under a key that a replaced or a
+    replacing credential's bindings name is copied without those places'
+    rows, then the new sound credentials' rows are put in, so no other row
+    moves.  Every other row list is shared with ``kept``.
     """
     if kept is None:
         edits, verdicts, plain, delegating = range(len(creds)), [False] * len(creds), {}, {}
@@ -339,16 +367,25 @@ def _fit(kept: Optional[tuple], creds: tuple[Sattestation, ...]) -> tuple:
         if not edits:
             return kept
         verdicts = list(verdicts)
-        plain = {
-            key: left
-            for key, rows in plain.items()
-            if (left := [r for r in rows if r[5] not in edits])
+        plain, delegating = dict(plain), dict(delegating)
+        # the keys whose lists the replaced rows sit in or the new rows join:
+        # a label the delegating map holds is its key there, any other label
+        # names a plain key, which no delegation label is in
+        named = {
+            lab if lab in delegating else (binding.domain, binding.onion.label, lab)
+            for g in edits
+            for cred in (was[g], creds[g])
+            for binding in cred.body.sattestees
+            for lab in binding.labels
         }
-        delegating = {
-            lab: (grant, left)
-            for lab, (grant, rows) in delegating.items()
-            if (left := [r for r in rows if r[5] not in edits])
-        }
+        for key in named:
+            if key in delegating:
+                grant, rows = delegating.pop(key)
+                if left := [r for r in rows if r[5] not in edits]:
+                    delegating[key] = (grant, left)
+            elif key in plain:
+                if left := [r for r in plain.pop(key) if r[5] not in edits]:
+                    plain[key] = left
     for g in edits:
         verdicts[g] = _verifies(creds[g])
         if verdicts[g]:
@@ -358,21 +395,27 @@ def _fit(kept: Optional[tuple], creds: tuple[Sattestation, ...]) -> tuple:
 
 def _add_rows(plain: dict, delegating: dict, place: int, cred: Sattestation) -> None:
     """Append the rows of ``cred``, at ``place`` in its issuer's group, to
-    a table's maps (see :meth:`_PoolIndex.table`)."""
+    a table's maps (see :meth:`_PoolIndex.table`).  A binding's plain
+    labels share one row; each of its delegation labels gets its own, whose
+    state holds the grant the table keeps for that label."""
     body = cred.body
     slack = freshness_slack(body.refresh_rate_days)
+    raw = canonical_bytes(cred)
     for idx, binding in enumerate(body.sattestees):
         domain, onion = binding.domain, binding.onion.label
-        row = (binding.refreshed_on.toordinal(), slack, domain, onion, idx, place, cred)
+        refreshed = binding.refreshed_on.toordinal()
+        fields = (refreshed - slack, refreshed + slack, domain, onion, idx, place, cred, raw)
+        plain_row = (*fields, None)
         for lab in binding.labels:
             if lab in delegating:
-                delegating[lab][1].append(row)
+                grant, rows = delegating[lab]
+                rows.append((*fields, (domain, onion, grant)))
                 continue
             grant = _grant(lab)
             if grant is None:
-                plain.setdefault((domain, onion, lab), []).append(row)
+                plain.setdefault((domain, onion, lab), []).append(plain_row)
             else:
-                delegating[lab] = (grant, [row])
+                delegating[lab] = (grant, [(*fields, (domain, onion, grant))])
 
 
 _MEMO_SIZE = 16  # pools whose index is kept, least recently used dropped first
@@ -473,14 +516,6 @@ def evaluate(
     only for a hit or for a state no earlier depth reached.
     """
     index = _pool_index(credentials)
-
-    # merge roots sharing an identity so their label sets union
-    allowed_at_root: dict[tuple[str, str], set[str]] = {}
-    for root in policy.roots:
-        allowed_at_root.setdefault(_identity(root.sattestor), set()).update(
-            root.trusted_labels
-        )
-
     # state (issuer domain, issuer onion, allowed labels) -> its one chain as
     # (step keys, credentials).  A state is expanded only at the first depth
     # that reaches it: a chain through it at a later depth has a shorter
@@ -491,15 +526,13 @@ def evaluate(
     # then by the added link's rank (see the module docstring).  No two
     # candidates share an order, so the order in which rows are walked does
     # not matter.
-    frontier: dict[tuple, tuple] = {
-        (*ident, frozenset(allowed)): ((), ()) for ident, allowed in allowed_at_root.items()
-    }
+    frontier = policy._root_states
     seen = set(frontier)
     subject_domain, subject_onion = subject.domain.lower(), subject.onion.label
     today = now.toordinal()
     plain_label = delegation_scope(label) is None
     subject_key = (subject_domain, subject_onion, label)
-    last = policy.max_chain_depth - 1
+    last_depth = policy.max_chain_depth - 1
     for depth in range(policy.max_chain_depth):
         # hits first: the subject's fresh rows carrying the query label, read
         # only from states that may use it
@@ -512,12 +545,12 @@ def evaluate(
                 rows = plain.get(subject_key, ())
             else:
                 rows = delegating[label][1] if label in delegating else ()
-            for refreshed, slack, sub_domain, sub_onion, idx, pos, cred in rows:
+            for first, last, sub_domain, sub_onion, idx, pos, cred, raw, _ in rows:
                 if sub_domain != subject_domain or sub_onion != subject_onion:
                     continue
-                if abs(today - refreshed) > slack:
+                if not first <= today <= last:
                     continue
-                order = (keys + ((domain, onion, idx, label),), canonical_bytes(cred), pos)
+                order = (keys + ((domain, onion, idx, label),), raw, pos)
                 if best is None or order < best[0]:
                     best = (order, creds + (cred,))
         if best is not None:
@@ -527,7 +560,7 @@ def evaluate(
                 for cred, (_domain, _onion, idx, lab) in zip(creds, keys)
             )
             return TrustChain(links=links, subject=subject, label=label)
-        if depth == last:
+        if depth == last_depth:
             break
         # no hit at this depth: the delegation rows of every allowed label
         # reach the next depth's states
@@ -537,14 +570,10 @@ def evaluate(
             for lab in allowed:
                 if lab not in delegating:
                     continue
-                nxt, rows = delegating[lab]
-                for refreshed, slack, sub_domain, sub_onion, idx, pos, cred in rows:
-                    if abs(today - refreshed) > slack:
+                for first, last, _sd, _so, idx, pos, cred, raw, state in delegating[lab][1]:
+                    if not first <= today <= last or state in seen:
                         continue
-                    state = (sub_domain, sub_onion, nxt)
-                    if state in seen:
-                        continue
-                    order = (keys + ((domain, onion, idx, lab),), canonical_bytes(cred), pos)
+                    order = (keys + ((domain, onion, idx, lab),), raw, pos)
                     kept = reached.get(state)
                     if kept is None or order < kept[0]:
                         reached[state] = (order, creds + (cred,))

@@ -8,7 +8,6 @@ first failing check determines the verdict.
 
 from __future__ import annotations
 
-import hashlib
 from datetime import date
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Union
@@ -91,7 +90,11 @@ class CertDescriptor(Value):
 
 
 def fingerprint_cert(der: bytes) -> str:
-    """SHA-256 of the certificate bytes, uppercase hex."""
+    """SHA-256 of the certificate bytes, uppercase hex.  :mod:`hashlib` is
+    imported here, so a process that fingerprints no certificate loads
+    neither it nor the OpenSSL binding it brings, ``_hashlib``."""
+    import hashlib
+
     if not der:
         raise EmptyInput("cannot fingerprint an empty certificate")
     return hashlib.sha256(der).hexdigest().upper()

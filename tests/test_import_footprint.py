@@ -6,8 +6,11 @@ Every CLI call is a new process and pays for each module it imports.
 the cryptography serialization stack never; importing it loads none of
 its command-group modules, and a command loads only its own group's; each
 command loads only the satakit modules it runs (``FOOTPRINTS``), and none
-loads ``dataclasses`` or the ``inspect`` it imports; parsing an onion
-address or a SATA loads neither cryptography nor ``datetime``; the
+loads ``dataclasses`` or the ``inspect`` it imports, nor ``_hashlib``,
+Python's OpenSSL binding, which only fingerprinting a certificate needs;
+the onion checksum's SHA-3 falls back to :mod:`hashlib` without
+``_sha3`` and gives the same labels; parsing an onion address or a SATA
+loads neither cryptography nor ``datetime``; the
 navigation decision, ``satakit.browser``, loads neither the simulator nor
 ``dataclasses``; importing the package loads no submodule until a name is
 used; and building each input type, which resolves its field annotations,
@@ -96,6 +99,25 @@ def test_building_each_input_type_loads_no_code_generation_modules():
     assert {"inspect", "dataclasses", "ast"} & loaded == set()
 
 
+def test_the_onion_checksum_falls_back_to_hashlib_with_the_same_labels():
+    from oracles import FACEBOOK_LABEL
+
+    labels = (
+        "from satakit.onion import address_for, parse_onion\n"
+        "labels = [address_for(bytes([i]) * 32).label for i in range(8)]\n"
+        f"labels.append(parse_onion({FACEBOOK_LABEL!r}).label)\n"
+        "print(json.dumps([labels, '_hashlib' in sys.modules]))"
+    )
+    runs = []
+    for block in ("", "sys.modules['_sha3'] = None\n"):  # None: the import fails
+        proc = _python(f"import json, sys\n{block}{labels}")
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    (own, own_hashlib), (fallback, fallback_hashlib) = runs
+    assert own == fallback
+    assert (own_hashlib, fallback_hashlib) == (False, True)
+
+
 def test_traced_sim_matrix_from_cli_import_alone(tmp_path):
     summary_file = tmp_path / "summary.json"
     code = f"""
@@ -128,16 +150,18 @@ SERIALIZATION = "cryptography.hazmat.primitives.serialization"
 CRYPTOGRAPHY = "cryptography"  # loaded whenever any of its modules is
 DATACLASSES = {"dataclasses", "inspect"}  # only the simulator's records are dataclasses
 DATETIME = "datetime"  # for dates, which no parse reads
+HASHLIB = "_hashlib"  # OpenSSL's hashes, for certificate fingerprints only
+NEVER = DATACLASSES | {HASHLIB}  # what no command below loads
 # command -> the modules its process must not load
 FOOTPRINTS = {
-    "onion parse": SATAKIT | DATACLASSES | {CRYPTOGRAPHY, DATETIME},
-    "onion keygen": SATAKIT | DATACLASSES,
-    "sata parse": SATAKIT - {"satakit.sata"} | DATACLASSES | {CRYPTOGRAPHY, DATETIME},
-    "satt verify": {"satakit.validation", "satakit.trust", "satakit.sim"} | DATACLASSES,
-    "satt self": {"satakit.validation", "satakit.trust", "satakit.sim"} | DATACLASSES,
-    "verify": {"satakit.trust", "satakit.sim", SERIALIZATION} | DATACLASSES,
-    "trust eval": {"satakit.validation", "satakit.sim"} | DATACLASSES,
-    "rotate pointer": {"satakit.validation", "satakit.sim"} | DATACLASSES,
+    "onion parse": SATAKIT | NEVER | {CRYPTOGRAPHY, DATETIME},
+    "onion keygen": SATAKIT | NEVER,
+    "sata parse": SATAKIT - {"satakit.sata"} | NEVER | {CRYPTOGRAPHY, DATETIME},
+    "satt verify": {"satakit.validation", "satakit.trust", "satakit.sim"} | NEVER,
+    "satt self": {"satakit.validation", "satakit.trust", "satakit.sim"} | NEVER,
+    "verify": {"satakit.trust", "satakit.sim", SERIALIZATION} | NEVER,
+    "trust eval": {"satakit.validation", "satakit.sim"} | NEVER,
+    "rotate pointer": {"satakit.validation", "satakit.sim"} | NEVER,
 }
 
 

@@ -41,7 +41,7 @@ from satakit import (
     validate_alt_svc,
     verify_credential,
 )
-from satakit.credential import from_transport_json, to_transport_json
+from satakit.credential import from_transport_json, is_fresh, to_transport_json
 from satakit.errors import (
     BadSignature,
     KeyMismatch,
@@ -297,6 +297,38 @@ def test_the_search_counts_a_dated_link_exactly_while_it_is_fresh(
     assert (chain is not None) is (abs(refreshed - today) < rate)
     if chain is not None:
         assert [link.credential for link in chain.links] == list(pool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rate=_RATES,
+    today=_DAYS,
+    refreshed=_DAYS,
+    edge=st.none() | st.tuples(st.sampled_from([-1, 1]), st.integers(-2, 2)),
+)
+def test_a_rows_stored_window_holds_the_query_day_exactly_when_it_is_fresh(
+    rate, today, refreshed, edge
+):
+    """Each row of a binding, plain and delegating, holds the first and
+    last day the binding is fresh on: the query day lies between them
+    exactly when :func:`is_fresh` says so, for whole rates, fractional
+    ones and ones below a day, on query days before and after the refresh
+    date, just inside and outside the bound most of all."""
+    if edge is not None:
+        sign, step = edge
+        today = refreshed + sign * (min(math.ceil(rate), _LAST_DAY) + step)
+        assume(1 <= today <= _LAST_DAY)
+    dated = Binding(domain=_DOMAINS[1], onion=_KEYS[1].address, issued=date.min,
+                    refreshed_on=date.fromordinal(refreshed), labels=(NEWS, delegation_label(NEWS)))
+    cred = issue(_KEYS[0], _body(0, [dated]).replace(refresh_rate_days=rate))
+    plain, delegating = {}, {}
+    trust_module._add_rows(plain, delegating, 0, cred)
+    rows = [*plain[(_DOMAINS[1], _KEYS[1].address.label, NEWS)],
+            *delegating[delegation_label(NEWS)][1]]
+    assert len(rows) == 2
+    fresh = is_fresh(dated, rate, date.fromordinal(today))
+    for first, last, *_ in rows:
+        assert (first <= today <= last) is fresh
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -693,6 +725,45 @@ def test_a_replaced_credential_re_verifies_only_its_issuer(
         # the replacing credentials alone are verified; their issuer's other
         # verdicts and rows are kept
         assert sorted(map(id, calls)) == sorted(id(pool[k]) for k in ks)
+
+
+def test_a_refit_copies_only_the_row_lists_its_credentials_name():
+    """Refitting an issuer copies the row lists under the keys that the
+    replaced and the replacing credentials name, and shares every other
+    list with the state it was fitted from, which stays as it was."""
+    pool = [
+        issue(_KEYS[0], _body(0, [_binding(j, labels, NOW)]))
+        for j, labels in (
+            (1, [NEWS]), (2, [NEWS]), (3, [delegation_label(NEWS)]),
+            (4, [delegation_label("bank")]), (5, ["bank"]),
+        )
+    ]
+    issuer = (_DOMAINS[0], _KEYS[0].address.label)
+    plain, delegating = trust_module._pool_index(pool).table(issuer)
+    kept = (
+        {key: list(rows) for key, rows in plain.items()},
+        {lab: (grant, list(rows)) for lab, (grant, rows) in delegating.items()},
+    )
+    pool[1] = issue(_KEYS[0], pool[1].body)  # equal bytes, a new object
+    # a new delegate, and a key that only the replacing credential names
+    pool[3] = issue(_KEYS[0], _body(0, [_binding(6, [delegation_label("bank")], NOW),
+                                        _binding(5, ["bank"], NOW)]))
+    new_plain, new_delegating = trust_module._pool_index(pool).table(issuer)
+    site = {j: (_DOMAINS[j], _KEYS[j].address.label) for j in range(7)}
+    assert new_plain[(*site[1], NEWS)] is plain[(*site[1], NEWS)]
+    assert new_delegating[delegation_label(NEWS)] is delegating[delegation_label(NEWS)]
+    for key in ((*site[2], NEWS), (*site[5], "bank")):
+        assert new_plain[key] is not plain[key]
+    assert new_delegating[delegation_label("bank")][1] is not delegating[delegation_label("bank")][1]
+    # the kept state is unchanged, and the refitted one holds what a table
+    # built afresh holds, each list in place order
+    assert (plain, delegating) == kept
+    fresh_plain, fresh_delegating = trust_module._fit(None, tuple(pool))[3]
+    by_place = operator.itemgetter(5)
+    assert {key: sorted(rows, key=by_place) for key, rows in new_plain.items()} == fresh_plain
+    assert {
+        lab: (grant, sorted(rows, key=by_place)) for lab, (grant, rows) in new_delegating.items()
+    } == fresh_delegating
 
 
 @pytest.mark.parametrize("at", [0, 2])

@@ -21,6 +21,14 @@ navigation asks for at most two hosts: the one it connects to, and the
 target of an Onion-Location it follows.  A host nothing answers at raises
 :class:`~satakit.errors.UnknownHost`.
 
+Hostnames have one normal form, :func:`~satakit.sata.normalize_host`'s:
+lowercased, without a trailing root dot.  The typed host, an Onion-Location
+target and a served alternative host are put in it where they arrive, so
+``fetch`` is asked only for hosts in that form.  The keys of ``he_rules``
+and of the alt-svc cache are in it too, and so are a :class:`CacheWrite`'s
+``origin`` and ``alt_host``: ``a.example.`` and ``a.example`` are one
+origin, for the ruleset and for the alt-svc cache alike.
+
 The browser's settings are ``sata_aware``, ``policy`` (a
 :class:`~satakit.trust.TrustPolicy` or None), ``prioritize_onion`` and
 ``alt_svc_cache``, a mapping from an origin to the :class:`CacheWrite`
@@ -47,6 +55,7 @@ from .sata import (
     QUERY_PARAM,
     SECUREDROP_SUFFIX,
     Sata,
+    normalize_host,
     parse_sata,
     query_values,
     securedrop_rewrite,
@@ -84,9 +93,11 @@ class Outcome(Value):
 
 
 def _host_of(url: str) -> tuple[str, str]:
-    """:func:`split_url`, raising :class:`UnknownHost` when there is no hostname."""
+    """:func:`split_url`, raising :class:`UnknownHost` when there is no
+    hostname, or when its normal form still ends in a dot: the name had
+    two, and the second is an empty label, not a root."""
     host, query = split_url(url)
-    if not host:
+    if not host or host.endswith("."):
         raise UnknownHost(f"no hostname in {url!r}")
     return host, query
 
@@ -102,8 +113,11 @@ def navigate(
     """Decide one navigation to ``requested_url`` (see the module docstring).
 
     ``he_rules`` maps a hostname to the onion label the installed ruleset
-    rewrites it to; ``credentials`` is the published pool that alt-svc
-    checks and the trust requirement read.
+    rewrites it to, spelled as :attr:`~satakit.onion.OnionAddress.label`
+    spells it; ``credentials`` is the published pool that alt-svc checks
+    and the trust requirement read.  The ``he_rules`` keys and the keys of
+    ``browser.alt_svc_cache`` are hostnames in the normal form, and
+    ``fetch`` is asked only for hosts in it.
     """
     host, query = _host_of(requested_url)
     verdicts: list[Verdict] = []
@@ -153,12 +167,12 @@ def navigate(
 
     alt_svc = record.headers.alt_svc
     if alt_svc is not None and via_alt is None:
-        alt_host = alt_svc.host
+        alt_host = normalize_host(alt_svc.host)
         if browser.sata_aware and validate_alt_svc(
             origin_sata or target_host, alt_host, credentials, browser.policy,
             now=now, header=record.headers.sata_header,
         ) is AltSvcDecision.BLOCK:
-            if origin_sata is not None and alt_host.strip().lower() != origin_sata.onion.onion_name:
+            if origin_sata is not None and alt_host != origin_sata.onion.onion_name:
                 notes.append(f"alt-svc {alt_host} blocked: not the SATA's onion")
             else:
                 notes.append(f"alt-svc {alt_host} blocked: no trusted self-sattestation")

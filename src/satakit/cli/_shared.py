@@ -62,9 +62,10 @@ def files_in(path: str, suffix: str) -> list[Path]:
 def read_creds_dir(path: str) -> list[Sattestation]:
     """The credentials in ``path``'s ``*.satt`` files, in name order; a
     path that is not a directory is an :class:`OSError`, not an empty pool."""
-    from ..credential import from_transport_json
+    from ..credential import SATT_FILE_EXTENSION, from_transport_json
 
-    return [from_transport_json(file.read_bytes()) for file in files_in(path, ".satt")]
+    files = files_in(path, SATT_FILE_EXTENSION)
+    return [from_transport_json(file.read_bytes()) for file in files]
 
 
 def write_out(args, text: str) -> None:

@@ -48,7 +48,7 @@ from .errors import (
     UnrepresentableField,
 )
 from .onion import KeyPair, OnionAddress, parse_onion, sign, verify
-from .sata import normalize_domain
+from .sata import normalize_domain, normalize_host
 
 CREDENTIAL_VERSION = 1
 SATA_HEADER_NAME = "x-sata"
@@ -128,7 +128,7 @@ class Binding(Value):
         set_field(self, "cert_fingerprints", normalized)
 
     def binds(self, domain: str, onion: OnionAddress) -> bool:
-        return self.domain == domain.lower() and self.onion.label == onion.label
+        return self.domain == normalize_host(domain) and self.onion.label == onion.label
 
 
 class SattestationBody(Value):

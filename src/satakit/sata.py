@@ -41,17 +41,32 @@ class SataForm(Enum):
     QUERY_STRING = "query"
 
 
+def normalize_host(text: str) -> str:
+    """The normal form of the hostname ``text``: without surrounding
+    whitespace, lowercased, and without one trailing root dot, since
+    ``a.example.`` (RFC 1034's absolute form) names the same host as
+    ``a.example``.  satakit puts every hostname it is given in this form
+    where it arrives, and compares hostnames only in it."""
+    return text.strip().lower().removesuffix(".")
+
+
 def normalize_domain(domain: str) -> str:
-    """Lowercase, strip a trailing dot, and check DNS name syntax; raise
+    """:func:`normalize_host`, then check DNS name syntax; raise
     :class:`BadDomain` otherwise."""
     if not isinstance(domain, str):
         raise BadDomain(f"domain name must be a string, got {domain!r}")
-    name = domain.strip().lower().rstrip(".")
+    return _dns_name(normalize_host(domain), domain)
+
+
+def _dns_name(name: str, given: str) -> str:
+    """``name``, a hostname in normal form, when it is a DNS name; raise
+    :class:`BadDomain`, quoting the ``given`` text, otherwise.  A dot left
+    at the end of a normal form is an empty label, not a second root."""
     if not name or len(name) > 253:
-        raise BadDomain(f"domain name length out of range: {domain!r}")
+        raise BadDomain(f"domain name length out of range: {given!r}")
     for part in name.split("."):
         if len(part) > 63 or not _DNS_LABEL_RE.match(part):
-            raise BadDomain(f"invalid DNS label {part!r} in {domain!r}")
+            raise BadDomain(f"invalid DNS label {part!r} in {given!r}")
     return name
 
 
@@ -75,11 +90,11 @@ class Sata(Value):
 
 
 def split_url(url_or_host: str) -> tuple[str, str]:
-    """(lowercased hostname, query) of a URL or bare hostname; a
-    scheme-less input is treated as https.  The hostname is empty when
-    there is none: each caller raises its own error for that.  A value
-    that is not a string, or text that is no URL (a malformed bracketed
-    host, say), raises :class:`BadDomain`."""
+    """(hostname in its normal form, query) of a URL or bare hostname (see
+    :func:`normalize_host`); a scheme-less input is treated as https.  The
+    hostname is empty when there is none: each caller raises its own error
+    for that.  A value that is not a string, or text that is no URL (a
+    malformed bracketed host, say), raises :class:`BadDomain`."""
     if not isinstance(url_or_host, str):
         raise BadDomain(f"URL or hostname must be a string, got {url_or_host!r}")
     text = url_or_host.strip()
@@ -90,7 +105,7 @@ def split_url(url_or_host: str) -> tuple[str, str]:
         host = parts.hostname or ""
     except ValueError as exc:
         raise BadDomain(f"malformed URL {url_or_host!r}: {exc}") from None
-    return host.lower(), parts.query
+    return normalize_host(host), parts.query
 
 
 def query_values(query: str, name: str) -> list[str]:
@@ -144,15 +159,18 @@ def parse_sata(url_or_host: str) -> Sata:
                 "subdomain and query-string onion components disagree"
             )
 
+    onion = sub_onion if sub_onion is not None else query_onion
+    if onion is None:
+        raise NotASata(f"no onion component in {url_or_host!r}")
+    form = SataForm.SUBDOMAIN if sub_onion is not None else SataForm.QUERY_STRING
     try:
-        if sub_onion is not None:
-            return Sata(domain=sub_domain or "", onion=sub_onion, form=SataForm.SUBDOMAIN)
-        if query_onion is not None:
-            return Sata(domain=host, onion=query_onion, form=SataForm.QUERY_STRING)
+        if host.endswith("."):
+            # normalizing the host again would take this dot, an empty label, as a root
+            raise BadDomain(f"empty DNS label at the end of {url_or_host!r}")
+        return Sata(domain=sub_domain or host, onion=onion, form=form)
     except ValueError as exc:
         # valid onion component attached to a malformed domain: fail closed
         raise InvalidOnionComponent(str(exc)) from exc
-    raise NotASata(f"no onion component in {url_or_host!r}")
 
 
 def to_subdomain_form(s: Sata) -> str:
@@ -184,16 +202,16 @@ def securedrop_rewrite(
     ``onion`` query parameter was supplied it is validated and returned so
     the caller can check the served certificate and SATA header against
     the pair.  Without it the expected onion must come from a ruleset.
-    A ``hostname`` that is not a string raises :class:`NotSecureDropName`.
+    ``hostname`` is put in its normal form (:func:`normalize_host`) first;
+    one that is not a string raises :class:`NotSecureDropName`.
     """
     if not isinstance(hostname, str):
         raise NotSecureDropName(f"SecureDrop name must be a string, got {hostname!r}")
-    host = hostname.strip().lower()
+    host = normalize_host(hostname)
     if not host.endswith(SECUREDROP_SUFFIX):
         raise NotSecureDropName(f"{hostname!r} does not end with {SECUREDROP_SUFFIX!r}")
-    base = host[: -len(SECUREDROP_SUFFIX)]
     try:
-        base = normalize_domain(base)
+        base = _dns_name(host[: -len(SECUREDROP_SUFFIX)], hostname)
     except ValueError as exc:
         raise NotSecureDropName(f"no valid base domain in {hostname!r}: {exc}") from exc
     if onion_param is None:

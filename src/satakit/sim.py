@@ -54,6 +54,12 @@ step.  Only :func:`track_alt_svc_exposure` reads it: it replays the steps
 once per user, and :func:`run_scenario`, so ``sim run`` and ``sim matrix``
 too, refuses a scenario that has users.
 
+Every hostname a fixture names, as a key of ``sites``, of a patch or of
+``he_rules``, or in the attacker's ``rogue_cert_for`` or ``dns_hijack``,
+is kept in its normal form (:func:`satakit.sata.normalize_host`):
+``Victim.Example.`` and ``victim.example`` are one host, and a table that
+names one host twice, in any two spellings, is refused.
+
 ``{onion:NAME}`` anywhere in a string substitutes the onion label of the
 named key; cert DER bytes are derived from the cert's name so fingerprints
 in credentials and descriptors always agree.  A browser's ``policy`` is
@@ -80,7 +86,7 @@ from .credential import (
 )
 from .errors import InconsistentWorld, UnrepresentableField
 from .onion import KeyPair, keygen
-from .sata import Sata, expected_sans, split_url
+from .sata import Sata, expected_sans, normalize_host, split_url
 from .trust import TrustPolicy, policy_from_json
 from .validation import CertDescriptor, fingerprint_cert
 
@@ -193,7 +199,7 @@ def validate_world(world: World) -> None:
         if (
             is_attacker_endpoint(record.endpoint_id)
             and host in world.attacker.dns_hijack
-            and host.lower() in cert.san_list
+            and host in cert.san_list
             and host not in world.attacker.rogue_cert_for
         ):
             raise InconsistentWorld(
@@ -340,6 +346,20 @@ def _named(table: Mapping, name, what: str):
     return table[name]
 
 
+def _host_table(obj: dict, name: str, keys: Mapping[str, KeyPair], value, items=dict) -> dict:
+    """The table of hostnames at ``obj[name]`` (none: empty), each host
+    substituted and put in its normal form, each value but null passed
+    through ``value``; a host the table names twice, in any two spellings,
+    raises :class:`UnrepresentableField`."""
+    table: dict = {}
+    for host, spec in _json.field(obj, name, dict, {}, items=items, what="fixture").items():
+        host = normalize_host(_substitute(host, keys))
+        if host in table:
+            raise UnrepresentableField(f"fixture table {name!r} names {host!r} twice")
+        table[host] = None if spec is None else value(spec)
+    return table
+
+
 def _seed(name: str, seed: str) -> bytes:
     try:
         return bytes.fromhex(seed)
@@ -457,25 +477,6 @@ def _site_from_spec(
     )
 
 
-def _patch_from_spec(
-    obj: dict,
-    name: str,
-    keys: Mapping[str, KeyPair],
-    certs: Mapping[str, CertDescriptor],
-    credentials: Mapping[str, Sattestation],
-) -> dict[str, SiteRecord | None]:
-    """The site patch at ``obj[name]``: each hostname maps to a site, or to
-    null to remove that host."""
-    return {
-        _substitute(host, keys): (
-            None if spec is None else _site_from_spec(spec, keys, certs, credentials)
-        )
-        for host, spec in _json.field(
-            obj, name, dict, items=(dict, type(None)), what="fixture"
-        ).items()
-    }
-
-
 def browser_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> BrowserConfig:
     policy = None
     if spec.get("policy"):
@@ -504,11 +505,16 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     """Load a scenario fixture from the path of its JSON file, or from the
     fixture already parsed.
 
+    Every hostname the fixture names is kept in its normal form
+    (:func:`~satakit.sata.normalize_host`): the keys of ``sites``, of each
+    step's and each user's patch and of ``he_rules``, and the attacker's
+    ``rogue_cert_for`` and ``dns_hijack``.
+
     Malformed JSON, a fixture that is not a JSON object, a field of the
     wrong JSON type or a missing required field, a key, cert or credential
-    the fixture names but does not define, or a ruleset that names one
-    host twice, in any mix of letter case, raises
-    :class:`UnrepresentableField`.  Ruleset hosts are kept lowercased."""
+    the fixture names but does not define, or a table keyed by hostname
+    that names one host twice, in any two spellings, raises
+    :class:`UnrepresentableField`."""
     raw = source if isinstance(source, dict) else _json.load(Path(source).read_bytes(), "fixture")
 
     keys = {
@@ -523,30 +529,29 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     credentials = {
         name: _credential_from_spec(spec, keys, certs) for name, spec in credential_specs.items()
     }
-    sites = {
-        _substitute(host, keys): _site_from_spec(spec, keys, certs, credentials)
-        for host, spec in _json.field(raw, "sites", dict, {}, items=dict, what="fixture").items()
-    }
+
+    def site(spec: dict) -> SiteRecord:
+        return _site_from_spec(spec, keys, certs, credentials)
+
+    patch = (dict, type(None))  # a patch maps a host to null to remove it
+    sites = _host_table(raw, "sites", keys, site)
     attacker_spec = _json.field(raw, "attacker", dict, {}, what="fixture")
     attacker = AttackerCaps(
         **{
             caps: frozenset(
-                _substitute(v, keys)
+                form(_substitute(v, keys))
                 for v in _json.field(attacker_spec, caps, list, [], items=str, what="fixture")
             )
-            for caps in ("rogue_cert_for", "dns_hijack", "onion_keys")
+            # two sets of hostnames, and one of onion labels
+            for caps, form in (
+                ("rogue_cert_for", normalize_host), ("dns_hijack", normalize_host), ("onion_keys", str)
+            )
         },
         compromised_victim_onion_key=_json.field(
             attacker_spec, "compromised_victim_onion_key", bool, False, what="fixture"
         ),
     )
-    # navigate looks a ruleset entry up by the typed host, which split_url lowercases
-    he_rules: dict[str, str] = {}
-    for host, label in _json.field(raw, "he_rules", dict, {}, items=str, what="fixture").items():
-        host = _substitute(host, keys).lower()
-        if host in he_rules:
-            raise UnrepresentableField(f"fixture ruleset names {host!r} twice")
-        he_rules[host] = _substitute(label, keys)
+    he_rules = _host_table(raw, "he_rules", keys, lambda label: _substitute(label, keys), items=str)
     world = World(
         sites=sites,
         attacker=attacker,
@@ -557,9 +562,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         Step(
             url=_substitute(_json.field(s, "url", str, what="fixture"), keys),
             now=_json.date_field(s, "now", what="fixture"),
-            sites_patch=(
-                _patch_from_spec(s, "sites", keys, certs, credentials) if "sites" in s else None
-            ),
+            sites_patch=_host_table(s, "sites", keys, site, patch) if "sites" in s else None,
         )
         for s in _json.field(raw, "steps", list, [], items=dict, what="fixture")
     ]
@@ -573,5 +576,5 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         world=world,
         steps=tuple(steps),
         browsers=browsers,
-        users={user: _patch_from_spec(users, user, keys, certs, credentials) for user in users},
+        users={user: _host_table(users, user, keys, site, patch) for user in users},
     )

@@ -528,7 +528,7 @@ def evaluate(
     # not matter.
     frontier = policy._root_states
     seen = set(frontier)
-    subject_domain, subject_onion = subject.domain.lower(), subject.onion.label
+    subject_domain, subject_onion = subject.domain, subject.onion.label
     today = now.toordinal()
     plain_label = delegation_scope(label) is None
     subject_key = (subject_domain, subject_onion, label)

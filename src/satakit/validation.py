@@ -27,7 +27,7 @@ from .errors import (
     SataError,
     UnrepresentableField,
 )
-from .sata import Sata, expected_sans, normalize_domain, parse_sata
+from .sata import Sata, expected_sans, normalize_domain, normalize_host, parse_sata
 from .onion import OnionAddress, parse_onion
 
 if TYPE_CHECKING:  # ``satakit verify`` never loads the trust engine
@@ -276,7 +276,7 @@ def validate_alt_svc(
     origin_domain = _origin_domain(origin)
     if not isinstance(alt_host, str):
         return AltSvcDecision.BLOCK
-    host = alt_host.strip().lower()
+    host = normalize_host(alt_host)
     if not host.endswith(".onion"):
         return AltSvcDecision.BLOCK
     try:

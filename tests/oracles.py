@@ -290,6 +290,8 @@ def alt_svc_every_credential(origin, alt_host, credentials, policy=None, *, now)
         return AltSvcDecision.BLOCK
     origin_domain = validation_module._origin_domain(origin)
     host = alt_host.strip().lower()
+    if host.endswith("."):  # one root dot: RFC 1034's absolute form of the same name
+        host = host[:-1]
     if not host.endswith(".onion"):
         return AltSvcDecision.BLOCK
     try:

@@ -17,6 +17,9 @@ import pytest
 
 import satakit.sim
 from satakit import load_scenario, navigate, run_scenario, run_visit
+from satakit.errors import UnknownHost
+from satakit.sim import _patched
+from satakit.validation import VerdictOutcome
 
 from conftest import FIXTURES_DIR
 
@@ -94,3 +97,28 @@ def test_navigate_decides_every_fixture_step_as_run_visit(path, monkeypatch):
     for browser in scenario.browsers.values():
         run_scenario(scenario, browser)
     assert len(checked) == len(scenario.browsers) * len(scenario.steps)
+
+
+@pytest.mark.parametrize("browser", ["sata-aware", "sata-policy"])
+def test_a_sata_site_typed_in_absolute_form_is_upgraded_as_typed_plainly(browser):
+    """``victim.example.`` names the host ``victim.example``: a SATA-aware
+    browser asks for that host and adopts the SATA it advertises."""
+    scenario = load_scenario(FIXTURES_DIR / "attack1_onion_alt_svc.json")
+    second = scenario.steps[1]
+    world = _patched(scenario.world, second.sites_patch)
+    for url in ("https://victim.example/", "https://victim.example./"):
+        outcome, asked = _navigate(world, scenario.browsers[browser], url, second.now)
+        assert asked == ["victim.example"]
+        assert [v.outcome for v in outcome.verdicts] == [VerdictOutcome.ACCEPT]
+        assert "upgraded to the site's advertised SATA" in outcome.notes
+        assert not outcome.user_visible_alert
+
+
+@pytest.mark.parametrize("url", ["https://victim.example../", "https://victim.example.../x"])
+def test_a_host_with_a_second_trailing_dot_is_no_host(url):
+    scenario = load_scenario(FIXTURES_DIR / "attack1_onion_alt_svc.json")
+    fetch, asked = _asking(scenario.world)
+    for browser in scenario.browsers.values():
+        with pytest.raises(UnknownHost, match="^no hostname in "):
+            navigate(url, DAY, browser, fetch, scenario.world.he_rules, scenario.world.credentials)
+    assert asked == []

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import random
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from satakit.errors import (
     NotSecureDropName,
     SataError,
 )
-from satakit.sata import normalize_domain
+from satakit.sata import normalize_domain, normalize_host, split_url
 
 from oracles import CBC_LABEL, SELFAUTH_LABEL
 
@@ -205,12 +207,81 @@ def test_never_not_a_sata_when_an_onion_component_is_present():
 
 
 @pytest.mark.parametrize(
-    "domain", ["a..example", "", "-bank.example", "x" * 64 + ".example", 5, None, b"bank.example"]
+    "domain",
+    ["a..example", "a.example..", "", "-bank.example", "x" * 64 + ".example", 5, None, b"bank.example"],
 )
 def test_bad_domain_is_a_sata_error_and_a_value_error(domain):
     with pytest.raises(BadDomain) as raised:
         normalize_domain(domain)
     assert isinstance(raised.value, SataError) and isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "text,normal",
+    [
+        ("a.example", "a.example"),
+        (" A.Example.\n", "a.example"),
+        ("a.example..", "a.example."),
+        ("A.EXAMPLE", "a.example"),
+        (".", ""),
+        ("", ""),
+    ],
+)
+def test_normalize_host_lowercases_and_removes_exactly_one_root_dot(text, normal):
+    assert normalize_host(text) == normal
+
+
+@pytest.mark.parametrize(
+    "url", ["https://Victim.Example./?onion=x", "victim.example.?onion=x", " VICTIM.example. "]
+)
+def test_split_url_gives_the_host_in_its_normal_form(url):
+    host, _ = split_url(url)
+    assert host == "victim.example"
+
+
+def test_a_sata_in_absolute_form_is_the_same_sata():
+    for url in (SELFAUTH_QUERY_URL, SELFAUTH_SUBDOMAIN_URL):
+        dotted = parse_sata(url.replace("selfauth.site", "SelfAuth.Site."))
+        assert dotted == parse_sata(url)
+
+
+def test_a_securedrop_name_in_absolute_form_rewrites_as_the_plain_name():
+    plain = securedrop_rewrite("www.cbc.ca.securedrop.tor.onion", CBC_LABEL)
+    assert securedrop_rewrite(" WWW.CBC.CA.SecureDrop.Tor.Onion. ", CBC_LABEL) == plain
+
+
+def test_a_binding_binds_its_domain_in_any_spelling():
+    onion = keygen(b"\x11" * 32).address
+    binding = Binding(
+        domain="bank.example", onion=onion, issued=date(2020, 8, 1), refreshed_on=date(2020, 8, 1)
+    )
+    assert binding.binds("Bank.Example.", onion) and binding.binds(" bank.example", onion)
+    assert not binding.binds("bank.example..", onion)
+
+
+def test_only_normalize_host_lowercases_a_hostname():
+    """Every ``lower()`` call in the package is in ``normalize_host``, or
+    lowercases what is not a hostname: an onion label's base32 (``onion``)
+    or a certificate's SANs (``CertDescriptor._check``)."""
+    package = Path(__file__).resolve().parent.parent / "src" / "satakit"
+    callers = set()
+    for path in package.rglob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers.update(
+                    (path.stem, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("lower", "casefold")
+                )
+    assert callers == {
+        ("sata", "normalize_host"),
+        ("onion", "_label"),
+        ("onion", "_check"),
+        ("onion", "_decode"),
+        ("validation", "_check"),
+    }
 
 
 def test_sata_and_binding_reject_bad_domains_with_sata_errors():
@@ -229,10 +300,12 @@ def test_sata_and_binding_reject_bad_domains_with_sata_errors():
 def test_bad_domains_keep_their_translations():
     """Callers that turn a malformed domain into their own error still do."""
     label = keygen(b"\x12" * 32).address.label
-    with pytest.raises(InvalidOnionComponent):
-        parse_sata(f"https://{label}onion.a..example/")
-    with pytest.raises(NotSecureDropName):
-        securedrop_rewrite("a..b.securedrop.tor.onion")
+    for url in (f"https://{label}onion.a..example/", f"https://a.example../?onion={label}"):
+        with pytest.raises(InvalidOnionComponent):
+            parse_sata(url)
+    for hostname in ("a..b.securedrop.tor.onion", "a.b..securedrop.tor.onion"):
+        with pytest.raises(NotSecureDropName):
+            securedrop_rewrite(hostname)
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from datetime import date
+from urllib.parse import urlsplit, urlunsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satakit import (
     AltSvcHeader,
@@ -24,7 +27,7 @@ from satakit import (
     track_alt_svc_exposure,
 )
 from satakit.credential import make_self_sattestation
-from satakit.errors import InconsistentWorld, SataError, UnknownHost
+from satakit.errors import InconsistentWorld, SataError, UnknownHost, UnrepresentableField
 from satakit.sim import _patched, is_attacker_endpoint, validate_world
 from satakit.trust import TrustPolicy
 from satakit.validation import VerdictOutcome
@@ -469,6 +472,139 @@ def test_the_alert_is_raised_exactly_by_a_rejected_verdict_or_a_missing_sattesta
     assert {f"tracking_alt_svc:{user}:legacy:1" for user in ("user-a", "user-b")} <= cases
     # every way to raise the alert, and visits without one, are exercised
     assert seen >= {(False, False), (True, False), (False, True), (True, True)}, seen
+
+
+# -- one hostname normal form ---------------------------------------------------------
+
+SPELLED_SCENARIOS = {
+    path.stem: load_scenario(path)
+    for path in [*sorted(FIXTURES_DIR.glob("*.json")), DATA_DIR / "tracking_alt_svc.json"]
+}
+
+
+def _respelled(url: str, capitals: int, dot: bool) -> str:
+    """``url`` with its host's character ``i`` in capitals where bit ``i``
+    of ``capitals`` is set, and with a trailing root dot when ``dot``."""
+    parts = urlsplit(url)
+    host = "".join(c.upper() if capitals >> i & 1 else c for i, c in enumerate(parts.hostname))
+    return urlunsplit(parts._replace(netloc=host + "." * dot))
+
+
+def _decided(scenario) -> dict:
+    """(browser, user, step) -> what the visit decided, for every step of
+    ``scenario`` under each of its browsers and for each of its users."""
+    decided = {}
+    for user, patch in (scenario.users or {None: {}}).items():
+        patched = dataclasses.replace(scenario, world=_patched(scenario.world, patch), users={})
+        for name, browser in scenario.browsers.items():
+            for index, o in enumerate(run_scenario(patched, browser)):
+                decided[name, user, index] = (
+                    o.reached_endpoint, o.verdicts, o.user_visible_alert,
+                    o.cache_writes, o.via_alt_service,
+                )
+    return decided
+
+
+def _filed(scenario) -> dict:
+    """Each browser's tracking report, its events without the typed URL."""
+    filed = {}
+    for name, browser in scenario.browsers.items():
+        report = track_alt_svc_exposure(scenario, browser)
+        filed[name] = (
+            {
+                origin: {
+                    user: [{k: v for k, v in e.items() if k != "url"} for e in events]
+                    for user, events in per_user.items()
+                }
+                for origin, per_user in report["origins"].items()
+            },
+            report["distinguishable_origins"],
+        )
+    return filed
+
+
+AS_WRITTEN = {
+    stem: (_decided(scenario), _filed(scenario)) for stem, scenario in SPELLED_SCENARIOS.items()
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_step_host_in_any_spelling_decides_as_written(data):
+    """Capitals anywhere in a step's host, and a trailing root dot, change
+    no outcome and file every visit under the same origin."""
+    stem = data.draw(st.sampled_from(sorted(SPELLED_SCENARIOS)))
+    scenario = SPELLED_SCENARIOS[stem]
+    spellings = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.booleans()),
+            min_size=len(scenario.steps),
+            max_size=len(scenario.steps),
+        )
+    )
+    steps = tuple(
+        dataclasses.replace(step, url=_respelled(step.url, *spelling))
+        for step, spelling in zip(scenario.steps, spellings)
+    )
+    respelled = dataclasses.replace(scenario, steps=steps)
+    assert (_decided(respelled), _filed(respelled)) == AS_WRITTEN[stem]
+
+
+def test_the_respelled_hosts_reach_every_kind_of_decision():
+    """The property above replays visits that store and use an alternative
+    service, and that alert, and its tracking reports file events."""
+    decided = [d for decisions, _ in AS_WRITTEN.values() for d in decisions.values()]
+    assert any(cache_writes for _, _, _, cache_writes, _ in decided)
+    assert any(via is not None for *_, via in decided)
+    assert any(alert for _, _, alert, _, _ in decided)
+    assert any(filed for _, reports in AS_WRITTEN.values() for filed, _ in reports.values())
+
+
+def _spelled_twice(table: str) -> dict:
+    """Attack 1's fixture with one host named twice in ``table``."""
+    raw = json.loads((FIXTURES_DIR / "attack1_onion_alt_svc.json").read_text())
+    site = raw["sites"]["victim.example"]
+    if table == "he_rules":
+        raw["he_rules"] = {"victim.example": "{onion:attacker}", "Victim.Example.": "{onion:root}"}
+    elif table == "sites":
+        raw["sites"]["VICTIM.example."] = site
+    elif table == "step":
+        raw["steps"][1]["sites"]["victim.example."] = site
+    else:
+        raw["users"] = {"user-a": {"victim.example": site, "Victim.Example": None}}
+    return raw
+
+
+@pytest.mark.parametrize("table", ["he_rules", "sites", "step", "users"])
+def test_a_host_named_twice_in_a_fixture_table_is_refused(table):
+    with pytest.raises(UnrepresentableField, match="names 'victim.example' twice"):
+        load_scenario(_spelled_twice(table))
+
+
+def test_fixture_hosts_are_kept_in_their_normal_form():
+    raw = json.loads((FIXTURES_DIR / "attack1_onion_alt_svc.json").read_text())
+    raw["sites"]["Victim.Example."] = raw["sites"].pop("victim.example")
+    raw["attacker"]["rogue_cert_for"] = ["VICTIM.EXAMPLE."]
+    raw["attacker"]["dns_hijack"] = [" victim.Example"]
+    raw["steps"][1]["sites"] = {"victim.EXAMPLE.": raw["steps"][1]["sites"]["victim.example"]}
+    scenario = load_scenario(raw)
+    plain = load("attack1_onion_alt_svc.json")
+    assert set(scenario.world.sites) == set(plain.world.sites)
+    assert list(scenario.steps[1].sites_patch) == ["victim.example"]
+    caps = scenario.world.attacker
+    assert caps.rogue_cert_for == caps.dns_hijack == {"victim.example"}
+    for name, browser in scenario.browsers.items():
+        assert run_scenario(scenario, browser) == run_scenario(plain, plain.browsers[name])
+
+
+def test_a_hijack_spelled_in_capitals_still_needs_the_rogue_cert():
+    raw = json.loads((FIXTURES_DIR / "attack1_onion_alt_svc.json").read_text())
+    raw["attacker"]["dns_hijack"] = ["Victim.Example."]
+    raw["attacker"]["rogue_cert_for"] = []
+    raw["certs"]["rogue-victim-cert"]["sans"] = ["Victim.Example"]
+    scenario = load_scenario(raw)
+    with pytest.raises(InconsistentWorld, match="no rogue-cert capability"):
+        validate_world(scenario.world)
 
 
 # -- user tracking via alternative services --------------------------------------------

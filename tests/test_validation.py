@@ -507,6 +507,7 @@ ORIGINS = (
 ALT_HOSTS = (
     f"{key_for('bank-alt').address.label}.onion",
     f" {key_for('bank-alt').address.label.upper()}.ONION ",
+    f"{key_for('bank-alt').address.label}.onion.",
     f"{key_for('bank').address.label}.onion",
     f"{key_for('unrelated-onion').address.label}.onion",
     "a" * 56 + ".onion",
@@ -557,6 +558,15 @@ def test_alt_svc_pool_entries_reach_both_decisions():
     ]
     assert decisions.count(AltSvcDecision.ALLOW) == 1
     assert validate_alt_svc("bank.example", host, [None], now=TODAY) is AltSvcDecision.BLOCK
+
+
+def test_an_alt_host_in_absolute_form_decides_as_the_plain_name():
+    plain, dotted = ALT_HOSTS[0], ALT_HOSTS[2]
+    assert dotted == plain + "."
+    for entry in POOL_ENTRIES:
+        decision = validate_alt_svc("bank.example", plain, [entry], now=TODAY)
+        assert validate_alt_svc("bank.example", dotted, [entry], now=TODAY) is decision
+    assert validate_alt_svc("bank.example", dotted, POOL_ENTRIES, now=TODAY) is AltSvcDecision.ALLOW
 
 
 def test_alt_svc_checks_only_the_origin_and_alt_onion_issuer(monkeypatch):

@@ -279,7 +279,11 @@ def verify_credential(s: Sattestation) -> None:
 
     Both verdicts are fixed by the immutable credential object, which keeps
     them: the checks run on its first call, and a repeat call only reads
-    them back (and raises afresh).
+    them back (and raises afresh).  A new object with the same canonical
+    bytes, signature and sattestor key, such as a credential parsed again
+    from its text, still makes one signature check on its first call, but
+    :func:`~satakit.onion.verify` answers it from its memo of verified
+    signatures, without an ed25519 operation, while the memo holds them.
 
     Raises :class:`StructuralViolation` naming the failed invariant, or
     :class:`BadSignature`; returns None when the credential is sound.

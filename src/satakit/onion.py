@@ -17,8 +17,9 @@ first.  Sharing one :class:`OnionAddress` between callers is safe because
 it is immutable; an invalid label is never kept, so it raises afresh on every
 call.  The memo is :func:`functools.lru_cache`, whose bookkeeping is
 thread-safe; two threads that miss on one label at once at worst decode
-it twice, to equal values.  Every other operation here is a pure
-function, so concurrent use needs no locking.
+it twice, to equal values.  :func:`verify` keeps a memo too (below);
+every other operation here is a pure function, so concurrent use needs
+no locking.
 
 Only signing and verifying need cryptography's ed25519 code, and with it
 its OpenSSL bindings.  :class:`KeyPair` and :func:`verify` reach it
@@ -29,12 +30,34 @@ parse``, never loads it.  The checksum's SHA3-256 comes from CPython's
 ``_sha3`` module where it exists, and from :mod:`hashlib` only where it
 does not, since importing :mod:`hashlib` loads Python's own OpenSSL
 binding, ``_hashlib``.
+
+A process verifies each signature once: :func:`verify` keeps the triples
+that verified in a memo bounded at :data:`VERIFY_MEMO_SIZE` entries, of
+about 150 bytes each, with the least recently used dropped first.  Its
+key is the BLAKE2b-256 digest of ``pubkey | signature | message``, keyed
+with 32 random bytes drawn once per process.  The public key and the
+signature have fixed lengths, checked first, so the concatenation is
+unambiguous, and a collision cannot be aimed at a key the process never
+shows.  Only triples that verified are kept: one that does not is
+checked afresh on every call, and cannot push a valid entry out.  A hit
+costs the digest, a few microseconds against about 140 for an ed25519
+verification, so bytes a site serves on every visit until its next
+refresh are verified once, however often they are parsed again and into
+whatever object.  One lock guards the memo; two threads that miss on one
+triple at once at worst verify it twice.  A hit shows only in timing, and
+tells only that the same bytes verified earlier in this process; a probe
+learns that once, since its own call fills the entry.  BLAKE2b comes from
+CPython's ``_blake2`` where it exists, and from :mod:`hashlib` where it
+does not; ``_ed25519()`` imports it with cryptography, so a process that
+only parses addresses loads neither.
 """
 
 from __future__ import annotations
 
 import base64
 import os
+import threading
+from collections import OrderedDict
 from functools import cached_property, lru_cache
 
 try:
@@ -59,18 +82,29 @@ ONION_VERSION = 3
 CHECKSUM_PREFIX = b".onion checksum"
 BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 PARSE_MEMO_SIZE = 4096  # labels parse_onion keeps decoded, about 400 bytes each
+VERIFY_MEMO_SIZE = 4096  # triples verify keeps as verified, about 150 bytes each
 
 _ALPHABET_SET = frozenset(BASE32_ALPHABET)
 
 
+_verified: OrderedDict[bytes, None] = OrderedDict()  # memo key -> nothing; see verify
+_verified_lock = threading.Lock()
+_VERIFY_MEMO_SECRET = os.urandom(32)  # keys the memo's digests
+
+
 @lru_cache(maxsize=None)
 def _ed25519() -> tuple:
-    """cryptography's ``ed25519`` module and its ``InvalidSignature``,
-    imported on the first call and kept."""
+    """cryptography's ``ed25519`` module, its ``InvalidSignature`` and the
+    ``blake2b`` that keys the verify memo, imported on the first call and
+    kept."""
     from cryptography.exceptions import InvalidSignature
     from cryptography.hazmat.primitives.asymmetric import ed25519
 
-    return ed25519, InvalidSignature
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+    return ed25519, InvalidSignature, blake2b
 
 
 def _checksum(pubkey: bytes, version: int = ONION_VERSION) -> bytes:
@@ -246,14 +280,28 @@ def verify(pubkey: bytes, message: bytes, signature: bytes) -> bool:
 
     Raises :class:`MalformedSignature` for a wrong-length signature rather
     than silently returning False: length errors are caller bugs.
+
+    A triple that verified is kept in a bounded memo (see the module
+    docstring), so verifying the same bytes again, from whatever object or
+    text they come, costs one keyed digest and no ed25519 operation while
+    the memo holds them.  A triple that does not verify is never kept.
     """
     if len(pubkey) != 32:
         raise BadLength(f"pubkey must be 32 bytes, got {len(pubkey)}")
     if len(signature) != 64:
         raise MalformedSignature(f"signature must be 64 bytes, got {len(signature)}")
-    ed25519, invalid_signature = _ed25519()
+    ed25519, invalid_signature, blake2b = _ed25519()
+    key = blake2b(pubkey + signature + message, digest_size=32, key=_VERIFY_MEMO_SECRET).digest()
+    with _verified_lock:
+        if key in _verified:
+            _verified.move_to_end(key)
+            return True
     try:
         ed25519.Ed25519PublicKey.from_public_bytes(pubkey).verify(signature, message)
     except invalid_signature:
         return False
+    with _verified_lock:
+        _verified[key] = None
+        if len(_verified) > VERIFY_MEMO_SIZE:
+            _verified.popitem(last=False)
     return True

@@ -58,7 +58,9 @@ Every hostname a fixture names, as a key of ``sites``, of a patch or of
 ``he_rules``, or in the attacker's ``rogue_cert_for`` or ``dns_hijack``,
 is kept in its normal form (:func:`satakit.sata.normalize_host`):
 ``Victim.Example.`` and ``victim.example`` are one host, and a table that
-names one host twice, in any two spellings, is refused.
+names one host twice, in any two spellings, is refused.  Every onion label,
+a value of ``he_rules`` or in the attacker's ``onion_keys``, is kept bare
+and lowercase, whether or not it is written with ``.onion``.
 
 ``{onion:NAME}`` anywhere in a string substitutes the onion label of the
 named key; cert DER bytes are derived from the cert's name so fingerprints
@@ -84,8 +86,8 @@ from .credential import (
     Binding,
     SattestationBody,
 )
-from .errors import InconsistentWorld, UnrepresentableField
-from .onion import KeyPair, keygen
+from .errors import InconsistentWorld, OnionAddressError, UnrepresentableField
+from .onion import KeyPair, keygen, parse_onion
 from .sata import Sata, expected_sans, normalize_host, split_url
 from .trust import TrustPolicy, policy_from_json
 from .validation import CertDescriptor, fingerprint_cert
@@ -379,6 +381,16 @@ def _substitute(value: str, keys: Mapping[str, KeyPair]) -> str:
     return out
 
 
+def _onion_label(text: str) -> str:
+    """The bare lowercase label of the onion address ``text`` spells, with
+    or without its ``.onion`` suffix; an invalid address raises
+    :class:`UnrepresentableField`."""
+    try:
+        return parse_onion(text).label
+    except OnionAddressError as exc:
+        raise UnrepresentableField(f"fixture onion label {text!r} is invalid: {exc}") from None
+
+
 def _cert_from_spec(name: str, spec: dict, keys: Mapping[str, KeyPair]) -> CertDescriptor:
     der = f"cert:{name}".encode("utf-8")
     sans: list[str] = []
@@ -508,13 +520,15 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     Every hostname the fixture names is kept in its normal form
     (:func:`~satakit.sata.normalize_host`): the keys of ``sites``, of each
     step's and each user's patch and of ``he_rules``, and the attacker's
-    ``rogue_cert_for`` and ``dns_hijack``.
+    ``rogue_cert_for`` and ``dns_hijack``.  Every onion label it names, the
+    values of ``he_rules`` and the attacker's ``onion_keys``, is kept as
+    :func:`~satakit.onion.parse_onion` spells it: bare and lowercase.
 
     Malformed JSON, a fixture that is not a JSON object, a field of the
     wrong JSON type or a missing required field, a key, cert or credential
-    the fixture names but does not define, or a table keyed by hostname
-    that names one host twice, in any two spellings, raises
-    :class:`UnrepresentableField`."""
+    the fixture names but does not define, an invalid onion label, or a
+    table keyed by hostname that names one host twice, in any two
+    spellings, raises :class:`UnrepresentableField`."""
     raw = source if isinstance(source, dict) else _json.load(Path(source).read_bytes(), "fixture")
 
     keys = {
@@ -544,14 +558,17 @@ def load_scenario(source: str | Path | dict) -> Scenario:
             )
             # two sets of hostnames, and one of onion labels
             for caps, form in (
-                ("rogue_cert_for", normalize_host), ("dns_hijack", normalize_host), ("onion_keys", str)
+                ("rogue_cert_for", normalize_host), ("dns_hijack", normalize_host),
+                ("onion_keys", _onion_label),
             )
         },
         compromised_victim_onion_key=_json.field(
             attacker_spec, "compromised_victim_onion_key", bool, False, what="fixture"
         ),
     )
-    he_rules = _host_table(raw, "he_rules", keys, lambda label: _substitute(label, keys), items=str)
+    he_rules = _host_table(
+        raw, "he_rules", keys, lambda label: _onion_label(_substitute(label, keys)), items=str
+    )
     world = World(
         sites=sites,
         attacker=attacker,

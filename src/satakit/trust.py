@@ -84,7 +84,11 @@ is verified, and its table built, only the first time a query reads it, so
 a query verifies only the issuers it reaches and a pool published by an
 adversary cannot force more.  Each credential object keeps its structural
 and signature verdicts (see :func:`verify_credential`), so indexing a pool
-again stays cheap.  Freshness depends on the query date and is checked per
+again stays cheap.  New objects with bytes the process has verified
+before, such as a pool fetched again as text, pay their structural checks
+and one keyed digest each, and no ed25519 operation while the signature
+memo of :func:`satakit.onion.verify` holds them; only the identity reuse
+above is lost.  Freshness depends on the query date and is checked per
 query, as one chained integer comparison per row read: a row holds the
 first and last day ordinals on which its binding is fresh, its refresh
 date's ordinal minus and plus its credential's :func:`freshness_slack`.

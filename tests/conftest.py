@@ -118,3 +118,20 @@ def bank_header(bank_key, bank_cert):
         refresh_rate_days=7,
         labels=["bank"],
     )
+
+
+@pytest.fixture
+def ed25519_verifications(monkeypatch) -> list[bytes]:
+    """The public key of each ed25519 verification made while the test
+    runs, counted where cryptography builds the key to verify with."""
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+
+    made: list[bytes] = []
+    real = ed25519.Ed25519PublicKey.from_public_bytes
+
+    def counting(data):
+        made.append(data)
+        return real(data)
+
+    monkeypatch.setattr(ed25519.Ed25519PublicKey, "from_public_bytes", counting)
+    return made

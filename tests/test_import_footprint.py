@@ -10,7 +10,8 @@ loads ``dataclasses`` or the ``inspect`` it imports, nor ``_hashlib``,
 Python's OpenSSL binding, which only fingerprinting a certificate needs;
 the onion checksum's SHA-3 falls back to :mod:`hashlib` without
 ``_sha3`` and gives the same labels; parsing an onion address or a SATA
-loads neither cryptography nor ``datetime``; the
+loads neither cryptography, nor ``_blake2``, whose digest keys the
+signature memo, nor ``datetime``; the
 navigation decision, ``satakit.browser``, loads neither the simulator nor
 ``dataclasses``; importing the package loads no submodule until a name is
 used; and building each input type, which resolves its field annotations,
@@ -151,12 +152,13 @@ CRYPTOGRAPHY = "cryptography"  # loaded whenever any of its modules is
 DATACLASSES = {"dataclasses", "inspect"}  # only the simulator's records are dataclasses
 DATETIME = "datetime"  # for dates, which no parse reads
 HASHLIB = "_hashlib"  # OpenSSL's hashes, for certificate fingerprints only
+BLAKE2 = "_blake2"  # keys the signature memo, so only verifying needs it
 NEVER = DATACLASSES | {HASHLIB}  # what no command below loads
 # command -> the modules its process must not load
 FOOTPRINTS = {
-    "onion parse": SATAKIT | NEVER | {CRYPTOGRAPHY, DATETIME},
+    "onion parse": SATAKIT | NEVER | {CRYPTOGRAPHY, DATETIME, BLAKE2},
     "onion keygen": SATAKIT | NEVER,
-    "sata parse": SATAKIT - {"satakit.sata"} | NEVER | {CRYPTOGRAPHY, DATETIME},
+    "sata parse": SATAKIT - {"satakit.sata"} | NEVER | {CRYPTOGRAPHY, DATETIME, BLAKE2},
     "satt verify": {"satakit.validation", "satakit.trust", "satakit.sim"} | NEVER,
     "satt self": {"satakit.validation", "satakit.trust", "satakit.sim"} | NEVER,
     "verify": {"satakit.trust", "satakit.sim", SERIALIZATION} | NEVER,

@@ -22,7 +22,8 @@ from satakit.errors import (
     SataError,
 )
 from satakit.onion import (
-    BASE32_ALPHABET, PARSE_MEMO_SIZE, KeyPair, OnionAddress, _decode, address_for,
+    BASE32_ALPHABET, PARSE_MEMO_SIZE, VERIFY_MEMO_SIZE, KeyPair, OnionAddress, _decode,
+    _verified, address_for,
 )
 
 from oracles import (
@@ -339,6 +340,154 @@ def test_threads_parsing_one_label_list_agree():
         sys.setswitchinterval(interval)
     assert len(results) == 4 and all(r == expected for r in results)
     assert _decode.cache_info().currsize == sum(not isinstance(o, tuple) for o in expected)
+
+
+# -- the verify memo -----------------------------------------------------------
+
+
+def _checked(pubkey, message, signature):
+    """What ``verify`` gives for the triple: its verdict, or the error's class."""
+    try:
+        return verify(pubkey, message, signature)
+    except Exception as exc:
+        return type(exc)
+
+
+def _oracle_checked(pubkey, message, signature):
+    """cryptography's own verdict on the triple, with no memo in between."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+
+    try:
+        ed25519.Ed25519PublicKey.from_public_bytes(pubkey).verify(signature, message)
+    except InvalidSignature:
+        return False
+    except Exception as exc:
+        return type(exc)
+    return True
+
+
+def _byte_changed(data: bytes, pos: int, mask: int) -> bytes:
+    return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1 :]
+
+
+_SIGNERS = [keygen(bytes([0x60 + i]) * 32) for i in range(3)]
+
+
+@st.composite
+def _verified_then_checked(draw):
+    """(valid, checked): a triple that verifies, and the triple checked after
+    it: the same one, one of its parts with one byte changed, or random bytes."""
+    pair = draw(st.sampled_from(_SIGNERS))
+    message = draw(st.binary(min_size=1, max_size=300))
+    valid = (pair.public, message, sign(pair, message))
+    change = draw(st.sampled_from(["none", "pubkey", "message", "signature", "random"]))
+    if change == "none":
+        return valid, valid
+    if change == "random":
+        return valid, (
+            draw(st.binary(min_size=32, max_size=32)),
+            draw(st.binary(max_size=300)),
+            draw(st.binary(min_size=64, max_size=64)),
+        )
+    part = ("pubkey", "message", "signature").index(change)
+    data = valid[part]
+    pos = draw(st.integers(0, len(data) - 1))
+    changed = list(valid)
+    changed[part] = _byte_changed(data, pos, draw(st.integers(1, 255)))
+    return valid, tuple(changed)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_verified_then_checked())
+def test_verify_agrees_with_cryptography_once_the_valid_triple_is_kept(case):
+    valid, checked = case
+    assert verify(*valid) is True  # now in the memo
+    expected = _oracle_checked(*checked)
+    assert _checked(*checked) == expected
+    assert _checked(*checked) == expected  # and again, memo or not
+    assert verify(*valid) is True
+
+
+def test_triples_that_do_not_verify_are_never_kept(ed25519_verifications):
+    pair, other = keygen(b"\x09" * 32), keygen(b"\x0a" * 32)
+    message = b"attested bytes"
+    signature = sign(pair, message)
+    invalid = [
+        (other.public, message, signature),
+        (pair.public, _byte_changed(message, 3, 0x20), signature),
+        (pair.public, message, _byte_changed(signature, 40, 0x01)),
+        (pair.public, message, bytes(64)),
+    ]
+    _verified.clear()
+    for triple in invalid * 2:
+        assert verify(*triple) is False
+    assert len(_verified) == 0
+    assert len(ed25519_verifications) == 2 * len(invalid)  # each checked afresh
+    with pytest.raises(MalformedSignature):
+        verify(pair.public, message, signature[:63])
+    assert len(ed25519_verifications) == 2 * len(invalid)  # refused before the memo
+    assert verify(pair.public, message, signature) and verify(pair.public, message, signature)
+    assert len(_verified) == 1
+    assert len(ed25519_verifications) == 2 * len(invalid) + 1
+
+
+def test_verify_memo_holds_at_most_its_bound(ed25519_verifications):
+    assert VERIFY_MEMO_SIZE == 4096
+    pair = keygen(b"\x0b" * 32)
+    messages = [i.to_bytes(4, "big") for i in range(VERIFY_MEMO_SIZE + 200)]
+    triples = [(pair.public, m, sign(pair, m)) for m in messages]
+    _verified.clear()
+    for triple in triples:
+        assert verify(*triple)
+    assert len(_verified) == VERIFY_MEMO_SIZE
+    assert len(ed25519_verifications) == len(triples)
+    oldest_kept = 200
+    assert verify(*triples[oldest_kept])  # a hit, and now the most recently used
+    assert len(ed25519_verifications) == len(triples)
+    assert verify(*triples[0])  # dropped: verified again, dropping the next oldest
+    assert len(ed25519_verifications) == len(triples) + 1
+    assert verify(*triples[oldest_kept])  # kept, as it was used
+    assert len(ed25519_verifications) == len(triples) + 1
+    assert verify(*triples[oldest_kept + 1])  # dropped for triples[0]
+    assert len(ed25519_verifications) == len(triples) + 2
+    assert len(_verified) == VERIFY_MEMO_SIZE
+
+
+def test_threads_verifying_shared_and_distinct_triples_agree():
+    pairs = [keygen(bytes([0x70 + i]) * 32) for i in range(4)]
+
+    def triples(tag: str) -> list[tuple]:
+        made = []
+        for i, pair in enumerate(pairs):
+            message = f"{tag}-{i}".encode()
+            signature = sign(pair, message)
+            made.append((pair.public, message, signature))
+            made.append((pair.public, message, _byte_changed(signature, i, 0x80)))
+            made.append((pairs[i - 1].public, message, signature))
+        return made
+
+    shared = triples("shared")
+    own = [triples(f"worker-{worker}") for worker in range(4)]
+    everything = shared + [t for worker in own for t in worker]
+    expected = {t: _oracle_checked(*t) for t in everything}
+
+    def verify_all(worker):
+        order = shared + own[worker]
+        random.Random(worker).shuffle(order)
+        return [(t, _checked(*t)) for _ in range(3) for t in order]
+
+    _verified.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(verify_all, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4
+    assert all(got == expected[t] for result in results for t, got in result)
+    assert len(_verified) == sum(verdict is True for verdict in expected.values())
 
 
 def test_keypair_derives_its_address_on_first_use_and_keeps_it():

@@ -19,6 +19,7 @@ from satakit import (
     Step,
     World,
     expected_sans,
+    keygen,
     load_scenario,
     run_matrix,
     run_scenario,
@@ -26,6 +27,7 @@ from satakit import (
     to_query_form,
     track_alt_svc_exposure,
 )
+from satakit.cli import EXIT_DATA, main
 from satakit.credential import make_self_sattestation
 from satakit.errors import InconsistentWorld, SataError, UnknownHost, UnrepresentableField
 from satakit.sim import _patched, is_attacker_endpoint, validate_world
@@ -605,6 +607,57 @@ def test_a_hijack_spelled_in_capitals_still_needs_the_rogue_cert():
     scenario = load_scenario(raw)
     with pytest.raises(InconsistentWorld, match="no rogue-cert capability"):
         validate_world(scenario.world)
+
+
+def _onion_labels_respelled(raw: dict, spell) -> dict:
+    """``raw`` with each onion label its ``he_rules`` values and attacker
+    ``onion_keys`` name written out through ``spell``, not as ``{onion:NAME}``."""
+    keys = {name: keygen(bytes.fromhex(seed)) for name, seed in raw["keys"].items()}
+
+    def respelled(value: str) -> str:
+        assert value.startswith("{onion:") and value.endswith("}"), value
+        return spell(keys[value[len("{onion:") : -1]].address.label)
+
+    attacker = raw["attacker"]
+    attacker["onion_keys"] = [respelled(v) for v in attacker["onion_keys"]]
+    raw["he_rules"] = {host: respelled(v) for host, v in raw.get("he_rules", {}).items()}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [str.upper, lambda label: label + ".onion", lambda label: f" {label.upper()}.Onion"],
+    ids=["capitals", "suffix", "capitals-suffix-padded"],
+)
+def test_fixture_onion_labels_in_any_spelling_replay_as_written(spell):
+    respelled = 0
+    for stem, scenario in SPELLED_SCENARIOS.items():
+        path = FIXTURES_DIR / f"{stem}.json"
+        raw = json.loads((path if path.exists() else DATA_DIR / f"{stem}.json").read_text())
+        raw = _onion_labels_respelled(raw, spell)
+        respelled += len(raw["attacker"]["onion_keys"]) + len(raw["he_rules"])
+        loaded = load_scenario(raw)
+        assert loaded.world == scenario.world
+        validate_world(loaded.world)
+        assert _decided(loaded) == AS_WRITTEN[stem][0]
+    assert respelled == 4  # three attackers' keys and attack 3's ruleset entry
+
+
+@pytest.mark.parametrize("table", ["he_rules", "onion_keys"])
+@pytest.mark.parametrize("label", ["abc", "a" * 56, "not an onion.onion"])
+def test_an_invalid_fixture_onion_label_is_unrepresentable(capsys, tmp_path, table, label):
+    raw = json.loads((FIXTURES_DIR / "attack3_securedrop_ruleset.json").read_text())
+    if table == "he_rules":
+        raw["he_rules"] = {"www.cbc.ca.securedrop.tor.onion": label}
+    else:
+        raw["attacker"]["onion_keys"] = [label]
+    with pytest.raises(UnrepresentableField, match="fixture onion label"):
+        load_scenario(raw)
+    (tmp_path / "bad.json").write_text(json.dumps(raw))
+    code = main(["--json", "sim", "run", "--fixture", str(tmp_path / "bad.json"),
+                 "--browser", "legacy"])
+    assert code == EXIT_DATA
+    assert json.loads(capsys.readouterr().out)["error"]["class"] == "UnrepresentableField"
 
 
 # -- user tracking via alternative services --------------------------------------------

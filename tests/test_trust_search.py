@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import math
 import operator
 import random
@@ -22,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import satakit.credential as credential_module
+import satakit.onion as onion_module
 import satakit.trust as trust_module
 from satakit import (
     AltSvcDecision,
@@ -39,6 +41,7 @@ from satakit import (
     rotation_check,
     sign,
     validate_alt_svc,
+    validate_connection,
     verify_credential,
 )
 from satakit.credential import from_transport_json, is_fresh, to_transport_json
@@ -49,6 +52,7 @@ from satakit.errors import (
     UnrepresentableField,
 )
 from satakit.trust import TrustPolicy, TrustRoot, delegation_label, usable_links
+from satakit.validation import Verdict, VerdictOutcome
 
 from oracles import (
     RFC8032_VECTOR_1,
@@ -1290,6 +1294,53 @@ def test_queries_verify_only_the_issuers_they_read(verify_calls, monkeypatch):
     assert len(usable_links(pool, NOW)) == 7
     assert verify_calls == {cred.signature: 1 for cred in unreached}
     assert len(built) == 1
+
+
+def test_bytes_received_again_cost_no_ed25519_operation(
+    ed25519_verifications, bank_sata, bank_cert, bank_header
+):
+    """Once the originals are verified, a pool re-parsed from its transport
+    text and a header served again as new text, here respelled, cost no
+    ed25519 operation: the process keeps the signatures that verified by
+    their bytes, whatever object or text carries them."""
+    root = TrustRoot(sattestor=_sata(0), trusted_labels=frozenset({NEWS}))
+    policy = TrustPolicy(roots=(root,), max_chain_depth=2)
+    pool = [
+        issue(_KEYS[0], _body(0, [_binding(1 + i % 6, [NEWS], NOW).replace(
+            domain=f"s{i}.pool.example"
+        )]))
+        for i in range(200)
+    ]
+    subject = Sata(domain="s7.pool.example", onion=_KEYS[2].address)
+    onion_module._verified.clear()
+    assert evaluate(policy, pool, subject, NEWS, NOW) is not None
+    assert len(ed25519_verifications) == len(pool)
+
+    texts = [to_transport_json(cred) for cred in pool]
+    again = [from_transport_json(text) for text in texts]
+    assert not any(a is b for a, b in zip(again, pool))
+    assert [link.credential for link in evaluate(policy, again, subject, NEWS, NOW).links] == [
+        again[7]
+    ]
+    assert len(usable_links(again, NOW)) == len(pool)
+    assert len(ed25519_verifications) == len(pool)
+
+    def served(text: str) -> Verdict:
+        return validate_connection(bank_sata, bank_cert, from_transport_json(text), NOW)
+
+    header = to_transport_json(bank_header)
+    assert served(header).outcome is VerdictOutcome.ACCEPT
+    assert len(ed25519_verifications) == len(pool) + 1
+    respelled = json.dumps(json.loads(header), indent=1, sort_keys=True)
+    assert respelled != header
+    assert served(respelled).outcome is VerdictOutcome.ACCEPT
+    assert len(ed25519_verifications) == len(pool) + 1
+    wire = json.loads(header)
+    signature = wire["signature"]
+    wire["signature"] = format(int(signature[0], 16) ^ 1, "x") + signature[1:]
+    for _ in range(2):  # a signature that fails is checked on every receipt
+        assert served(json.dumps(wire)).outcome is VerdictOutcome.REJECT_SIGNATURE
+    assert len(ed25519_verifications) == len(pool) + 3
 
 
 def test_a_hit_ends_the_search_before_other_delegates_are_read(verify_calls):

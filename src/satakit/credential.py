@@ -56,8 +56,9 @@ WELL_KNOWN_SATTESTATION_PATH = "/.well-known/sattestation"
 SATT_FILE_EXTENSION = ".satt"
 MAX_SELF_SATTESTATION_BYTES = 800
 
-_RATE_RE = re.compile(r"^(\d+(?:\.\d+)?) days$")
-_FINGERPRINT_RE = re.compile(r"^[0-9A-F]+$")
+# matched whole, by fullmatch, and in ASCII digits only
+_RATE_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?) days")
+_FINGERPRINT_RE = re.compile(r"[0-9A-F]+")
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 
 
@@ -77,7 +78,7 @@ def format_refresh_rate(days: float) -> str:
 
 
 def parse_refresh_rate(text: str) -> float:
-    m = _RATE_RE.match(text) if isinstance(text, str) else None
+    m = _RATE_RE.fullmatch(text) if isinstance(text, str) else None
     if not m:
         raise UnrepresentableField(f"refresh rate not in '<number> days' form: {text!r}")
     return float(m.group(1))
@@ -123,7 +124,7 @@ class Binding(Value):
                 )
         normalized = tuple(fp.upper() for fp in self.cert_fingerprints)
         for fp in normalized:
-            if not _FINGERPRINT_RE.match(fp):
+            if not _FINGERPRINT_RE.fullmatch(fp):
                 raise StructuralViolation(f"certificate fingerprint {fp!r} is not hex")
         set_field(self, "cert_fingerprints", normalized)
 

@@ -33,7 +33,7 @@ SUBDOMAIN_LABEL_LENGTH = LABEL_LENGTH + len(SUBDOMAIN_GLUE)  # 61
 QUERY_PARAM = "onion"
 SECUREDROP_SUFFIX = ".securedrop.tor.onion"
 
-_DNS_LABEL_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
+_DNS_LABEL_RE = re.compile(r"[a-z0-9]([a-z0-9-]*[a-z0-9])?")  # whole label, by fullmatch
 
 
 class SataForm(Enum):
@@ -65,7 +65,7 @@ def _dns_name(name: str, given: str) -> str:
     if not name or len(name) > 253:
         raise BadDomain(f"domain name length out of range: {given!r}")
     for part in name.split("."):
-        if len(part) > 63 or not _DNS_LABEL_RE.match(part):
+        if len(part) > 63 or not _DNS_LABEL_RE.fullmatch(part):
             raise BadDomain(f"invalid DNS label {part!r} in {given!r}")
     return name
 

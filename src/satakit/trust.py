@@ -27,7 +27,16 @@ a state keeps one chain, so their earlier ranks are equal.
 The search is breadth-first over states (issuer identity, allowed-label
 set), in the manner of Clarke et al., "Certificate chain discovery in
 SPKI/SDSI" (J. Computer Security 2001).  Each state is expanded once, at
-the first depth that reaches it, and keeps one chain.
+the first depth that reaches it, and keeps one chain.  It is expanded
+only through the delegation labels that reach the queried label L, those
+that unwrapping with :func:`delegation_scope` turns into L:
+``sattestor(L)``, ``sattestor(sattestor(L))`` and so on, and L itself when
+L is a delegation label.  A link carrying ``sattestor(X)`` grants
+``{X, sattestor(X)}``, so a state entered through any other label cannot
+use L, nor can any state after it.  The rows skipped could give no hit,
+and a state's key holds its allowed labels, so skipping them keeps no
+state that may use L from being reached: ``seen``, the tie rule and every
+chain found are unchanged.
 
 Every query reads a pool through its index, the one owner of which
 published credentials count: :func:`evaluate`, :func:`usable_links`,
@@ -70,9 +79,13 @@ and one identity pass over any other container, plus for :func:`evaluate`
 at most states x bindings, whatever the depth.  Each depth is searched for
 hits first, reading only the subject's rows in the states that may use the
 queried label; delegation rows are walked only at a depth that holds no
-hit and is not the last, and the search stops at the first depth that
-reaches no new state.  So a hit at depth d reads no state of that depth
-that may not use the label, and verifies no issuer met only there.  A pool
+hit and is not the last, only under the labels that reach the queried
+label, and only in the states that hold one, and the search stops at the
+first depth that reaches no new state.  So a hit at depth d reads no
+state of that depth that may not use the label, and verifies no issuer
+met only there; a query's cost does not depend on the delegation graphs
+of other scopes, whose issuers it neither reads nor verifies, and a query
+for a label that no root can use or reach verifies no issuer.  A pool
 the memo does not hold is compared with its indexes in turn: one of
 another length costs nothing, and one as long costs identity passes, until
 an object in the same place is found and then until the two differ by more
@@ -95,7 +108,9 @@ date's ordinal minus and plus its credential's :func:`freshness_slack`.
 A row also holds its credential's canonical bytes, the object the body
 keeps, and a delegation row the state it leads to, so reading a row calls
 no function and builds no tuple until it is a candidate.  The policy's
-first states are built once per :class:`TrustPolicy`.
+first states are built once per :class:`TrustPolicy`, and which labels of
+an allowed set reach a queried label is worked out once while a memo of
+the 256 most recent such pairs holds it.
 """
 
 from __future__ import annotations
@@ -103,7 +118,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from datetime import date
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, count
 from operator import is_, is_not
 from typing import Iterable, Optional, Sequence
@@ -229,6 +244,27 @@ def _grant(label: str) -> Optional[frozenset[str]]:
     if scope is None:
         return None
     return frozenset({scope, delegation_label(scope)})
+
+
+@lru_cache(maxsize=256)
+def _walked(allowed: frozenset[str], label: str) -> tuple[str, ...]:
+    """The labels of ``allowed`` whose delegation rows the search for
+    ``label`` walks: those that reach it (see :func:`_reaches`).  Kept for
+    the 256 most recent (allowed set, label) pairs, so a query works it out
+    only for an allowed set and label no recent query had."""
+    return tuple(lab for lab in allowed if _reaches(lab, label))
+
+
+def _reaches(lab: str, label: str) -> bool:
+    """Whether a link carrying ``lab`` can lead to a state that may use
+    ``label`` (see the module docstring): ``lab`` is a delegation label,
+    and is ``label`` or turns into it when unwrapped with
+    :func:`delegation_scope`."""
+    while (scope := delegation_scope(lab)) is not None:
+        if label == lab or label == scope:
+            return True
+        lab = scope
+    return False
 
 
 def _verifies(cred: Sattestation) -> bool:
@@ -514,8 +550,12 @@ def evaluate(
     use the query label, the subject's rows carrying it, and keeps the
     smallest fresh one; a hit ends the search there.  Only a depth with
     no hit that is not the last gets the expansion pass, which walks the
-    rows of each delegation label a state may use to reach the next
-    depth's states.  A candidate's order, (step keys, canonical bytes,
+    rows of each delegation label a state may use that reaches the query
+    label (``sattestor(label)``, ``sattestor(sattestor(label))``, ..., or
+    ``label`` itself when it delegates) to reach the next depth's states;
+    a state that may use no such label is not read, so its issuer is not
+    verified, and the delegation graphs of other scopes cost the query
+    nothing.  A candidate's order, (step keys, canonical bytes,
     place) with the bytes and place those of the link it adds, is built
     only for a hit or for a state no earlier depth reached.
     """
@@ -567,11 +607,15 @@ def evaluate(
         if depth == last_depth:
             break
         # no hit at this depth: the delegation rows of every allowed label
-        # reach the next depth's states
+        # that reaches the query label lead to the next depth's states; a
+        # state with no such label is not read
         reached: dict[tuple, tuple] = {}
         for (domain, onion, allowed), (keys, creds) in frontier.items():
+            labs = _walked(allowed, label)
+            if not labs:
+                continue
             delegating = index.table((domain, onion))[1]
-            for lab in allowed:
+            for lab in labs:
                 if lab not in delegating:
                     continue
                 for first, last, _sd, _so, idx, pos, cred, raw, state in delegating[lab][1]:

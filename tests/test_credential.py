@@ -152,6 +152,40 @@ def test_refresh_rate_wire_forms():
         format_refresh_rate(-1)
 
 
+@pytest.mark.parametrize(
+    "text", ["7 days\n", "٣ days", "１０ days", "7.٥ days", "7 days\n\n"]
+)
+def test_a_refresh_rate_is_read_only_in_its_own_ascii_form(text):
+    """A rate that re-encodes as other bytes, such as a final line break or
+    a digit of another script, is refused, in the parser and in a received
+    credential, whose signature covers the re-encoding."""
+    with pytest.raises(UnrepresentableField):
+        parse_refresh_rate(text)
+    wire = json.loads(to_transport_json(issue(key_for("sattestora.info"), fig1_body())))
+    wire["sattestation"]["sattestor_refresh_rate"] = text
+    with pytest.raises(UnrepresentableField):
+        from_transport_json(json.dumps(wire))
+
+
+@pytest.mark.parametrize("fingerprint", ["AB\n", FP1 + "\n", "ＡＢ"])
+def test_a_fingerprint_is_hex_to_its_last_character(fingerprint):
+    with pytest.raises(StructuralViolation, match="not hex"):
+        Binding(
+            domain="sattestora.info",
+            onion=key_for("sattestora.info").address,
+            issued=date(2020, 6, 1),
+            refreshed_on=date(2020, 8, 25),
+            cert_fingerprints=(fingerprint,),
+        )
+
+
+def test_a_received_binding_cannot_name_a_domain_with_a_line_break():
+    wire = json.loads(to_transport_json(issue(key_for("sattestora.info"), fig1_body())))
+    wire["sattestation"]["sattestees"][0]["domain"] = "domain1\n.info"
+    with pytest.raises(SataError):
+        from_transport_json(json.dumps(wire))
+
+
 # -- issuance and verification -------------------------------------------------
 
 

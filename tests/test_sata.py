@@ -216,6 +216,34 @@ def test_bad_domain_is_a_sata_error_and_a_value_error(domain):
     assert isinstance(raised.value, SataError) and isinstance(raised.value, ValueError)
 
 
+@pytest.mark.parametrize("domain", ["a\n.example", "a.example\n.", "bank.example\n\n.", "a-\n.example"])
+def test_a_line_break_inside_a_domain_is_no_dns_label(domain):
+    with pytest.raises(BadDomain):
+        normalize_domain(domain)
+
+
+# characters near a DNS label's: ASCII case and whitespace, and code points
+# that lowercase or read as digits outside ASCII
+_NAME_CHARS = st.sampled_from(["a", "Z", "0", "-", "\n", "\r", " ", "\u212a", "\u0130", "\u0663"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(st.lists(_NAME_CHARS, min_size=1, max_size=4).map("".join), min_size=1, max_size=4)
+        .map(".".join),
+    )
+)
+def test_a_normal_domain_is_ascii_dns_labels(text):
+    try:
+        name = normalize_domain(text)
+    except BadDomain:
+        return
+    labels = name.split(".")
+    assert all(label and set(label) <= set("abcdefghijklmnopqrstuvwxyz0123456789-") for label in labels)
+
+
 @pytest.mark.parametrize(
     "text,normal",
     [

@@ -1374,6 +1374,92 @@ def test_a_hit_ends_the_search_before_other_delegates_are_read(verify_calls):
     assert verify_calls == {cred.signature: 1 for cred in reached}
 
 
+def _news_and_bank_graphs() -> tuple[list[Sattestation], list[Sattestation]]:
+    """(news side, bank-only side) of one node set that carries a
+    ``sattestor(news)`` graph, 0 -> 1 -> 2 -> 3 with ``news`` on the last
+    hop, and a ``sattestor(bank)`` graph, 0 -> 4 -> {2, 5} -> 6.  Nodes 0,
+    1 and 2 carry both; issuers 4, 5 and 6 are reached only through
+    ``sattestor(bank)``.  The objects are new on every call."""
+    news, bank = delegation_label(NEWS), delegation_label("bank")
+    both = [
+        issue(_KEYS[0], _body(0, [_binding(1, [news], NOW), _binding(4, [bank], NOW)])),
+        issue(_KEYS[1], _body(1, [_binding(2, [news], NOW), _binding(5, [bank], NOW)])),
+        issue(_KEYS[2], _body(2, [_binding(3, [NEWS], NOW), _binding(6, [bank], NOW)])),
+    ]
+    bank_only = [
+        issue(_KEYS[4], _body(4, [_binding(2, [bank], NOW), _binding(5, [bank], NOW)])),
+        issue(_KEYS[5], _body(5, [_binding(6, [bank], NOW), _binding(3, ["bank"], NOW)])),
+        issue(_KEYS[6], _body(6, [_binding(3, ["bank", bank], NOW)])),
+    ]
+    return both, bank_only
+
+
+def test_a_query_verifies_no_issuer_reached_only_through_another_scope(verify_calls):
+    """A delegation label is walked only when unwrapping it reaches the
+    queried label, so the ``sattestor(bank)`` graph costs a ``news``
+    query nothing, hit or miss."""
+    root = TrustRoot(
+        sattestor=_sata(0),
+        trusted_labels=frozenset({delegation_label(NEWS), delegation_label("bank")}),
+    )
+    policy = TrustPolicy(roots=(root,), max_chain_depth=4)
+
+    both, bank_only = _news_and_bank_graphs()
+    chain = evaluate(policy, [*bank_only, *both], _sata(3), NEWS, NOW)
+    assert [link.credential for link in chain.links] == both
+    assert verify_calls == {cred.signature: 1 for cred in both}
+
+    verify_calls.clear()
+    both, bank_only = _news_and_bank_graphs()
+    assert evaluate(policy, [*bank_only, *both], _sata(6), NEWS, NOW) is None
+    assert verify_calls == {cred.signature: 1 for cred in both}
+
+    # the bank graph is still searched for bank
+    verify_calls.clear()
+    both, bank_only = _news_and_bank_graphs()
+    chain = evaluate(policy, [*bank_only, *both], _sata(3), "bank", NOW)
+    assert [link.credential for link in chain.links] == [both[0], bank_only[0], bank_only[1]]
+
+
+def test_a_label_no_root_can_use_or_reach_verifies_nothing(verify_calls):
+    root, pool = _complete_graph(40)
+    policy = TrustPolicy(roots=(root,), max_chain_depth=4)
+    for label in ("bank", delegation_label("bank"), delegation_label(delegation_label("bank"))):
+        assert evaluate(policy, pool, _sata(1), label, NOW) is None
+    assert verify_calls == {}
+
+
+def test_a_nested_scope_is_unwrapped_one_hop_at_a_time(verify_calls):
+    """root -sattestor(sattestor(news))-> A -sattestor(news)-> B -news->
+    subject, with A and B nodes 1 and 2, and beside the first hop a bank
+    delegation that no query here walks."""
+    twice = delegation_label(delegation_label(NEWS))
+    chain_creds = [
+        issue(_KEYS[0], _body(0, [_binding(5, [delegation_label("bank")], NOW), _binding(1, [twice], NOW)])),
+        issue(_KEYS[1], _body(1, [_binding(2, [delegation_label(NEWS)], NOW)])),
+        issue(_KEYS[2], _body(2, [_binding(3, [NEWS], NOW)])),
+    ]
+    beside = issue(_KEYS[5], _body(5, [_binding(3, ["bank"], NOW)]))
+    root = TrustRoot(
+        sattestor=_sata(0), trusted_labels=frozenset({twice, delegation_label("bank")})
+    )
+    policy = TrustPolicy(roots=(root,), max_chain_depth=3)
+    pool = [beside, *chain_creds]
+
+    chain = evaluate(policy, pool, _sata(3), NEWS, NOW)
+    assert [(link.credential, link.binding_index, link.label) for link in chain.links] == [
+        (chain_creds[0], 1, twice),
+        (chain_creds[1], 0, delegation_label(NEWS)),
+        (chain_creds[2], 0, NEWS),
+    ]
+    chain = evaluate(policy, pool, _sata(2), delegation_label(NEWS), NOW)
+    assert [link.credential for link in chain.links] == chain_creds[:2]
+    assert evaluate(policy, pool, _sata(1), twice, NOW).links[0].credential is chain_creds[0]
+    assert verify_calls == {cred.signature: 1 for cred in chain_creds}
+    # too shallow a budget for the nested scope
+    assert evaluate(policy.replace(max_chain_depth=2), pool, _sata(3), NEWS, NOW) is None
+
+
 # -- rotation ---------------------------------------------------------------------------
 
 # one domain's addresses under four keys: the parties of a rotation

@@ -14,7 +14,13 @@ from satakit import Binding, Sata, SattestationBody, issue, keygen
 from satakit.trust import TrustChain, TrustPolicy, TrustRoot, delegation_label, delegation_scope
 
 PLAIN_LABELS = ["news", "union", "bank"]
-ALL_LABELS = PLAIN_LABELS + [delegation_label(l) for l in PLAIN_LABELS]
+# a nested scope too: a chain may pass sattestor(news) on through
+# sattestor(sattestor(news)), and a query for either label must find it
+ALL_LABELS = (
+    PLAIN_LABELS
+    + [delegation_label(l) for l in PLAIN_LABELS]
+    + [delegation_label(delegation_label("news"))]
+)
 
 NOW = date(2020, 9, 1)
 
